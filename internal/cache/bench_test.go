@@ -1,10 +1,12 @@
 package cache_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"mpppb/internal/cache"
 	"mpppb/internal/policy"
+	"mpppb/internal/prefetch"
 	"mpppb/internal/trace"
 )
 
@@ -34,7 +36,7 @@ func filledCache() *cache.Cache {
 			}
 			c.Access(cache.Access{
 				PC:   0x400000 + uint64(w)*4,
-				Addr: (uint64(w*benchSets+set)) << trace.BlockBits,
+				Addr: (uint64(w*benchSets + set)) << trace.BlockBits,
 				Type: typ,
 			})
 		}
@@ -85,5 +87,56 @@ func BenchmarkVictimScan(b *testing.B) {
 	}
 	if c.Stats.Hits != 0 {
 		b.Fatalf("victim-scan benchmark hit %d times; tags not disjoint", c.Stats.Hits)
+	}
+}
+
+// BenchmarkHierarchyDemand measures one Hierarchy.Demand through the
+// single-thread machine's levels (32 KB L1, 256 KB L2, 2 MB LLC, all LRU)
+// with the stream prefetcher on. The reference stream is fixed: every
+// eighth reference continues one sequential stream, the rest fall at
+// random in a 4 MB footprint, and one in four is a store. A steady-state
+// Demand must not allocate.
+func BenchmarkHierarchyDemand(b *testing.B) {
+	lru := func(name string, size, ways int) *cache.Cache {
+		return cache.NewBySize(name, size, ways, policy.NewLRU(size/trace.BlockSize/ways, ways))
+	}
+	h := &cache.Hierarchy{
+		L1:  lru("l1d", 32<<10, 8),
+		L2:  lru("l2", 256<<10, 8),
+		LLC: lru("llc", 2<<20, 16),
+		Pf:  prefetch.NewStream(),
+		Lat: cache.DefaultLatencies(),
+	}
+	type ref struct {
+		pc, addr uint64
+		write    bool
+	}
+	rng := rand.New(rand.NewSource(1))
+	refs := make([]ref, 1<<16)
+	seq := uint64(1 << 32)
+	for i := range refs {
+		r := ref{pc: 0x400000 + uint64(rng.Intn(32))*4, write: rng.Intn(4) == 0}
+		if i%8 == 0 {
+			seq += trace.BlockSize
+			r.addr = seq
+		} else {
+			r.addr = uint64(rng.Intn(4 << 20))
+		}
+		refs[i] = r
+	}
+	var now uint64
+	i := 0
+	step := func() {
+		r := refs[i&(len(refs)-1)]
+		now += uint64(h.Demand(r.pc, r.addr, r.write, now))
+		i++
+	}
+	if allocs := testing.AllocsPerRun(len(refs), step); allocs != 0 {
+		b.Fatalf("Hierarchy.Demand allocates %.2f times per call", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		step()
 	}
 }

@@ -128,6 +128,43 @@ type Result struct {
 	ReadyAt uint64
 }
 
+// outcome is a Result in the form the access path returns internally. The
+// compiler keeps a struct in registers only up to four fields and 32
+// bytes; a Result passed back through a call is stored to the stack field
+// by field and reloaded as whole words, which stalls on store forwarding.
+type outcome struct {
+	set, way int
+	// at is the hit block's ReadyAt, or the evicted block's address.
+	at    uint64
+	flags uint8 // outHit | outBypassed | outEvicted | outDirty
+}
+
+const (
+	outHit uint8 = 1 << iota
+	outBypassed
+	outEvicted
+	outDirty // only with outEvicted
+)
+
+func (o outcome) hit() bool      { return o.flags&outHit != 0 }
+func (o outcome) bypassed() bool { return o.flags&outBypassed != 0 }
+
+// dirtyVictim returns the address of an evicted dirty block, which must
+// be written back.
+func (o outcome) dirtyVictim() (uint64, bool) { return o.at, o.flags&outDirty != 0 }
+
+func (o outcome) result() Result {
+	var readyAt, evictedAddr uint64
+	if o.hit() {
+		readyAt = o.at
+	} else {
+		evictedAddr = o.at
+	}
+	return Result{Hit: o.hit(), Bypassed: o.bypassed(), Set: o.set, Way: o.way,
+		EvictedValid: o.flags&outEvicted != 0, EvictedAddr: evictedAddr,
+		EvictedDirty: o.flags&outDirty != 0, ReadyAt: readyAt}
+}
+
 // Observer receives every completed cache operation. The verification
 // layer attaches one to run a naive reference cache model in lockstep
 // with the production array; when none is attached the cost is a single
@@ -261,56 +298,66 @@ func (c *Cache) IsPrefetchedAt(set, way int) bool {
 // the miss to the next level first if fill data ordering matters (the
 // simulator fills bottom-up, so lower levels are accessed before upper
 // levels install).
-func (c *Cache) Access(a Access) Result {
-	r := c.access(a)
+func (c *Cache) Access(a Access) Result { return c.access(a).result() }
+
+// access is Access in its internal form, with the build-tag assertions and
+// the observer; the hierarchy calls it directly.
+func (c *Cache) access(a Access) outcome {
+	o := c.lookupFill(a)
 	if verifyAsserts {
-		c.assertSetWellFormed(r.Set)
+		c.assertSetWellFormed(o.set)
 	}
 	if c.obs != nil {
-		c.obs.OnAccess(a, r)
+		c.obs.OnAccess(a, o.result())
 	}
-	return r
+	return o
 }
 
-// access is the lookup-and-fill body; Access wraps it with the optional
-// observer notification and build-tag assertions.
-func (c *Cache) access(a Access) Result {
-	blockAddr := a.Block()
-	set := c.SetIndex(blockAddr)
+// lookupFill is the lookup-and-fill body of Access: one pass over the set
+// finds a hit or the frame to fill. It reads the Access fields directly,
+// since the value-receiver helpers copy the whole Access.
+func (c *Cache) lookupFill(a Access) outcome {
+	blockAddr := a.Addr >> trace.BlockBits
+	typ := a.Type
+	set := int(blockAddr & c.setMask)
 	base := set * c.ways
 
 	c.Stats.Accesses++
-	demand := a.IsDemand()
+	demand := typ == trace.Load || typ == trace.Store
 	if demand {
 		c.Stats.DemandAccesses++
-	} else if a.Type == trace.Prefetch {
+	} else if typ == trace.Prefetch {
 		c.Stats.PrefetchAccesses++
 	}
 
 	// Probe: one pass over the set's contiguous tag lane. Invalid frames
-	// hold noBlock, so a match implies a valid frame.
+	// hold noBlock, so a match implies a valid frame, and the first noBlock
+	// is the lowest invalid way, which a miss fills before any eviction.
+	free := -1
 	for w, fa := range c.addrs[base : base+c.ways] {
-		if fa != blockAddr {
-			continue
+		if fa == blockAddr {
+			i := base + w
+			c.Stats.Hits++
+			if demand {
+				c.Stats.DemandHits++
+				c.flags[i] &^= framePrefetched
+			}
+			if typ == trace.Store || typ == trace.Writeback {
+				c.flags[i] |= frameDirty
+			}
+			c.policy.Hit(set, w, a)
+			return outcome{set: set, way: w, at: c.readyAts[i], flags: outHit}
 		}
-		i := base + w
-		c.Stats.Hits++
-		if demand {
-			c.Stats.DemandHits++
-			c.flags[i] &^= framePrefetched
+		if fa == noBlock && free < 0 {
+			free = w
 		}
-		if a.Type == trace.Store || a.Type == trace.Writeback {
-			c.flags[i] |= frameDirty
-		}
-		c.policy.Hit(set, w, a)
-		return Result{Hit: true, Set: set, Way: w, ReadyAt: c.readyAts[i]}
 	}
 
 	// Miss.
 	c.Stats.Misses++
 	if demand {
 		c.Stats.DemandMisses++
-	} else if a.Type == trace.Prefetch {
+	} else if typ == trace.Prefetch {
 		c.Stats.PrefetchMisses++
 	}
 
@@ -318,65 +365,46 @@ func (c *Cache) access(a Access) Result {
 	// from the level above that misses here is sent on toward memory.
 	// This keeps the demand/prefetch reference stream at this level
 	// independent of replacement decisions made here (see DESIGN.md).
-	if a.Type == trace.Writeback {
-		return Result{Hit: false, Bypassed: true, Set: set}
+	if typ == trace.Writeback {
+		return outcome{set: set, flags: outBypassed}
 	}
 
-	return c.fill(set, blockAddr, a)
-}
-
-// fill installs blockAddr into set, choosing a victim as needed.
-func (c *Cache) fill(set int, blockAddr uint64, a Access) Result {
-	base := set * c.ways
-
-	// Prefer an invalid frame.
-	way := -1
-	for w := 0; w < c.ways; w++ {
-		if c.flags[base+w]&frameValid == 0 {
-			way = w
-			break
-		}
-	}
-
-	res := Result{Hit: false, Set: set}
-	if way < 0 {
+	// Fill the lowest invalid frame, or else replace the policy's victim.
+	o := outcome{set: set, way: free}
+	if free < 0 {
 		victim, bypass := c.policy.Victim(set, a)
 		if bypass {
 			c.Stats.Bypasses++
-			res.Bypassed = true
-			return res
+			return outcome{set: set, flags: outBypassed}
 		}
 		if victim < 0 || victim >= c.ways {
 			panic(fmt.Sprintf("cache %s: policy %s returned victim way %d of %d",
 				c.name, c.policy.Name(), victim, c.ways))
 		}
-		way = victim
-		i := base + way
+		i := base + victim
 		c.Stats.Evictions++
+		o.way, o.at, o.flags = victim, c.addrs[i], outEvicted
 		if c.flags[i]&frameDirty != 0 {
 			c.Stats.Writebacks++
-			res.EvictedDirty = true
+			o.flags |= outDirty
 		}
-		res.EvictedValid = true
-		res.EvictedAddr = c.addrs[i]
-		c.policy.Evict(set, way, c.addrs[i])
+		c.policy.Evict(set, victim, o.at)
 	}
 
-	i := base + way
+	i := base + o.way
 	c.addrs[i] = blockAddr
 	c.readyAts[i] = a.Now
 	fl := frameValid
-	if a.Type == trace.Store {
+	if typ == trace.Store {
 		fl |= frameDirty
 	}
-	if a.Type == trace.Prefetch {
+	if typ == trace.Prefetch {
 		fl |= framePrefetched
 		c.Stats.PrefetchFills++
 	}
 	c.flags[i] = fl
-	res.Way = way
-	c.policy.Fill(set, way, a)
-	return res
+	c.policy.Fill(set, o.way, a)
+	return o
 }
 
 // Invalidate removes a block if present, returning whether it was present

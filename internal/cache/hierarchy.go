@@ -58,13 +58,16 @@ type Hierarchy struct {
 	LatePrefetchCycles uint64
 }
 
-// hitLatency combines a level's hit latency with an in-flight fill: a
-// demand that catches up with a pending prefetch merges with it and waits
+// hitLatency combines a level's hit latency with an in-flight fill: an
+// access that catches up with a pending prefetch merges with it and waits
 // for the remaining transfer time (an MSHR merge), rather than paying both.
-func (h *Hierarchy) hitLatency(levelLat int, now, readyAt uint64) int {
+// Only demands count that wait as a stall.
+func (h *Hierarchy) hitLatency(levelLat int, typ trace.AccessType, now, readyAt uint64) int {
 	if readyAt > now {
 		if remaining := int(readyAt - now); remaining > levelLat {
-			h.LatePrefetchCycles += uint64(remaining - levelLat)
+			if typ != trace.Prefetch {
+				h.LatePrefetchCycles += uint64(remaining - levelLat)
+			}
 			return remaining
 		}
 	}
@@ -80,9 +83,9 @@ func (h *Hierarchy) Demand(pc, addr uint64, isWrite bool, now uint64) int {
 	}
 	a := Access{PC: pc, Addr: addr, Type: typ, Core: h.Core, Now: now}
 
-	r1 := h.L1.Access(a)
-	if r1.Hit {
-		return h.hitLatency(h.Lat.L1, now, r1.ReadyAt)
+	r1 := h.L1.access(a)
+	if r1.hit() {
+		return h.hitLatency(h.Lat.L1, typ, now, r1.at)
 	}
 	// L1 miss: train the prefetcher before going below, so the prefetch
 	// stream mirrors the demand-miss stream the paper's prefetcher sees.
@@ -94,89 +97,56 @@ func (h *Hierarchy) Demand(pc, addr uint64, isWrite bool, now uint64) int {
 	lat := h.accessBelowL1(a)
 
 	// The L1 fill completes when the data arrives.
-	h.L1.SetReadyAt(r1.Set, r1.Way, now+uint64(lat))
+	h.L1.SetReadyAt(r1.set, r1.way, now+uint64(lat))
 
 	// L1 dirty victim goes to L2 (update-if-present; see Access docs).
-	if r1.EvictedValid && r1.EvictedDirty {
-		h.writeback(h.L2, r1.EvictedAddr, now)
+	if victim, dirty := r1.dirtyVictim(); dirty {
+		h.writeback(h.L2, victim, now)
 	}
 
 	for _, pa := range prefetches {
-		h.prefetch(pa, now)
+		h.PrefetchesIssued++
+		h.accessBelowL1(Access{PC: trace.PrefetchPC, Addr: pa, Type: trace.Prefetch, Core: h.Core, Now: now})
 	}
 	return lat
 }
 
-// accessBelowL1 services an L1 miss from L2, the LLC, or memory and returns
-// the access latency.
+// accessBelowL1 services an L1 miss or a prefetch from L2, the LLC, or
+// memory and returns the access latency. Each level it fills records when
+// the data arrives. Prefetches stop at L2 and add no latency to the access
+// that triggered them, so theirs goes unused.
 func (h *Hierarchy) accessBelowL1(a Access) int {
 	now := a.Now
-	r2 := h.L2.Access(a)
-	if r2.Hit {
-		return h.hitLatency(h.Lat.L2, now, r2.ReadyAt)
+	r2 := h.L2.access(a)
+	if r2.hit() {
+		return h.hitLatency(h.Lat.L2, a.Type, now, r2.at)
 	}
-	var lat int
-	r3 := h.LLC.Access(a)
-	if r3.Hit {
-		lat = h.hitLatency(h.Lat.LLC, now, r3.ReadyAt)
+	lat := h.Lat.Mem
+	r3 := h.LLC.access(a)
+	if r3.hit() {
+		lat = h.hitLatency(h.Lat.LLC, a.Type, now, r3.at)
 	} else {
-		lat = h.Lat.Mem
-		if !r3.Bypassed {
-			h.LLC.SetReadyAt(r3.Set, r3.Way, now+uint64(lat))
+		if !r3.bypassed() {
+			h.LLC.SetReadyAt(r3.set, r3.way, now+uint64(lat))
 		}
-		if r3.EvictedValid && r3.EvictedDirty {
+		if _, dirty := r3.dirtyVictim(); dirty {
 			h.MemWritebacks++
 		}
 	}
-	if !r2.Bypassed {
-		h.L2.SetReadyAt(r2.Set, r2.Way, now+uint64(lat))
+	if !r2.bypassed() {
+		h.L2.SetReadyAt(r2.set, r2.way, now+uint64(lat))
 	}
-	if r2.EvictedValid && r2.EvictedDirty {
-		h.writeback(h.LLC, r2.EvictedAddr, now)
+	if victim, dirty := r2.dirtyVictim(); dirty {
+		h.writeback(h.LLC, victim, now)
 	}
 	return lat
-}
-
-// prefetch installs addr into L2 and (on L2 miss) the LLC, carrying the
-// reserved prefetch PC. Prefetches add no latency to the triggering access
-// but record when their data arrives.
-func (h *Hierarchy) prefetch(addr uint64, now uint64) {
-	h.PrefetchesIssued++
-	a := Access{PC: trace.PrefetchPC, Addr: addr, Type: trace.Prefetch, Core: h.Core, Now: now}
-	r2 := h.L2.Access(a)
-	if r2.Hit {
-		return
-	}
-	ready := now + uint64(h.Lat.Mem)
-	r3 := h.LLC.Access(a)
-	if r3.Hit {
-		arrival := now + uint64(h.Lat.LLC)
-		if r3.ReadyAt > arrival {
-			arrival = r3.ReadyAt
-		}
-		ready = arrival
-	} else {
-		if !r3.Bypassed {
-			h.LLC.SetReadyAt(r3.Set, r3.Way, ready)
-		}
-		if r3.EvictedValid && r3.EvictedDirty {
-			h.MemWritebacks++
-		}
-	}
-	if !r2.Bypassed {
-		h.L2.SetReadyAt(r2.Set, r2.Way, ready)
-	}
-	if r2.EvictedValid && r2.EvictedDirty {
-		h.writeback(h.LLC, r2.EvictedAddr, now)
-	}
 }
 
 // writeback sends a dirty victim to the given lower-level cache; if it
 // misses there it continues to memory.
 func (h *Hierarchy) writeback(c *Cache, blockAddr uint64, now uint64) {
 	a := Access{Addr: blockAddr << trace.BlockBits, Type: trace.Writeback, Core: h.Core, Now: now}
-	r := c.Access(a)
-	if !r.Hit {
+	if !c.access(a).hit() {
 		h.MemWritebacks++
 	}
 }

@@ -45,7 +45,8 @@ func newShadow(sets, ways int, pol cache.ReplacementPolicy) *shadowCache {
 	return s
 }
 
-func (s *shadowCache) access(a cache.Access) {
+// access returns the way a miss filled, or -1 for a hit or no fill.
+func (s *shadowCache) access(a cache.Access) int {
 	block := a.Block()
 	set := int(block) & (s.sets - 1)
 	fr := s.frames[set]
@@ -58,11 +59,11 @@ func (s *shadowCache) access(a cache.Access) {
 				fr[w].dirty = true
 			}
 			s.pol.Hit(set, w, a)
-			return
+			return -1
 		}
 	}
 	if a.Type == trace.Writeback {
-		return
+		return -1
 	}
 	way := -1
 	for w := range fr {
@@ -74,7 +75,7 @@ func (s *shadowCache) access(a cache.Access) {
 	if way < 0 {
 		victim, bypass := s.pol.Victim(set, a)
 		if bypass {
-			return
+			return -1
 		}
 		way = victim
 		s.pol.Evict(set, way, fr[way].addr)
@@ -87,6 +88,7 @@ func (s *shadowCache) access(a cache.Access) {
 		prefetched: a.Type == trace.Prefetch,
 	}
 	s.pol.Fill(set, way, a)
+	return way
 }
 
 func (s *shadowCache) invalidate(block uint64) {
@@ -136,47 +138,79 @@ func (s *shadowCache) compare(t *testing.T, c *cache.Cache, step int) {
 // (Invalidate reports dirtiness) rather than a direct accessor, via the
 // invalidation steps.
 func TestSoAMatchesAoSShadow(t *testing.T) {
-	const sets, ways = 16, 4
 	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		c := cache.New("soa", sets, ways, policy.NewLRU(sets, ways))
-		sh := newShadow(sets, ways, policy.NewLRU(sets, ways))
-
-		types := []trace.AccessType{
-			trace.Load, trace.Load, trace.Load, trace.Store, trace.Prefetch, trace.Writeback,
-		}
-		for step := 0; step < 4000; step++ {
-			if rng.Intn(20) == 0 {
-				// Invalidate a random block from the reachable footprint;
-				// dirtiness must agree between the two models.
-				block := uint64(rng.Intn(sets * ways * 3))
-				present, dirty := c.Invalidate(block)
-				wantPresent, wantDirty := false, false
-				set := int(block) & (sets - 1)
-				for w := 0; w < ways; w++ {
-					if f := sh.frames[set][w]; f.valid && f.addr == block {
-						wantPresent, wantDirty = true, f.dirty
-					}
-				}
-				if present != wantPresent || dirty != wantDirty {
-					t.Fatalf("seed %d step %d: Invalidate(%#x) = (%v,%v), shadow (%v,%v)",
-						seed, step, block, present, dirty, wantPresent, wantDirty)
-				}
-				sh.invalidate(block)
-			} else {
-				a := cache.Access{
-					PC:   0x400000 + uint64(rng.Intn(64))*4,
-					Addr: uint64(rng.Intn(sets*ways*3))*trace.BlockSize + uint64(rng.Intn(trace.BlockSize)),
-					Type: types[rng.Intn(len(types))],
-					Now:  uint64(step),
-				}
-				c.Access(a)
-				sh.access(a)
-			}
-			if step%7 == 0 {
-				sh.compare(t, c, step)
-			}
-		}
-		sh.compare(t, c, 4000)
+		replayShadow(t, 16, 4, seed, false)
 	}
+}
+
+// TestFillTakesLowestHole punches holes mid-set: one step in three
+// invalidates the block of a random frame, so misses keep finding sets with
+// invalid frames between valid ones. Every fill must land in the lowest
+// invalid way, the frame the shadow's scan over valid bits chooses.
+func TestFillTakesLowestHole(t *testing.T) {
+	for _, ways := range []int{1, 3, 8, 16} {
+		for seed := int64(0); seed < 3; seed++ {
+			replayShadow(t, 8, ways, seed, true)
+		}
+	}
+}
+
+// replayShadow drives the production cache and the shadow through one
+// random sequence. With holes, invalidations are frequent and aimed at
+// resident blocks.
+func replayShadow(t *testing.T, sets, ways int, seed int64, holes bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	c := cache.New("soa", sets, ways, policy.NewLRU(sets, ways))
+	sh := newShadow(sets, ways, policy.NewLRU(sets, ways))
+
+	types := []trace.AccessType{
+		trace.Load, trace.Load, trace.Load, trace.Store, trace.Prefetch, trace.Writeback,
+	}
+	invalidateOneIn := 20
+	if holes {
+		invalidateOneIn = 3
+	}
+	for step := 0; step < 4000; step++ {
+		if rng.Intn(invalidateOneIn) == 0 {
+			// Invalidate a random block from the reachable footprint, or
+			// with holes the block of a random frame; dirtiness must agree
+			// between the two models.
+			block := uint64(rng.Intn(sets * ways * 3))
+			if holes {
+				if b, ok := c.BlockAddrAt(rng.Intn(sets), rng.Intn(ways)); ok {
+					block = b
+				}
+			}
+			present, dirty := c.Invalidate(block)
+			wantPresent, wantDirty := false, false
+			set := int(block) & (sets - 1)
+			for w := 0; w < ways; w++ {
+				if f := sh.frames[set][w]; f.valid && f.addr == block {
+					wantPresent, wantDirty = true, f.dirty
+				}
+			}
+			if present != wantPresent || dirty != wantDirty {
+				t.Fatalf("seed %d step %d: Invalidate(%#x) = (%v,%v), shadow (%v,%v)",
+					seed, step, block, present, dirty, wantPresent, wantDirty)
+			}
+			sh.invalidate(block)
+		} else {
+			a := cache.Access{
+				PC:   0x400000 + uint64(rng.Intn(64))*4,
+				Addr: uint64(rng.Intn(sets*ways*3))*trace.BlockSize + uint64(rng.Intn(trace.BlockSize)),
+				Type: types[rng.Intn(len(types))],
+				Now:  uint64(step),
+			}
+			r := c.Access(a)
+			if way := sh.access(a); !r.Hit && !r.Bypassed && r.Way != way {
+				t.Fatalf("seed %d step %d: fill into way %d, shadow way %d\n%s",
+					seed, step, r.Way, way, c.DumpSet(r.Set))
+			}
+		}
+		if step%7 == 0 {
+			sh.compare(t, c, step)
+		}
+	}
+	sh.compare(t, c, 4000)
 }
