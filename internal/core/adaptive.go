@@ -10,8 +10,8 @@ import (
 )
 
 // Adaptive MPPPB: instead of fixing τ0..τ4 and π1..π3 offline, several
-// threshold configurations duel in disjoint sampled leader sets (the same
-// complement-select machinery as DIP/DRRIP, generalized to N candidates),
+// threshold configurations duel in disjoint sampled leader sets (policy.Duel,
+// the set-dueling machinery of DIP and DRRIP in its N-candidate layout),
 // and follower sets migrate to the winning configuration through a
 // saturating PSEL-style hysteresis counter. The duel re-runs on a sliding
 // window of leader misses so the winner can change mid-run as program
@@ -101,7 +101,7 @@ func ParseThresholdSet(s string) (ThresholdSet, error) {
 
 // ParseDuelCandidates parses a semicolon-separated list of compact
 // threshold sets (the form mpppb-tune prints), for handing arbitrary
-// searched configurations to the duel.
+// searched configurations to the duel. A duel needs at least two.
 func ParseDuelCandidates(s string) ([]ThresholdSet, error) {
 	var out []ThresholdSet
 	for _, part := range strings.Split(s, ";") {
@@ -114,8 +114,8 @@ func ParseDuelCandidates(s string) ([]ThresholdSet, error) {
 		}
 		out = append(out, ts)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("core: duel spec %q holds no threshold sets", s)
+	if len(out) < 2 {
+		return nil, fmt.Errorf("core: duel spec %q holds %d threshold set(s); a duel needs at least 2", s, len(out))
 	}
 	return out, nil
 }
@@ -270,104 +270,37 @@ func AdaptiveMultiCoreParams() Params {
 	return p
 }
 
-// duelState is the per-advisor adaptive state: the candidate lineup, the
-// per-set leader classification, and the window/PSEL vote machinery.
-type duelState struct {
-	cands    []ThresholdSet
-	kind     []int16  // per set: candidate index for leaders, -1 for followers
-	misses   []uint32 // leader misses per candidate, current window
-	events   uint64   // leader misses this window
-	window   uint64
-	winner   int // candidate followers currently use
-	psel     int // hysteresis in favor of the incumbent winner
-	pselMax  int
-	switches uint64
-
-	winnerGauge   *obs.Gauge
-	switchCounter *obs.Counter
+// startDuel turns on adaptive threshold dueling: the candidates duel in
+// the grouped leader layout under the windowed rule, and the winner is
+// published to the mpppb_adaptive_* metrics.
+func (v *Advisor) startDuel(d DuelConfig) {
+	v.cands = d.Candidates
+	v.duel = policy.NewDuel(v.sets, len(d.Candidates),
+		policy.Layout{Grouped: true, Leaders: d.Groups},
+		policy.Rule{Kind: policy.Window, Max: d.PselMax, Period: d.Window})
+	v.winnerGauge = obs.Default().Gauge("mpppb_adaptive_winner", "Threshold-duel candidate index follower sets currently use.")
+	v.switchCounter = obs.Default().Counter("mpppb_adaptive_switches", "Threshold-duel winner changes.")
+	v.winnerGauge.Set(0)
 }
 
-func newDuelState(sets int, p Params) *duelState {
-	d := p.Duel.withDefaults(p)
-	s := &duelState{
-		cands:  d.Candidates,
-		kind:   policy.DuelLeaders(sets, len(d.Candidates), d.Groups),
-		misses: make([]uint32, len(d.Candidates)),
-		window: d.Window,
-		// The incumbent starts with full hysteresis: a challenger must win
-		// PselMax+1 consecutive windows to take over, from the first window
-		// on. Starting at zero instead lets a single noisy window migrate
-		// every follower to whatever candidate got lucky in it.
-		psel:          d.PselMax,
-		pselMax:       d.PselMax,
-		winnerGauge:   obs.Default().Gauge("mpppb_adaptive_winner", "Threshold-duel candidate index follower sets currently use."),
-		switchCounter: obs.Default().Counter("mpppb_adaptive_switches", "Threshold-duel winner changes."),
-	}
-	s.winnerGauge.Set(0)
-	return s
-}
-
-// vote records a miss in a leader set and, at each window boundary, re-runs
-// the duel: the candidate with the fewest leader misses this window (ties
-// break toward the lowest index, deterministically) challenges the
-// incumbent through the saturating PSEL counter.
-func (s *duelState) vote(set int) {
-	k := s.kind[set]
-	if k < 0 {
-		return
-	}
-	s.misses[k]++
-	s.events++
-	if s.events >= s.window {
-		s.endWindow()
-	}
-}
-
-func (s *duelState) endWindow() {
-	best := 0
-	for i, m := range s.misses {
-		if m < s.misses[best] {
-			best = i
-		}
-	}
-	if best == s.winner {
-		if s.psel < s.pselMax {
-			s.psel++
-		}
-	} else if s.psel > 0 {
-		s.psel--
-	} else {
-		s.winner = best
-		s.switches++
-		s.switchCounter.Inc()
-		s.winnerGauge.Set(int64(best))
-	}
-	for i := range s.misses {
-		s.misses[i] = 0
-	}
-	s.events = 0
-}
-
-// thresholdsFor returns the threshold configuration active for a set:
-// leaders always run their own candidate, followers the current winner,
-// and non-adaptive advisors their static configuration.
+// thresholdsFor returns the threshold configuration active for a set: the
+// duel's pick in adaptive mode, the static configuration otherwise.
 func (v *Advisor) thresholdsFor(set int) *ThresholdSet {
-	if d := v.duel; d != nil {
-		if k := d.kind[set]; k >= 0 {
-			return &d.cands[k]
-		}
-		return &d.cands[d.winner]
+	if v.duel != nil {
+		return &v.cands[v.duel.Pick(set)]
 	}
 	return &v.static
 }
 
 // duelVote records one non-writeback miss with the duel, if adaptive mode
-// is on. Both decision paths (the inline policy's Victim/Fill hooks and
-// AdviseMiss) call it exactly once per miss, before reading thresholds, so
-// their state evolution stays bit-identical.
+// is on, and publishes a winner change. Both decision paths (the inline
+// policy's Victim/Fill hooks and AdviseMiss) call it exactly once per
+// miss, before reading thresholds, so their state evolution stays
+// bit-identical.
 func (v *Advisor) duelVote(set int) {
-	if v.duel != nil {
-		v.duel.vote(set)
+	if v.duel != nil && v.duel.Miss(set) {
+		v.switchCounter.Inc()
+		v.winnerGauge.Set(int64(v.duel.Winner()))
 	}
 }
 
@@ -376,51 +309,12 @@ func (v *Advisor) duelVote(set int) {
 // verification layer checks structural invariants across all of them.
 func (v *Advisor) thresholdSets() []ThresholdSet {
 	if v.duel != nil {
-		return v.duel.cands
+		return v.cands
 	}
 	return []ThresholdSet{v.static}
 }
 
-// DuelSnapshot is a copy of the adaptive duel's vote state, exposed for
+// Duel returns the adaptive threshold duel over the resolved
+// DuelConfig.Candidates, or nil when the advisor is static. Exposed for
 // the verification layer's lockstep comparison and for tests.
-type DuelSnapshot struct {
-	Winner   int
-	Psel     int
-	Events   uint64
-	Misses   []uint32
-	Switches uint64
-}
-
-// DuelSnapshot returns the duel vote state and whether adaptive mode is
-// active.
-func (v *Advisor) DuelSnapshot() (DuelSnapshot, bool) {
-	d := v.duel
-	if d == nil {
-		return DuelSnapshot{}, false
-	}
-	return DuelSnapshot{
-		Winner:   d.winner,
-		Psel:     d.psel,
-		Events:   d.events,
-		Misses:   append([]uint32(nil), d.misses...),
-		Switches: d.switches,
-	}, true
-}
-
-// DuelCandidates returns the resolved candidate lineup (nil when adaptive
-// mode is off).
-func (v *Advisor) DuelCandidates() []ThresholdSet {
-	if v.duel == nil {
-		return nil
-	}
-	return append([]ThresholdSet(nil), v.duel.cands...)
-}
-
-// DuelLeaderKind returns the candidate index whose leader group owns the
-// set, or -1 for follower sets (and always -1 when adaptive mode is off).
-func (v *Advisor) DuelLeaderKind(set int) int {
-	if v.duel == nil {
-		return -1
-	}
-	return int(v.duel.kind[set])
-}
+func (v *Advisor) Duel() *policy.Duel { return v.duel }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,6 +50,11 @@ func TestParseDuelCandidates(t *testing.T) {
 	}
 	if _, err := ParseDuelCandidates(" ; "); err == nil {
 		t.Fatal("empty duel spec did not fail")
+	}
+	// One set parses as a threshold set but cannot duel: the spec must
+	// fail here, with the cause, not later in NewAdvisor.
+	if _, err := ParseDuelCandidates(a.String() + ";"); err == nil || !strings.Contains(err.Error(), "at least 2") {
+		t.Fatalf("single-set duel spec: err %v, want an 'at least 2' error", err)
 	}
 }
 
@@ -137,7 +143,7 @@ func TestNewAdvisorPanicsOnInvalidParams(t *testing.T) {
 
 // duelTestParams builds a 2-candidate duel with a tiny window so tests
 // can step window boundaries precisely: one group, so exactly one leader
-// set per candidate (sets 0 and 1 under DuelLeaders' layout).
+// set per candidate (sets 0 and 1 under the grouped layout).
 func duelTestParams(window uint64, pselMax int) Params {
 	p := SingleThreadParams()
 	alt := p.Thresholds()
@@ -152,15 +158,17 @@ func duelTestParams(window uint64, pselMax int) Params {
 	return p
 }
 
+// TestDuelWindowPselAndSwitch steps the advisor's duel through its
+// windows: the incumbent opens fully charged, its wins never charge the
+// hysteresis past PselMax, a challenger must drain it before taking over,
+// and the takeover moves followers, not leaders, to the winner's
+// thresholds.
 func TestDuelWindowPselAndSwitch(t *testing.T) {
 	v := NewAdvisor(64, duelTestParams(4, 2))
-	d := v.duel
-	lead := make([]int, 2)
-	for c := range lead {
-		lead[c] = -1
-	}
+	d := v.Duel()
+	lead := []int{-1, -1}
 	for s := 0; s < 64; s++ {
-		if k := v.DuelLeaderKind(s); k >= 0 {
+		if k := d.Leader(s); k >= 0 {
 			lead[k] = s
 		}
 	}
@@ -170,8 +178,8 @@ func TestDuelWindowPselAndSwitch(t *testing.T) {
 
 	// The incumbent opens with full hysteresis: a lucky first window must
 	// not be enough to migrate the followers.
-	if snap, _ := v.DuelSnapshot(); snap.Psel != 2 {
-		t.Fatalf("duel opened with psel %d, want pselMax (2)", snap.Psel)
+	if psel := d.Votes().Psel; psel != 2 {
+		t.Fatalf("duel opened with psel %d, want pselMax (2)", psel)
 	}
 
 	// Candidate 1's leader misses fill the window: candidate 0 (fewer
@@ -179,13 +187,10 @@ func TestDuelWindowPselAndSwitch(t *testing.T) {
 	// and never past it.
 	for w := 0; w < 5; w++ {
 		for i := 0; i < 4; i++ {
-			d.vote(lead[1])
+			v.duelVote(lead[1])
 		}
 	}
-	snap, on := v.DuelSnapshot()
-	if !on {
-		t.Fatal("duel not active")
-	}
+	snap := d.Votes()
 	if snap.Winner != 0 || snap.Psel != 2 || snap.Switches != 0 {
 		t.Fatalf("after incumbent wins: %+v, want winner 0, psel saturated at 2", snap)
 	}
@@ -197,34 +202,29 @@ func TestDuelWindowPselAndSwitch(t *testing.T) {
 	// (2 windows) before the switch lands on the third.
 	for w := 0; w < 2; w++ {
 		for i := 0; i < 4; i++ {
-			d.vote(lead[0])
+			v.duelVote(lead[0])
 		}
-		snap, _ = v.DuelSnapshot()
-		if snap.Winner != 0 {
+		if snap = d.Votes(); snap.Winner != 0 {
 			t.Fatalf("switched with PSEL hysteresis remaining: %+v", snap)
 		}
 	}
 	for i := 0; i < 4; i++ {
-		d.vote(lead[0])
+		v.duelVote(lead[0])
 	}
-	snap, _ = v.DuelSnapshot()
-	if snap.Winner != 1 || snap.Switches != 1 || snap.Psel != 0 {
+	if snap = d.Votes(); snap.Winner != 1 || snap.Switches != 1 || snap.Psel != 0 {
 		t.Fatalf("challenger did not take over: %+v", snap)
 	}
 
 	// Follower sets read the new winner's thresholds; leaders keep their own.
-	follower := -1
-	for s := 0; s < 64; s++ {
-		if v.DuelLeaderKind(s) == -1 {
-			follower = s
-			break
-		}
+	follower := 0
+	for d.Leader(follower) != -1 {
+		follower++
 	}
-	if got := v.thresholdsFor(follower); *got != d.cands[1] {
-		t.Fatalf("follower reads %v, want winner candidate 1 %v", *got, d.cands[1])
+	if got := v.thresholdsFor(follower); *got != v.cands[1] {
+		t.Fatalf("follower reads %v, want winner candidate 1 %v", *got, v.cands[1])
 	}
-	if got := v.thresholdsFor(lead[0]); *got != d.cands[0] {
-		t.Fatalf("leader 0 reads %v, want its own candidate %v", *got, d.cands[0])
+	if got := v.thresholdsFor(lead[0]); *got != v.cands[0] {
+		t.Fatalf("leader 0 reads %v, want its own candidate %v", *got, v.cands[0])
 	}
 }
 
@@ -232,19 +232,46 @@ func TestDuelWindowPselAndSwitch(t *testing.T) {
 // window — the duel samples only leader behavior.
 func TestDuelVoteIgnoresFollowers(t *testing.T) {
 	v := NewAdvisor(64, duelTestParams(2, 1))
-	follower := -1
-	for s := 0; s < 64; s++ {
-		if v.DuelLeaderKind(s) == -1 {
-			follower = s
-			break
-		}
+	follower := 0
+	for v.Duel().Leader(follower) != -1 {
+		follower++
 	}
 	for i := 0; i < 100; i++ {
 		v.duelVote(follower)
 	}
-	snap, _ := v.DuelSnapshot()
-	if snap.Events != 0 {
+	if snap := v.Duel().Votes(); snap.Events != 0 {
 		t.Fatalf("follower votes advanced the window: %+v", snap)
+	}
+}
+
+// TestAdaptiveThresholdsFollowWinner pins how adaptive MPPPB maps its duel
+// to decisions: leader sets read their own candidate's thresholds,
+// followers the winner's, and each winner change is published to the
+// mpppb_adaptive_* metrics.
+func TestAdaptiveThresholdsFollowWinner(t *testing.T) {
+	p := SingleThreadParams()
+	alt := p.Thresholds()
+	alt.Tau1 += 8
+	alt.Tau4 += 8
+	// One group (sets 0 and 1 lead), one-miss windows and one level of
+	// hysteresis: two windows lost by candidate 0 hand the followers to
+	// candidate 1.
+	p.Duel = &DuelConfig{Candidates: []ThresholdSet{p.Thresholds(), alt}, Groups: 1, Window: 1, PselMax: 1}
+	v := NewAdvisor(64, p)
+	switches := v.switchCounter.Value()
+	v.duelVote(0)
+	v.duelVote(0)
+	if w := v.Duel().Winner(); w != 1 {
+		t.Fatalf("winner %d after candidate 0 lost two windows, want 1", w)
+	}
+	if got := *v.thresholdsFor(2); got != alt {
+		t.Fatalf("follower reads %v, want the winner's %v", got, alt)
+	}
+	if got := *v.thresholdsFor(0); got != p.Thresholds() {
+		t.Fatalf("candidate 0's leader reads %v, want its own %v", got, p.Thresholds())
+	}
+	if n := v.switchCounter.Value() - switches; n != 1 || v.winnerGauge.Value() != 1 {
+		t.Fatalf("metrics: %d switches counted, winner gauge %d; want 1 and 1", n, v.winnerGauge.Value())
 	}
 }
 
@@ -288,21 +315,15 @@ func TestAdaptiveAdvisorMirrorsMPPPB(t *testing.T) {
 	if m.Stats() != adv.Stats() {
 		t.Fatalf("decision counters diverged:\n  inline  %v\n  advisor %v", m.Stats(), adv.Stats())
 	}
-	mSnap, mOn := m.DuelSnapshot()
-	aSnap, aOn := adv.DuelSnapshot()
-	if !mOn || !aOn {
-		t.Fatalf("duel inactive: inline %v, advisor %v", mOn, aOn)
+	mDuel, aDuel := m.Duel(), adv.Duel()
+	if mDuel == nil || aDuel == nil {
+		t.Fatalf("duel inactive: inline %v, advisor %v", mDuel != nil, aDuel != nil)
 	}
-	if mSnap.Winner != aSnap.Winner || mSnap.Psel != aSnap.Psel ||
-		mSnap.Events != aSnap.Events || mSnap.Switches != aSnap.Switches {
-		t.Fatalf("duel state diverged:\n  inline  %+v\n  advisor %+v", mSnap, aSnap)
+	mVotes, aVotes := mDuel.Votes(), aDuel.Votes()
+	if !reflect.DeepEqual(mVotes, aVotes) {
+		t.Fatalf("duel state diverged:\n  inline  %+v\n  advisor %+v", mVotes, aVotes)
 	}
-	for c := range mSnap.Misses {
-		if mSnap.Misses[c] != aSnap.Misses[c] {
-			t.Fatalf("candidate %d window misses: inline %d, advisor %d", c, mSnap.Misses[c], aSnap.Misses[c])
-		}
-	}
-	if mSnap.Events == 0 && mSnap.Switches == 0 && mSnap.Psel == 0 {
+	if mVotes.Events == 0 && mVotes.Switches == 0 && mVotes.Psel == 0 {
 		t.Fatal("degenerate run: the duel never saw a leader miss")
 	}
 	if err := adv.CheckState(); err != nil {

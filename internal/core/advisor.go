@@ -2,6 +2,8 @@ package core
 
 import (
 	"mpppb/internal/cache"
+	"mpppb/internal/obs"
+	"mpppb/internal/policy"
 	"mpppb/internal/trace"
 )
 
@@ -46,11 +48,15 @@ type Advisor struct {
 	pred    *Predictor
 	sampler *sampler
 
-	// static is the fixed threshold configuration (params.Thresholds());
-	// duel is non-nil in adaptive mode, where per-set leader candidates
-	// and the duel winner replace it (see thresholdsFor).
-	static ThresholdSet
-	duel   *duelState
+	// static is the fixed threshold configuration (params.Thresholds()).
+	// In adaptive mode duel picks one of cands per set instead (see
+	// thresholdsFor), and each winner change is published to the
+	// mpppb_adaptive_* metrics.
+	static        ThresholdSet
+	cands         []ThresholdSet
+	duel          *policy.Duel
+	winnerGauge   *obs.Gauge
+	switchCounter *obs.Counter
 
 	// Decision counters. Exported (and promoted through MPPPB) so drivers
 	// and tests can read them directly.
@@ -76,8 +82,8 @@ func NewAdvisor(sets int, params Params) *Advisor {
 		sampler: newSampler(sets, params.SamplerSets, params.Features, params.Theta),
 		static:  params.Thresholds(),
 	}
-	if params.Duel != nil {
-		v.duel = newDuelState(sets, params)
+	if d, ok := params.ResolvedDuel(); ok {
+		v.startDuel(d)
 	}
 	return v
 }

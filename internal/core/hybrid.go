@@ -21,10 +21,7 @@ import (
 type Hybrid struct {
 	mpppb   *MPPPB
 	hawkeye *predictor.Hawkeye
-	sets    int
-	psel    int
-	pselMax int
-	kind    []uint8 // per-set leader classification, see policy.LeaderKinds
+	duel    *policy.Duel // candidate 0 is MPPPB, candidate 1 Hawkeye
 
 	// MPPPBDecisions and HawkeyeDecisions count victim choices delegated
 	// to each constituent in follower sets.
@@ -32,35 +29,19 @@ type Hybrid struct {
 	HawkeyeDecisions uint64
 }
 
-// NewHybrid builds the set-dueling combination for an LLC geometry. Leader
-// layout is the complement-select arrangement shared with DRRIP and DIP
-// (policy.LeaderKinds): the previous modulo layout assigned unequal leader
-// counts at odd set counts, biasing the duel toward MPPPB.
+// NewHybrid builds the set-dueling combination for an LLC geometry, with
+// the duel DRRIP and DIP run: 32 complement-select leader sets per
+// constituent voting through a ±512 PSEL.
 func NewHybrid(sets, ways int, params Params) *Hybrid {
 	return &Hybrid{
 		mpppb:   NewMPPPB(sets, ways, params),
 		hawkeye: predictor.NewHawkeye(sets, ways),
-		sets:    sets,
-		pselMax: 512,
-		kind:    policy.LeaderKinds(sets),
+		duel:    policy.NewDuel(sets, 2, policy.Layout{Leaders: 32}, policy.Rule{Kind: policy.PSEL, Max: 512}),
 	}
 }
 
-// leaderKind classifies a set: 0 = MPPPB leader, 1 = Hawkeye leader,
-// 2 = follower.
-func (h *Hybrid) leaderKind(set int) int { return int(h.kind[set]) }
-
-// useMPPPB decides which constituent manages a set right now.
-func (h *Hybrid) useMPPPB(set int) bool {
-	switch h.leaderKind(set) {
-	case 0:
-		return true
-	case 1:
-		return false
-	default:
-		return h.psel >= 0
-	}
-}
+// Duel exposes the MPPPB-versus-Hawkeye duel for the verification layer.
+func (h *Hybrid) Duel() *policy.Duel { return h.duel }
 
 // Name implements cache.ReplacementPolicy.
 func (h *Hybrid) Name() string { return "mpppb+hawkeye" }
@@ -71,22 +52,13 @@ func (h *Hybrid) Hit(set, way int, a cache.Access) {
 	h.hawkeye.Hit(set, way, a)
 }
 
-// Victim implements cache.ReplacementPolicy: leader sets vote via misses,
-// and the winning constituent chooses (and may bypass, if it is MPPPB).
+// Victim implements cache.ReplacementPolicy: demand and prefetch misses
+// vote, and the set's pick chooses (and may bypass, if it is MPPPB).
 func (h *Hybrid) Victim(set int, a cache.Access) (int, bool) {
 	if a.IsDemand() || a.Type == trace.Prefetch {
-		switch h.leaderKind(set) {
-		case 0: // miss in an MPPPB leader: evidence against MPPPB
-			if h.psel > -h.pselMax {
-				h.psel--
-			}
-		case 1:
-			if h.psel < h.pselMax {
-				h.psel++
-			}
-		}
+		h.duel.Miss(set)
 	}
-	if h.useMPPPB(set) {
+	if h.duel.Pick(set) == 0 {
 		h.MPPPBDecisions++
 		return h.mpppb.Victim(set, a)
 	}

@@ -11,19 +11,22 @@ func TestHybridLeaderAssignment(t *testing.T) {
 	h := NewHybrid(2048, 16, SingleThreadParams())
 	counts := map[int]int{}
 	for s := 0; s < 2048; s++ {
-		counts[h.leaderKind(s)]++
+		counts[h.duel.Leader(s)]++
 	}
 	if counts[0] != 32 || counts[1] != 32 {
 		t.Fatalf("leader counts %v", counts)
 	}
 }
 
+// TestHybridPSELVoting pins the hybrid's vote point: demand and prefetch
+// victims in an MPPPB leader set vote against MPPPB, in a Hawkeye leader
+// set against Hawkeye, and writeback victims do not vote.
 func TestHybridPSELVoting(t *testing.T) {
 	h := NewHybrid(64, 16, SingleThreadParams())
 	// Find an MPPPB leader and a Hawkeye leader set.
 	var mLeader, hLeader = -1, -1
 	for s := 0; s < 64; s++ {
-		switch h.leaderKind(s) {
+		switch h.duel.Leader(s) {
 		case 0:
 			if mLeader < 0 {
 				mLeader = s
@@ -37,76 +40,83 @@ func TestHybridPSELVoting(t *testing.T) {
 	if mLeader < 0 || hLeader < 0 {
 		t.Fatal("no leaders found")
 	}
-	a := cache.Access{PC: 0x400, Addr: 0, Type: trace.Load}
-	before := h.psel
-	h.Victim(mLeader, a)
-	if h.psel >= before {
-		t.Fatal("MPPPB-leader miss did not vote against MPPPB")
+	psel := func() int { return h.duel.Votes().Psel }
+	h.Victim(mLeader, cache.Access{PC: 0x400, Addr: 0, Type: trace.Load})
+	if psel() != -1 {
+		t.Fatalf("MPPPB-leader miss left PSEL at %d, want -1", psel())
 	}
-	before = h.psel
-	h.Victim(hLeader, a)
-	if h.psel <= before {
-		t.Fatal("Hawkeye-leader miss did not vote against Hawkeye")
+	h.Victim(hLeader, cache.Access{PC: 0x400, Addr: 0, Type: trace.Prefetch})
+	h.Victim(hLeader, cache.Access{PC: 0x400, Addr: 0, Type: trace.Prefetch})
+	if psel() != 1 {
+		t.Fatalf("two Hawkeye-leader prefetch misses left PSEL at %d, want 1", psel())
+	}
+	h.Victim(mLeader, cache.Access{Addr: 0, Type: trace.Writeback})
+	if psel() != 1 {
+		t.Fatalf("a writeback victim voted: PSEL %d", psel())
 	}
 }
 
 // Regression test for the Hybrid PSEL audit: the counter must saturate
-// at ±pselMax, not wrap — a wrapped PSEL hands followers to the losing
-// constituent exactly when the evidence against it peaks.
+// at ±512 (NewHybrid's bound), not wrap — a wrapped PSEL hands followers
+// to the losing constituent exactly when the evidence against it peaks.
 func TestHybridPSELSaturates(t *testing.T) {
+	const pselMax = 512
 	h := NewHybrid(128, 16, SingleThreadParams())
 	mLeader, hLeader := -1, -1
-	for s := 0; s < 128 && (mLeader < 0 || hLeader < 0); s++ {
-		switch h.leaderKind(s) {
+	for s := 127; s >= 0; s-- {
+		switch h.duel.Leader(s) {
 		case 0:
-			if mLeader < 0 {
-				mLeader = s
-			}
+			mLeader = s
 		case 1:
-			if hLeader < 0 {
-				hLeader = s
-			}
+			hLeader = s
 		}
 	}
+	psel := func() int { return h.duel.Votes().Psel }
 	a := cache.Access{PC: 0x400, Addr: 0, Type: trace.Load}
-	for i := 0; i < 2*h.pselMax+10; i++ {
+	for i := 0; i < 2*pselMax+10; i++ {
 		h.Victim(mLeader, a)
-		if h.psel < -h.pselMax {
-			t.Fatalf("PSEL wrapped below -%d: %d", h.pselMax, h.psel)
+		if psel() < -pselMax {
+			t.Fatalf("PSEL wrapped below -%d: %d", pselMax, psel())
 		}
 	}
-	if h.psel != -h.pselMax {
-		t.Fatalf("PSEL did not saturate at -%d: %d", h.pselMax, h.psel)
+	if psel() != -pselMax {
+		t.Fatalf("PSEL did not saturate at -%d: %d", pselMax, psel())
 	}
-	for i := 0; i < 4*h.pselMax+10; i++ {
+	for i := 0; i < 4*pselMax+10; i++ {
 		h.Victim(hLeader, a)
-		if h.psel > h.pselMax {
-			t.Fatalf("PSEL wrapped above %d: %d", h.pselMax, h.psel)
+		if psel() > pselMax {
+			t.Fatalf("PSEL wrapped above %d: %d", pselMax, psel())
 		}
 	}
-	if h.psel != h.pselMax {
-		t.Fatalf("PSEL did not saturate at %d: %d", h.pselMax, h.psel)
+	if psel() != pselMax {
+		t.Fatalf("PSEL did not saturate at %d: %d", pselMax, psel())
 	}
 }
 
+// TestHybridFollowsWinner pins how the winner maps to decisions: follower
+// victims go to MPPPB while it wins and to Hawkeye once it loses.
 func TestHybridFollowsWinner(t *testing.T) {
 	// 128 sets: the complement-select layout keeps half the sets followers
 	// (64 sets would make every set a leader, like DRRIP at sets == 2*32).
 	h := NewHybrid(128, 16, SingleThreadParams())
-	follower := -1
-	for s := 0; s < 128; s++ {
-		if h.leaderKind(s) == 2 {
+	mLeader, follower := -1, -1
+	for s := 127; s >= 0; s-- {
+		switch h.duel.Leader(s) {
+		case 0:
+			mLeader = s
+		case -1:
 			follower = s
-			break
 		}
 	}
-	h.psel = 100
-	if !h.useMPPPB(follower) {
-		t.Fatal("positive PSEL did not select MPPPB")
+	a := cache.Access{PC: 0x400, Addr: 0, Type: trace.Load}
+	h.Victim(follower, a)
+	if h.MPPPBDecisions != 1 || h.HawkeyeDecisions != 0 {
+		t.Fatalf("follower decisions mpppb=%d hawkeye=%d while MPPPB wins, want 1 and 0", h.MPPPBDecisions, h.HawkeyeDecisions)
 	}
-	h.psel = -100
-	if h.useMPPPB(follower) {
-		t.Fatal("negative PSEL did not select Hawkeye")
+	h.Victim(mLeader, a) // MPPPB's leader still decides, and its miss hands Hawkeye the followers
+	h.Victim(follower, a)
+	if h.HawkeyeDecisions != 1 {
+		t.Fatalf("follower decisions hawkeye=%d once Hawkeye wins, want 1", h.HawkeyeDecisions)
 	}
 }
 

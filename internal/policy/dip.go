@@ -52,33 +52,25 @@ var _ cache.ReplacementPolicy = (*BIP)(nil)
 // without any prediction structures at all.
 type DIP struct {
 	lru     *LRU
-	sets    int
 	ways    int
 	epsilon int
 	rng     *xrand.RNG
-	psel    int
-	pselMax int
-	kind    []uint8 // per-set leader classification, see leaderKinds
+	duel    *Duel // candidate 0 inserts at MRU (LRU), candidate 1 bimodally (BIP)
 }
 
-// NewDIP constructs DIP with 32 leader sets per policy. Leader layout is
-// the complement-select arrangement shared with DRRIP (leaderKinds): the
-// previous modulo layout assigned unequal leader counts at odd set counts,
-// biasing the duel toward LRU.
+// NewDIP constructs DIP with DRRIP's duel (newTwoWayDuel).
 func NewDIP(sets, ways int, seed uint64) *DIP {
 	return &DIP{
 		lru:     NewLRU(sets, ways),
-		sets:    sets,
 		ways:    ways,
 		epsilon: 32,
 		rng:     xrand.New(seed),
-		pselMax: 512,
-		kind:    leaderKinds(sets),
+		duel:    newTwoWayDuel(sets),
 	}
 }
 
-// leaderKind: 0 = LRU leader, 1 = BIP leader, 2 = follower.
-func (d *DIP) leaderKind(set int) int { return int(d.kind[set]) }
+// Duel exposes the LRU-versus-BIP duel for the verification layer.
+func (d *DIP) Duel() *Duel { return d.duel }
 
 // Name implements cache.ReplacementPolicy.
 func (d *DIP) Name() string { return "dip" }
@@ -89,24 +81,11 @@ func (d *DIP) Hit(set, way int, a cache.Access) { d.lru.Hit(set, way, a) }
 // Victim implements cache.ReplacementPolicy.
 func (d *DIP) Victim(set int, a cache.Access) (int, bool) { return d.lru.Victim(set, a) }
 
-// Fill implements cache.ReplacementPolicy: leaders use their fixed
-// insertion and vote on misses; followers use the PSEL winner.
+// Fill implements cache.ReplacementPolicy: every fill is a miss and votes;
+// leaders insert by their own policy, followers by the winner's.
 func (d *DIP) Fill(set, way int, a cache.Access) {
-	useLRU := true
-	switch d.leaderKind(set) {
-	case 0:
-		if d.psel > -d.pselMax {
-			d.psel--
-		}
-	case 1:
-		useLRU = false
-		if d.psel < d.pselMax {
-			d.psel++
-		}
-	default:
-		useLRU = d.psel >= 0
-	}
-	if useLRU || d.rng.Intn(d.epsilon) == 0 {
+	d.duel.Miss(set)
+	if d.duel.Pick(set) == 0 || d.rng.Intn(d.epsilon) == 0 {
 		d.lru.touch(set, way, 0)
 	} else {
 		d.lru.touch(set, way, d.ways-1)

@@ -13,68 +13,37 @@ import (
 // baseline and as the natural ablation of that choice.
 type DynMDPP struct {
 	tree *TreePLRU
-	sets int
 	// candidates are (place, promote) position pairs under duel.
 	candidates [][2]int
-	// misses counts leader-set misses per candidate since the last decay.
-	misses []uint32
-	// kind maps each set to the candidate whose leader group owns it, or
-	// -1 for followers (see DuelLeaders).
-	kind []int16
-	// decayPeriod halves the miss counters periodically so the duel
+	// duel picks a pair per set: up to 64 leader groups of one set per
+	// candidate, and miss counters halved every 8192 fills so the duel
 	// tracks phase changes.
-	decayPeriod uint32
-	fills       uint32
+	duel *Duel
 }
 
 // NewDynMDPP constructs the adaptive policy with a conventional candidate
 // spread: full-insert/full-promote (classic PLRU), guarded insertion, and
-// near-LRU insertion.
+// near-LRU insertion. Caches with fewer than two sets per candidate have
+// no leaders and run classic PLRU.
 func NewDynMDPP(sets, ways int) *DynMDPP {
-	d := &DynMDPP{
-		tree: NewTreePLRU(sets, ways),
-		sets: sets,
-		candidates: [][2]int{
-			{0, 0},               // classic PLRU
-			{ways / 2, 0},        // guarded insertion, full promotion
-			{ways - 1, 0},        // LRU-like insertion, full promotion
-			{ways / 2, ways / 4}, // guarded insertion and promotion
-		},
-		decayPeriod: 8192,
+	candidates := [][2]int{
+		{0, 0},               // classic PLRU
+		{ways / 2, 0},        // guarded insertion, full promotion
+		{ways - 1, 0},        // LRU-like insertion, full promotion
+		{ways / 2, ways / 4}, // guarded insertion and promotion
 	}
-	d.misses = make([]uint32, len(d.candidates))
-	// Up to 64 leader groups of one set per candidate, evenly spread (the
-	// same layout the previous modulo scheme produced at power-of-two set
-	// counts, without its degeneracies: at non-divisible geometries the
-	// modulo layout gave candidates unequal leader counts, and at tiny ones
-	// it left some candidates with no leaders at all, letting their
-	// untouched zero miss counters win the duel unevaluated).
-	d.kind = DuelLeaders(sets, len(d.candidates), 64)
-	return d
+	return &DynMDPP{
+		tree:       NewTreePLRU(sets, ways),
+		candidates: candidates,
+		duel:       NewDuel(sets, len(candidates), Layout{Grouped: true, Leaders: 64}, Rule{Kind: Decay, Period: 8192}),
+	}
 }
 
-// leader returns the candidate index whose leader group owns the set, or
-// -1 for follower sets.
-func (d *DynMDPP) leader(set int) int { return int(d.kind[set]) }
-
-// best returns the candidate with the fewest leader misses.
-func (d *DynMDPP) best() int {
-	bi, bv := 0, d.misses[0]
-	for i, v := range d.misses[1:] {
-		if v < bv {
-			bi, bv = i+1, v
-		}
-	}
-	return bi
-}
+// Duel exposes the position-pair duel for the verification layer.
+func (d *DynMDPP) Duel() *Duel { return d.duel }
 
 // positionsFor picks the active (place, promote) pair for a set.
-func (d *DynMDPP) positionsFor(set int) [2]int {
-	if l := d.leader(set); l >= 0 {
-		return d.candidates[l]
-	}
-	return d.candidates[d.best()]
-}
+func (d *DynMDPP) positionsFor(set int) [2]int { return d.candidates[d.duel.Pick(set)] }
 
 // maskFor mirrors MDPP's position-to-level-mask mapping.
 func (d *DynMDPP) maskFor(pos int) uint32 {
@@ -103,18 +72,9 @@ func (d *DynMDPP) Victim(set int, _ cache.Access) (int, bool) {
 	return d.tree.VictimWay(set), false
 }
 
-// Fill implements cache.ReplacementPolicy: leaders vote with their misses.
+// Fill implements cache.ReplacementPolicy: every fill is a miss and votes.
 func (d *DynMDPP) Fill(set, way int, _ cache.Access) {
-	if l := d.leader(set); l >= 0 {
-		d.misses[l]++
-	}
-	d.fills++
-	if d.fills >= d.decayPeriod {
-		d.fills = 0
-		for i := range d.misses {
-			d.misses[i] >>= 1
-		}
-	}
+	d.duel.Miss(set)
 	pos := d.positionsFor(set)[0]
 	d.tree.TouchMasked(set, way, d.maskFor(pos))
 }

@@ -183,67 +183,86 @@ func TestSRRIPAgingConverges(t *testing.T) {
 	}
 }
 
-func TestDRRIPLeaderAssignment(t *testing.T) {
-	d := NewDRRIP(2048, 16, 1)
-	kinds := map[int]int{}
-	for s := 0; s < 2048; s++ {
-		kinds[d.leaderKind(s)]++
+// leaderCounts tallies a duel's sets by the candidate they lead, -1 for
+// the followers.
+func leaderCounts(d *Duel, sets int) map[int]int {
+	counts := map[int]int{}
+	for s := 0; s < sets; s++ {
+		counts[d.Leader(s)]++
 	}
-	if kinds[0] != drripLeaders || kinds[1] != drripLeaders {
-		t.Fatalf("leader counts: %v", kinds)
-	}
-	if kinds[2] != 2048-2*drripLeaders {
-		t.Fatalf("follower count: %v", kinds)
-	}
+	return counts
 }
 
-func TestDRRIPDuel(t *testing.T) {
-	d := NewDRRIP(64, 4, 1)
-	// Misses in SRRIP leader sets push PSEL toward BRRIP and vice versa.
-	before := d.psel
-	d.Fill(0, 0, noAccess) // set 0 is an SRRIP leader (stride 2, set%2==0)
-	if d.psel >= before {
-		t.Fatal("SRRIP-leader miss did not decrement PSEL")
+func TestDRRIPLeaderAssignment(t *testing.T) {
+	const leaders = 32 // per policy
+	d := NewDRRIP(2048, 16, 1)
+	counts := leaderCounts(d.duel, 2048)
+	if counts[0] != leaders || counts[1] != leaders {
+		t.Fatalf("leader counts: %v", counts)
 	}
-	before = d.psel
-	d.Fill(1, 0, noAccess) // BRRIP leader
-	if d.psel <= before {
-		t.Fatal("BRRIP-leader miss did not increment PSEL")
+	if counts[-1] != 2048-2*leaders {
+		t.Fatalf("follower count: %v", counts)
 	}
 }
 
 func TestDRRIPLeaderAssignmentSmallCaches(t *testing.T) {
-	// Regression: the old stride arithmetic degenerated for sets below
-	// drripLeaders (stride clamped to 1 made every set an SRRIP leader, so
-	// PSEL only ever decremented) and for sets == 2*drripLeaders (no
-	// followers was fine, but any non-multiple miscounted). Every set count
-	// >= 2 must get exactly min(drripLeaders, sets/2) leaders per policy.
+	// Regression: the old stride arithmetic degenerated for sets below 32
+	// (stride clamped to 1 made every set an SRRIP leader, so PSEL only
+	// ever decremented) and miscounted any non-multiple. Every set count
+	// >= 2 must get exactly min(32, sets/2) leaders per policy.
 	for _, sets := range []int{2, 4, 8, 16, 48, 64, 80, 1024, 2048} {
 		d := NewDRRIP(sets, 4, 1)
-		kinds := map[int]int{}
-		for s := 0; s < sets; s++ {
-			kinds[d.leaderKind(s)]++
+		counts := leaderCounts(d.duel, sets)
+		want := min(32, sets/2)
+		if counts[0] != want || counts[1] != want {
+			t.Fatalf("sets=%d: leader counts %v, want %d per policy", sets, counts, want)
 		}
-		want := drripLeaders
-		if sets/2 < want {
-			want = sets / 2
-		}
-		if kinds[0] != want || kinds[1] != want {
-			t.Fatalf("sets=%d: leader counts %v, want %d per policy", sets, kinds, want)
-		}
-		if kinds[2] != sets-2*want {
-			t.Fatalf("sets=%d: follower count %v", sets, kinds)
+		if counts[-1] != sets-2*want {
+			t.Fatalf("sets=%d: follower count %v", sets, counts)
 		}
 	}
 }
 
+// TestDRRIPDuel pins DRRIP's vote point and how its winner maps to
+// insertions: every fill is a miss, so a fill in an SRRIP leader set votes
+// against SRRIP and one in a BRRIP leader set against BRRIP; followers
+// insert at SRRIP's long RRPV while SRRIP wins and mostly at BRRIP's
+// distant one once it loses.
+func TestDRRIPDuel(t *testing.T) {
+	d := NewDRRIP(128, 4, 1) // stride 4: set 0 leads SRRIP, set 2 BRRIP, set 1 follows
+	psel := func() int { return d.duel.Votes().Psel }
+	d.Fill(2, 0, noAccess)
+	if psel() != 1 {
+		t.Fatalf("BRRIP-leader miss left PSEL at %d, want 1", psel())
+	}
+	d.Fill(1, 0, noAccess)
+	if got := d.rrpv[1*4]; got != RRPVLong {
+		t.Fatalf("follower inserted at RRPV %d while SRRIP wins, want %d", got, RRPVLong)
+	}
+	d.Fill(0, 0, noAccess)
+	d.Fill(0, 0, noAccess)
+	if psel() != -1 {
+		t.Fatalf("two SRRIP-leader misses left PSEL at %d, want -1", psel())
+	}
+	distant := 0
+	for i := 0; i < 64; i++ {
+		d.Fill(1, 0, noAccess)
+		if d.rrpv[1*4] == RRPVMax {
+			distant++
+		}
+	}
+	if distant < 48 {
+		t.Fatalf("only %d/64 follower fills distant once BRRIP wins", distant)
+	}
+}
+
 func TestDRRIPSmallCachePSELMovesBothWays(t *testing.T) {
-	// On a 4-set cache both leader kinds must exist so the duel can move
-	// PSEL in both directions (the old code had only SRRIP leaders here).
+	// On a 4-set cache both leader kinds must exist so DRRIP's fills can
+	// move PSEL in both directions.
 	d := NewDRRIP(4, 4, 1)
 	srrip, brrip := -1, -1
 	for s := 0; s < 4; s++ {
-		switch d.leaderKind(s) {
+		switch d.duel.Leader(s) {
 		case 0:
 			srrip = s
 		case 1:
@@ -253,15 +272,14 @@ func TestDRRIPSmallCachePSELMovesBothWays(t *testing.T) {
 	if srrip < 0 || brrip < 0 {
 		t.Fatalf("missing leader kinds on 4 sets (srrip=%d brrip=%d)", srrip, brrip)
 	}
-	before := d.psel
 	d.Fill(srrip, 0, noAccess)
-	if d.psel >= before {
-		t.Fatal("SRRIP-leader miss did not decrement PSEL")
+	if psel := d.duel.Votes().Psel; psel != -1 {
+		t.Fatalf("SRRIP-leader miss left PSEL at %d, want -1", psel)
 	}
-	before = d.psel
 	d.Fill(brrip, 0, noAccess)
-	if d.psel <= before {
-		t.Fatal("BRRIP-leader miss did not increment PSEL")
+	d.Fill(brrip, 0, noAccess)
+	if psel := d.duel.Votes().Psel; psel != 1 {
+		t.Fatalf("two BRRIP-leader misses left PSEL at %d, want 1", psel)
 	}
 }
 
@@ -373,40 +391,96 @@ func TestBIPInsertsMostlyAtLRU(t *testing.T) {
 	}
 }
 
+// TestDIPDuelsAndFollows pins DIP's vote point and how its winner maps to
+// insertions: every fill is a miss, so a fill in an LRU leader set votes
+// against LRU and one in a BIP leader set against BIP; followers insert at
+// MRU while LRU wins and mostly at the LRU position once BIP does.
 func TestDIPDuelsAndFollows(t *testing.T) {
 	d := NewDIP(1024, 8, 1)
-	// Leaders must exist alongside followers.
-	kinds := map[int]int{}
-	for set := 0; set < 1024; set++ {
-		kinds[d.leaderKind(set)]++
+	lruLeader, bipLeader, follower := -1, -1, -1
+	for s := 1023; s >= 0; s-- {
+		switch d.duel.Leader(s) {
+		case 0:
+			lruLeader = s
+		case 1:
+			bipLeader = s
+		default:
+			follower = s
+		}
 	}
-	if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 {
-		t.Fatalf("leader/follower split broken: %v", kinds)
-	}
-	// LRU leader misses push PSEL toward BIP.
-	before := d.psel
-	d.Fill(0, 0, noAccess) // set 0: LRU leader
-	if d.psel >= before {
-		t.Fatal("LRU-leader fill did not vote against LRU")
-	}
-	bipLeader := 0
-	for d.leaderKind(bipLeader) != 1 {
-		bipLeader++
-	}
-	before = d.psel
+	psel := func() int { return d.duel.Votes().Psel }
 	d.Fill(bipLeader, 0, noAccess)
-	if d.psel <= before {
-		t.Fatal("BIP-leader fill did not vote against BIP")
-	}
-	// Follower obeys PSEL: with strongly positive PSEL, inserts at MRU.
-	d.psel = d.pselMax
-	follower := 1
-	for d.leaderKind(follower) != 2 {
-		follower++
+	if psel() != 1 {
+		t.Fatalf("BIP-leader fill left PSEL at %d, want 1", psel())
 	}
 	d.Fill(follower, 2, noAccess)
 	if d.lru.Rank(follower, 2) != 0 {
-		t.Fatal("follower ignored LRU-winning PSEL")
+		t.Fatal("follower ignored the LRU winner")
+	}
+	d.Fill(lruLeader, 0, noAccess)
+	d.Fill(lruLeader, 0, noAccess)
+	if psel() != -1 {
+		t.Fatalf("two LRU-leader fills left PSEL at %d, want -1", psel())
+	}
+	atLRU := 0
+	for i := 0; i < 64; i++ {
+		d.Fill(follower, 2, noAccess)
+		if d.lru.Rank(follower, 2) == 7 {
+			atLRU++
+		}
+	}
+	if atLRU < 48 {
+		t.Fatalf("only %d/64 follower fills at the LRU position once BIP wins", atLRU)
+	}
+}
+
+// Regression test for the DIP leader audit: the old modulo layout
+// (set%stride selecting leaders) assigned the two policies unequal
+// leader counts whenever 32 did not divide the set count, biasing the
+// duel toward LRU. The complement-select layout must give both policies
+// identical representation at every geometry.
+func TestDIPLeaderCountsEqual(t *testing.T) {
+	for _, sets := range []int{4, 8, 12, 48, 100, 384, 1000, 2048} {
+		counts := leaderCounts(NewDIP(sets, 8, 1).duel, sets)
+		if counts[0] != counts[1] || counts[0] == 0 {
+			t.Fatalf("sets=%d: unequal leader counts %v", sets, counts)
+		}
+	}
+}
+
+// Regression test for the DIP PSEL audit: the counter must saturate at
+// ±Max, not wrap — a wrapped PSEL flips the follower policy at the exact
+// moment the evidence for the incumbent is strongest.
+func TestDIPPSELSaturates(t *testing.T) {
+	d := NewDIP(1024, 8, 1)
+	lruLeader, bipLeader := -1, -1
+	for s := 1023; s >= 0; s-- {
+		switch d.duel.Leader(s) {
+		case 0:
+			lruLeader = s
+		case 1:
+			bipLeader = s
+		}
+	}
+	pselMax := d.duel.rule.Max
+	psel := func() int { return d.duel.Votes().Psel }
+	for i := 0; i < 2*pselMax+10; i++ {
+		d.Fill(lruLeader, 0, noAccess)
+		if psel() < -pselMax {
+			t.Fatalf("PSEL wrapped below -%d: %d", pselMax, psel())
+		}
+	}
+	if psel() != -pselMax {
+		t.Fatalf("PSEL did not saturate at -%d: %d", pselMax, psel())
+	}
+	for i := 0; i < 4*pselMax+10; i++ {
+		d.Fill(bipLeader, 0, noAccess)
+		if psel() > pselMax {
+			t.Fatalf("PSEL wrapped above %d: %d", pselMax, psel())
+		}
+	}
+	if psel() != pselMax {
+		t.Fatalf("PSEL did not saturate at %d: %d", pselMax, psel())
 	}
 }
 
@@ -447,42 +521,81 @@ func TestBIPBeatsLRUOnThrash(t *testing.T) {
 	}
 }
 
+// TestDynMDPPLeadersAndDuel pins dynamic MDPP's vote point and how its
+// winner maps to positions: fills in candidate 0's leader sets are misses
+// against it, another candidate takes over, and followers move to that
+// candidate's positions.
 func TestDynMDPPLeadersAndDuel(t *testing.T) {
 	d := NewDynMDPP(2048, 16)
-	counts := map[int]int{}
-	for s := 0; s < 2048; s++ {
-		counts[d.leader(s)]++
+	follower := 0
+	for d.duel.Leader(follower) != -1 {
+		follower++
 	}
-	for c := 0; c < 4; c++ {
-		if counts[c] == 0 {
-			t.Fatalf("candidate %d has no leader sets: %v", c, counts)
-		}
+	if got := d.positionsFor(follower); got != d.candidates[0] {
+		t.Fatalf("follower runs %v before any vote, want candidate 0 %v", got, d.candidates[0])
 	}
-	if counts[-1] == 0 {
-		t.Fatal("no follower sets")
-	}
-	// Misses in candidate 0's leaders make another candidate best.
 	for i := 0; i < 100; i++ {
 		d.Fill(0, i%16, noAccess) // set 0 leads candidate 0
 	}
-	if d.best() == 0 {
-		t.Fatal("candidate 0 still best despite leader misses")
+	w := d.duel.Winner()
+	if w == 0 {
+		t.Fatal("candidate 0 still wins despite its leader misses")
+	}
+	if got := d.positionsFor(follower); got != d.candidates[w] {
+		t.Fatalf("follower runs %v, want the winner's %v", got, d.candidates[w])
 	}
 }
 
+// Regression test for the DynMDPP leader audit: the old modulo layout
+// left some candidates with no leader sets at small geometries, so their
+// miss counters stayed at zero and they won the duel without ever being
+// evaluated. Every candidate must own at least one (equally sized)
+// leader group at every geometry large enough to duel.
+func TestDynMDPPEveryCandidateHasLeaders(t *testing.T) {
+	for _, sets := range []int{8, 12, 16, 24, 48, 64, 100, 256, 2048} {
+		d := NewDynMDPP(sets, 16)
+		counts := leaderCounts(d.duel, sets)
+		for c := range d.candidates {
+			if counts[c] == 0 {
+				t.Fatalf("sets=%d: candidate %d has no leaders (%v)", sets, c, counts)
+			}
+			if counts[c] != counts[0] {
+				t.Fatalf("sets=%d: unequal leader counts %v", sets, counts)
+			}
+		}
+		if counts[-1] < sets/2 {
+			t.Fatalf("sets=%d: only %d followers", sets, counts[-1])
+		}
+	}
+}
+
+// TestDynMDPPDecay: every fill, a follower's too, counts toward the
+// halving period, so stale leader misses fade.
 func TestDynMDPPDecay(t *testing.T) {
 	d := NewDynMDPP(64, 16)
-	d.misses[2] = 1000
-	d.decayPeriod = 4
+	d.duel.misses[2] = 1000
+	d.duel.rule.Period = 4
+	follower := 0
+	for d.duel.Leader(follower) != -1 {
+		follower++
+	}
 	for i := 0; i < 4; i++ {
-		follower := 0
-		for d.leader(follower) != -1 {
-			follower++
-		}
 		d.Fill(follower, 0, noAccess)
 	}
-	if d.misses[2] >= 1000 {
-		t.Fatalf("miss counters did not decay: %d", d.misses[2])
+	if m := d.duel.Votes().Misses[2]; m >= 1000 {
+		t.Fatalf("miss counters did not decay: %d", m)
+	}
+}
+
+// TestDynMDPPTinyGeometryFollowsDefault: below two sets per candidate the
+// duel has no leaders, and every set runs candidate 0, classic PLRU.
+func TestDynMDPPTinyGeometryFollowsDefault(t *testing.T) {
+	d := NewDynMDPP(4, 16) // 4 sets < 2*4 candidates: no duel possible
+	for s := 0; s < 4; s++ {
+		d.Fill(s, 0, noAccess)
+		if got := d.positionsFor(s); got != [2]int{0, 0} {
+			t.Fatalf("set %d runs %v, want classic PLRU (0, 0)", s, got)
+		}
 	}
 }
 

@@ -87,27 +87,19 @@ var _ cache.ReplacementPolicy = (*SRRIP)(nil)
 // for 1/32 of fills). Leader sets vote through a saturating policy-select
 // counter; follower sets use the winning insertion policy.
 type DRRIP struct {
-	ways    int
-	sets    int
-	rrpv    []uint8
-	kind    []uint8 // per-set leader classification, see leaderKinds
-	psel    int     // saturating counter; >= 0 means SRRIP is winning
-	pselMax int
-	rng     *xrand.RNG
+	ways int
+	rrpv []uint8
+	duel *Duel // candidate 0 inserts as SRRIP, candidate 1 as BRRIP
+	rng  *xrand.RNG
 }
-
-// drripLeaders is the number of leader sets per policy.
-const drripLeaders = 32
 
 // NewDRRIP constructs DRRIP state.
 func NewDRRIP(sets, ways int, seed uint64) *DRRIP {
 	d := &DRRIP{
-		ways:    ways,
-		sets:    sets,
-		rrpv:    make([]uint8, sets*ways),
-		kind:    leaderKinds(sets),
-		pselMax: 512,
-		rng:     xrand.New(seed),
+		ways: ways,
+		rrpv: make([]uint8, sets*ways),
+		duel: newTwoWayDuel(sets),
+		rng:  xrand.New(seed),
 	}
 	for i := range d.rrpv {
 		d.rrpv[i] = RRPVMax
@@ -115,36 +107,14 @@ func NewDRRIP(sets, ways int, seed uint64) *DRRIP {
 	return d
 }
 
-// leaderKinds classifies every set: 0 = SRRIP leader, 1 = BRRIP leader,
-// 2 = follower. Each policy gets exactly min(drripLeaders, sets/2) leader
-// sets for any sets >= 2: SRRIP leaders spread evenly at floor(i*sets/n),
-// each paired BRRIP leader half a stride further — the usual
-// complement-select arrangement. Consecutive SRRIP leaders are at least
-// floor(sets/n) >= 2 apart and the BRRIP offset is in [1, stride-1], so
-// assignments never collide and the BRRIP leader stays in range.
-func leaderKinds(sets int) []uint8 {
-	kinds := make([]uint8, sets)
-	for i := range kinds {
-		kinds[i] = 2
-	}
-	n := drripLeaders
-	if n > sets/2 {
-		n = sets / 2 // 1-set caches cannot duel; they follow PSEL's reset state
-	}
-	stride := 0
-	if n > 0 {
-		stride = sets / n
-	}
-	for i := 0; i < n; i++ {
-		s := i * sets / n
-		kinds[s] = 0
-		kinds[s+stride/2] = 1
-	}
-	return kinds
+// newTwoWayDuel is DRRIP's duel, which DIP shares: 32 leader sets per
+// policy in the complement-select layout, voting through a ±512 PSEL.
+func newTwoWayDuel(sets int) *Duel {
+	return NewDuel(sets, 2, Layout{Leaders: 32}, Rule{Kind: PSEL, Max: 512})
 }
 
-// leaderKind returns the precomputed classification of a set.
-func (d *DRRIP) leaderKind(set int) int { return int(d.kind[set]) }
+// Duel exposes the SRRIP-versus-BRRIP duel for the verification layer.
+func (d *DRRIP) Duel() *Duel { return d.duel }
 
 // Name implements cache.ReplacementPolicy.
 func (d *DRRIP) Name() string { return "drrip" }
@@ -167,30 +137,15 @@ func (d *DRRIP) Victim(set int, _ cache.Access) (int, bool) {
 	}
 }
 
-// Fill implements cache.ReplacementPolicy: leader sets use their fixed
-// policy and vote via PSEL (a miss in a leader set is a point against its
-// policy); followers use the winner.
+// Fill implements cache.ReplacementPolicy: every fill is a miss and votes
+// (a miss in a leader set is a point against its policy); leaders insert
+// by their own policy, followers by the winner's.
 func (d *DRRIP) Fill(set, way int, _ cache.Access) {
-	useSRRIP := true
-	switch d.leaderKind(set) {
-	case 0: // SRRIP leader: this fill is an SRRIP-set miss.
-		if d.psel > -d.pselMax {
-			d.psel--
-		}
-	case 1: // BRRIP leader.
-		useSRRIP = false
-		if d.psel < d.pselMax {
-			d.psel++
-		}
-	default:
-		useSRRIP = d.psel >= 0
-	}
+	d.duel.Miss(set)
 	v := uint8(RRPVLong)
-	if !useSRRIP {
-		// Bimodal: distant except 1 in 32 fills.
-		if d.rng.Intn(32) != 0 {
-			v = RRPVMax
-		}
+	// Bimodal: distant except 1 in 32 fills.
+	if d.duel.Pick(set) == 1 && d.rng.Intn(32) != 0 {
+		v = RRPVMax
 	}
 	d.rrpv[set*d.ways+way] = v
 }

@@ -23,7 +23,7 @@ const (
 // single-thread simulation of a real workload segment. Any divergence
 // panics inside RunSingle and fails the test.
 func TestCheckedRunClean(t *testing.T) {
-	for _, name := range []string{"lru", "plru", "srrip", "mdpp", "mpppb", "mpppb-srrip"} {
+	for _, name := range []string{"lru", "plru", "srrip", "mdpp", "mpppb", "mpppb-srrip", "drrip", "dip", "dyn-mdpp", "hybrid"} {
 		t.Run(name, func(t *testing.T) {
 			cfg := sim.SingleThreadConfig()
 			cfg.Warmup, cfg.Measure = checkWarmup, checkMeasure

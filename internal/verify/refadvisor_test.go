@@ -119,7 +119,7 @@ func TestRefAdvisorCatchesDuelDivergence(t *testing.T) {
 	// Find a duel leader set: only leader misses advance the vote state.
 	leader := -1
 	for s := 0; s < sets; s++ {
-		if adv.DuelLeaderKind(s) >= 0 {
+		if adv.Duel().Leader(s) >= 0 {
 			leader = s
 			break
 		}

@@ -61,9 +61,10 @@ type refEngine struct {
 	params core.Params
 	feats  []core.Feature
 
-	// static is the fixed threshold configuration; duel is non-nil in
-	// adaptive mode and replaces it per set (mirroring core.Advisor).
+	// static is the fixed threshold configuration; in adaptive mode duel
+	// picks one of cands per set instead (mirroring core.Advisor).
 	static core.ThresholdSet
+	cands  []core.ThresholdSet
 	duel   *refDuel
 
 	// Reference predictor state.
@@ -111,7 +112,9 @@ func newRefEngine(params core.Params, sets int) *refEngine {
 	}
 	e.static = params.Thresholds()
 	if d, ok := params.ResolvedDuel(); ok {
-		e.duel = newRefDuel(sets, d)
+		e.cands = d.Candidates
+		e.duel = newRefDuel(sets, len(d.Candidates), policy.Layout{Grouped: true, Leaders: d.Groups},
+			policy.Rule{Kind: policy.Window, Max: d.PselMax, Period: d.Window})
 	}
 	return e
 }
@@ -120,7 +123,7 @@ func newRefEngine(params core.Params, sets int) *refEngine {
 // mirroring core.Advisor.thresholdsFor.
 func (e *refEngine) thresholdsFor(set int) *core.ThresholdSet {
 	if e.duel != nil {
-		return e.duel.thresholds(set)
+		return &e.cands[e.duel.pick(set)]
 	}
 	return &e.static
 }
@@ -509,12 +512,17 @@ func (e *refEngine) diffState(adv *core.Advisor) error {
 		return fmt.Errorf("mpppb: production sampler holds %d entries, reference %d", prodCount, refCount)
 	}
 
-	// Adaptive duel vote state, when the configuration duels.
-	if e.duel != nil {
-		return e.duel.diff(adv)
-	}
-	if _, ok := adv.DuelSnapshot(); ok {
+	// Adaptive duel state, when the configuration duels.
+	d := adv.Duel()
+	switch {
+	case e.duel == nil && d != nil:
 		return fmt.Errorf("mpppb: production advisor duels but reference is static")
+	case e.duel != nil && d == nil:
+		return fmt.Errorf("mpppb: reference duels but production advisor is static")
+	case e.duel != nil:
+		if err := e.duel.diff(d, 0, len(e.duel.leader)); err != nil {
+			return fmt.Errorf("mpppb: %v", err)
+		}
 	}
 	return nil
 }

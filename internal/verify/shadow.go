@@ -23,9 +23,11 @@ type oracle interface {
 }
 
 // shadowPolicy wraps the production policy, running the matching oracle in
-// lockstep around every hook. Policies with no registered oracle (random,
-// DIP, DRRIP, dynamic MDPP, probes) pass through unchecked — the content
-// model still verifies them at the cache level.
+// lockstep around every hook. The set-dueling DIP, DRRIP, dynamic MDPP and
+// MPPPB+Hawkeye hybrid get the reference duel alone; policies with no
+// registered oracle (random, BIP, SHiP, SDBP, Perceptron, Hawkeye, probes)
+// pass through unchecked. The content model still verifies all of them at
+// the cache level.
 type shadowPolicy struct {
 	k     *Checker
 	inner cache.ReplacementPolicy
@@ -45,6 +47,14 @@ func newShadowPolicy(k *Checker, inner cache.ReplacementPolicy, sets, ways int) 
 		s.o = newMDPPOracle(k, p, sets, ways)
 	case *core.MPPPB:
 		s.o = newMPPPBOracle(k, p, sets, ways)
+	case *policy.DIP:
+		s.o = newDuelOracle(k, p.Name(), p.Duel(), twoWayRefDuel(sets), false)
+	case *policy.DRRIP:
+		s.o = newDuelOracle(k, p.Name(), p.Duel(), twoWayRefDuel(sets), false)
+	case *policy.DynMDPP:
+		s.o = newDuelOracle(k, p.Name(), p.Duel(), dynMDPPRefDuel(sets), false)
+	case *core.Hybrid:
+		s.o = newDuelOracle(k, p.Name(), p.Duel(), twoWayRefDuel(sets), true)
 	}
 	return s
 }

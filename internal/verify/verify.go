@@ -7,11 +7,12 @@
 //     with the production array via the cache.Observer hook, verifying every
 //     hit/miss outcome, fill placement, eviction, and invalidation.
 //   - A shadow replacement-policy wrapper runs a reference implementation of
-//     the attached policy (true LRU, SRRIP, tree PLRU, MDPP, or the full
-//     MPPPB predictor + sampler) in lockstep, comparing victim choices,
-//     predictor confidences, and per-set recency state after every hook,
-//     with periodic full-state sweeps (weight tables, sampler contents,
-//     structural invariants).
+//     the attached policy (true LRU, SRRIP, tree PLRU, MDPP, the full MPPPB
+//     predictor + sampler, or the reference set duel of DIP, DRRIP, dynamic
+//     MDPP and the MPPPB+Hawkeye hybrid) in lockstep, comparing victim
+//     choices, predictor confidences, duel state, and per-set recency state
+//     after every hook, with periodic full-state sweeps (weight tables,
+//     sampler contents, duel layout, structural invariants).
 //
 // A divergence is reported as a *DivergenceError carrying the exact access
 // index and a dump of the affected set in both models. By default the

@@ -188,3 +188,36 @@ func TestOracleCatchesBuggyPromotion(t *testing.T) {
 		t.Errorf("divergence %v does not name the RRPV disagreement", got[0])
 	}
 }
+
+// TestOracleDuelers runs the reference duel in lockstep with every
+// fixed-configuration dueler: DIP, DRRIP and dynamic MDPP vote on every
+// fill, the hybrids on demand and prefetch victims. 128 sets leave the
+// two-way duels followers to steer.
+func TestOracleDuelers(t *testing.T) {
+	const sets, ways = 128, 16
+	for i, tc := range []struct {
+		name string
+		p    interface {
+			cache.ReplacementPolicy
+			Duel() *policy.Duel
+		}
+	}{
+		{"dip", policy.NewDIP(sets, ways, 1)},
+		{"drrip", policy.NewDRRIP(sets, ways, 1)},
+		{"dyn-mdpp", policy.NewDynMDPP(sets, ways)},
+		{"hybrid", core.NewHybrid(sets, ways, core.SingleThreadParams())},
+		{"hybrid-srrip", core.NewHybrid(sets, ways, core.MultiCoreParams())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cache.New("llc", sets, ways, tc.p)
+			k := Attach(c)
+			if _, ok := k.shadow.o.(*duelOracle); !ok {
+				t.Fatalf("no duel oracle attached to %T", tc.p)
+			}
+			drive(t, c, k, 60_000, uint64(20+i))
+			if v := tc.p.Duel().Votes(); v.Psel == 0 && v.Events == 0 && v.Switches == 0 {
+				t.Fatalf("degenerate run: the duel never moved (%+v)", v)
+			}
+		})
+	}
+}

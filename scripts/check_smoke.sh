@@ -1,15 +1,18 @@
 #!/bin/sh
-# Differential-oracle smoke over the layout-optimized kernels: run a small
-# fig6 segment with -check, which arms the lockstep verification layer
-# (internal/verify) on every cache — each access is replayed through a
-# naive reference model, and any divergence in hit/miss, victim choice, or
-# frame state aborts with the access index and a set-level dump. The
-# policy list deliberately covers the hot rewrites: the always-run lru
-# baseline and mpppb stream the SoA tag lane, mpppb runs the SWAR
-# confidence gather, and mdpp exercises the precomputed tree-PLRU touch
-# tables.
+# Differential-oracle smoke: small fig6 and fig4 campaigns with -check,
+# which arms the lockstep verification layer (internal/verify) on every
+# cache — each access is replayed through a naive reference model, and any
+# divergence in hit/miss, victim choice, or frame state aborts with the
+# access index and a set-level dump. Three passes:
+#   kernels     the hot rewrites: the always-run lru baseline and mpppb
+#               stream the SoA tag lane, mpppb runs the SWAR confidence
+#               gather, and mdpp exercises the precomputed tree-PLRU touch
+#               tables;
+#   st-duelers  the single-thread set-dueling policies drrip, dip,
+#               dyn-mdpp and hybrid;
+#   mc-duelers  hybrid-srrip and mpppb-adaptive-srrip on one 4-core mix.
 #
-# The checked run's TSV must also be byte-identical to a plain run: the
+# Each checked run's TSV must also be byte-identical to a plain run: the
 # oracle is observe-only and must not perturb results.
 set -eu
 
@@ -19,15 +22,23 @@ trap 'rm -rf "$tmp"' EXIT
 BIN="$tmp/mpppb-experiments"
 go build -o "$BIN" ./cmd/mpppb-experiments
 
-ARGS="-id fig6 -benches mcf_like,libquantum_like -st-policies mpppb,mdpp \
-      -warmup 100000 -measure 400000 -q"
+# pass NAME ID ARGS...: run experiment ID plain and under -check, then
+# require byte-identical TSVs.
+pass() {
+    name=$1
+    id=$2
+    shift 2
+    echo "== $name: plain run"
+    "$BIN" -id "$id" -q -out "$tmp/$name-plain" "$@"
+    echo "== $name: lockstep -check run (differential oracle armed)"
+    "$BIN" -id "$id" -q -check -out "$tmp/$name-checked" "$@"
+    cmp "$tmp/$name-plain/$id.tsv" "$tmp/$name-checked/$id.tsv"
+    echo "PASS: oracle-checked $name matches the plain run byte-for-byte"
+}
 
-echo "== plain run"
-$BIN $ARGS -out "$tmp/plain"
-
-echo "== lockstep -check run (differential oracle armed)"
-$BIN $ARGS -check -out "$tmp/checked"
-
-echo "== comparing TSVs"
-cmp "$tmp/plain/fig6.tsv" "$tmp/checked/fig6.tsv"
-echo "PASS: oracle-checked fig6 segment matches the plain run byte-for-byte"
+pass kernels fig6 -benches mcf_like,libquantum_like -st-policies mpppb,mdpp \
+    -warmup 100000 -measure 400000
+pass st-duelers fig6 -benches mcf_like -st-policies drrip,dip,dyn-mdpp,hybrid \
+    -warmup 100000 -measure 400000
+pass mc-duelers fig4 -mixes 1 -mc-policies hybrid-srrip,mpppb-adaptive-srrip \
+    -warmup 50000 -measure 200000
