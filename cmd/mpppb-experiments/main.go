@@ -17,12 +17,11 @@
 // byte-identical at every -j — parallelism only changes wall-clock time.
 //
 // Long sweeps can checkpoint with -journal FILE: every completed cell is
-// appended to the file as it finishes, and after an interrupt (Ctrl-C, a
-// crash, a timeout) re-running with -journal FILE -resume skips the
-// completed cells and recomputes only the rest, emitting byte-identical
-// TSVs. -task-timeout and -retries bound and retry individual cells; a
-// cell that fails permanently renders as NaN in its table and the tool
-// exits 3 after listing the failures.
+// appended to the file as it finishes, and after an interrupt (Ctrl-C or
+// a crash) re-running with -journal FILE -resume skips the completed
+// cells and recomputes only the rest, emitting byte-identical TSVs. A
+// cell that fails renders as NaN in its table and the tool exits 3 after
+// listing the failures.
 //
 // A running campaign is observable: -listen HOST:PORT serves /metrics
 // (Prometheus text), /status (JSON run manifest with per-cell states and
@@ -32,32 +31,23 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"strings"
 
 	"mpppb/internal/core"
 	"mpppb/internal/experiments"
-	"mpppb/internal/fleet"
-	"mpppb/internal/journal"
-	"mpppb/internal/obs"
-	"mpppb/internal/parallel"
 	"mpppb/internal/plot"
-	"mpppb/internal/prof"
+	"mpppb/internal/runspec"
 	"mpppb/internal/sim"
 	"mpppb/internal/workload"
 )
 
-// fig3Seed is the fixed RNG seed of the fig3 feature search; part of the
-// journal fingerprint because it determines the search's proposal
-// sequence.
+// fig3Seed is the fixed RNG seed of the fig3 feature search.
 const fig3Seed = 2017
 
 type runner struct {
@@ -70,8 +60,9 @@ type runner struct {
 	rocSegs      int
 	table3Segs   int
 	adaptSeeds   int
-	// opts carries cancellation, checkpointing, fault handling and
-	// progress into every experiment; nil means all defaults.
+	// opts carries cancellation, checkpointing, fault handling, duel
+	// candidates and progress into every experiment; nil means all
+	// defaults.
 	opts       *experiments.Run
 	plot       bool
 	stPolicies []string
@@ -86,244 +77,93 @@ type runner struct {
 	mcTable *experiments.MultiCoreTable
 }
 
-// fingerprintConfig is everything that shapes the cell grid and the cell
-// values; hashed into the journal fingerprint so -resume refuses a
-// journal written under different settings.
-type fingerprintConfig struct {
-	Tool       string   `json:"tool"`
-	Warmup     uint64   `json:"warmup"`
-	Measure    uint64   `json:"measure"`
-	Mixes      int      `json:"mixes"`
-	Ablate     int      `json:"ablate_mixes"`
-	Random     int      `json:"random"`
-	Climb      int      `json:"climb"`
-	ROCSegs    int      `json:"roc_segments"`
-	T3Segs     int      `json:"table3_segments"`
-	AdaptSeeds int      `json:"adapt_seeds"`
-	Duel       string   `json:"duel,omitempty"`
-	STPolicies []string `json:"st_policies"`
-	MCPolicies []string `json:"mc_policies"`
-	Benches    []string `json:"benches"`
-	Fig3Seed   uint64   `json:"fig3_seed"`
-}
-
-// chart writes an ASCII chart as TSV comment lines when -plot is set.
-func (r *runner) chart(w io.Writer, rendered string) {
-	if !r.plot {
-		return
-	}
+// chart writes an ASCII chart as TSV comment lines.
+func chart(w io.Writer, rendered string) {
 	for _, line := range strings.Split(strings.TrimRight(rendered, "\n"), "\n") {
 		fmt.Fprintf(w, "# %s\n", line)
 	}
 }
 
 func main() {
+	// flags are the experiment-shaping flags, hashed into the journal
+	// fingerprint with the common ones.
+	var flags struct {
+		Mixes      int    `json:"mixes"`
+		Ablate     int    `json:"ablate_mixes"`
+		Random     int    `json:"random"`
+		Climb      int    `json:"climb"`
+		ROCSegs    int    `json:"roc_segments"`
+		T3Segs     int    `json:"table3_segments"`
+		AdaptSeeds int    `json:"adapt_seeds"`
+		STPolicies string `json:"st_policies"`
+		MCPolicies string `json:"mc_policies"`
+		Benches    string `json:"benches"`
+	}
+	s := runspec.New(flag.CommandLine, "mpppb-experiments", sim.DefaultWarmup, sim.DefaultMeasure,
+		runspec.Duel|runspec.Fleet|runspec.Quiet, &flags)
+	s.Seed = workload.DefaultMixSeed
 	var (
-		id      = flag.String("id", "all", "experiment id: fig3..fig10, figadapt, table1, table3, or 'all'")
-		out     = flag.String("out", "", "directory for <id>.tsv files (default: stdout)")
-		warmup  = flag.Uint64("warmup", sim.DefaultWarmup, "warmup instructions per run")
-		measure = flag.Uint64("measure", sim.DefaultMeasure, "measured instructions per run")
-		mixes   = flag.Int("mixes", 40, "number of 4-core test mixes for fig4/fig5")
-		ablate  = flag.Int("ablate-mixes", 12, "number of mixes for fig9/fig10")
-		nRandom = flag.Int("random", 40, "random feature sets for fig3")
-		climb   = flag.Int("climb", 60, "hill-climb proposals for fig3")
-		rocSegs = flag.Int("roc-segments", 33, "segments pooled per predictor for fig8")
-		aSeeds  = flag.Int("adapt-seeds", 3, "seeds (distinct reference streams) per segment for figadapt")
-		duel    = flag.String("duel", "", "override mpppb-adaptive duel candidates: ';'-separated threshold specs (the 'duel:' line mpppb-tune prints)")
-		t3Segs  = flag.Int("table3-segments", 33, "segments for table3 leave-one-out")
-		quiet   = flag.Bool("q", false, "suppress progress output")
-		charts  = flag.Bool("plot", false, "append ASCII charts as comment lines")
-		stPols  = flag.String("st-policies", "", "override single-thread policy list (comma-separated)")
-		mcPols  = flag.String("mc-policies", "", "override multi-core policy list (comma-separated)")
-		benches = flag.String("benches", "", "restrict fig6/fig7 to these benchmarks (comma-separated)")
-		j       = flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for independent runs (1 = serial; output is identical at any -j)")
-		check   = flag.Bool("check", false, "run the lockstep verification layer on every cache (slow; a divergence aborts with the access index and set dump)")
-		coord   = flag.Bool("coordinator", false, "run as fleet coordinator: serve the work-lease API on -listen and let -worker processes compute the cells")
-		workURL = flag.String("worker", "", "run as fleet worker: lease cells from the coordinator at this URL instead of deciding the grid locally")
-		ttl     = flag.Duration("lease-ttl", fleet.DefaultTTL, "coordinator lease heartbeat deadline; an unrenewed cell is reassigned after this long")
+		id     = flag.String("id", "all", "experiment id: fig3..fig10, figadapt, table1, table3, or 'all'")
+		out    = flag.String("out", "", "directory for <id>.tsv files (default: stdout)")
+		charts = flag.Bool("plot", false, "append ASCII charts as comment lines")
 	)
-	jf := journal.RegisterFlags(flag.CommandLine)
-	of := obs.RegisterFlags(flag.CommandLine)
+	flag.IntVar(&flags.Mixes, "mixes", 40, "number of 4-core test mixes for fig4/fig5")
+	flag.IntVar(&flags.Ablate, "ablate-mixes", 12, "number of mixes for fig9/fig10")
+	flag.IntVar(&flags.Random, "random", 40, "random feature sets for fig3")
+	flag.IntVar(&flags.Climb, "climb", 60, "hill-climb proposals for fig3")
+	flag.IntVar(&flags.ROCSegs, "roc-segments", 33, "segments pooled per predictor for fig8")
+	flag.IntVar(&flags.AdaptSeeds, "adapt-seeds", 3, "seeds (distinct reference streams) per segment for figadapt")
+	flag.IntVar(&flags.T3Segs, "table3-segments", 33, "segments for table3 leave-one-out")
+	flag.StringVar(&flags.STPolicies, "st-policies", "", "override single-thread policy list (comma-separated)")
+	flag.StringVar(&flags.MCPolicies, "mc-policies", "", "override multi-core policy list (comma-separated)")
+	flag.StringVar(&flags.Benches, "benches", "", "restrict fig6/fig7 to these benchmarks (comma-separated)")
 	flag.Parse()
-	defer prof.Start()()
-	parallel.SetDefault(*j)
+	s.Positive("mixes", "ablate-mixes", "random", "roc-segments", "table3-segments", "adapt-seeds")
 
 	r := &runner{
-		stCfg:       sim.SingleThreadConfig(),
-		mcCfg:       sim.MultiCoreConfig(),
+		stCfg:       s.Config(sim.SingleThreadConfig()),
+		mcCfg:       s.Config(sim.MultiCoreConfig()),
 		outDir:      *out,
 		plot:        *charts,
-		mixCount:    *mixes,
-		ablateMixes: *ablate,
-		nRandom:     *nRandom,
-		climbSteps:  *climb,
-		rocSegs:     *rocSegs,
-		table3Segs:  *t3Segs,
-		adaptSeeds:  *aSeeds,
+		mixCount:    flags.Mixes,
+		ablateMixes: flags.Ablate,
+		nRandom:     flags.Random,
+		climbSteps:  flags.Climb,
+		rocSegs:     flags.ROCSegs,
+		table3Segs:  flags.T3Segs,
+		adaptSeeds:  flags.AdaptSeeds,
+		stPolicies:  experiments.DefaultSingleThreadPolicies(),
+		mcPolicies:  experiments.DefaultMultiCorePolicies(),
 	}
-	r.stCfg.Warmup, r.stCfg.Measure = *warmup, *measure
-	r.mcCfg.Warmup, r.mcCfg.Measure = *warmup, *measure
-	r.stCfg.Check = *check
-	r.mcCfg.Check = *check
-	if *stPols != "" {
-		r.stPolicies = strings.Split(*stPols, ",")
-	} else {
-		r.stPolicies = experiments.DefaultSingleThreadPolicies()
+	if flags.STPolicies != "" {
+		r.stPolicies = s.Policies("st-policies", flags.STPolicies)
 	}
-	if *mcPols != "" {
-		r.mcPolicies = strings.Split(*mcPols, ",")
-	} else {
-		r.mcPolicies = experiments.DefaultMultiCorePolicies()
+	if flags.MCPolicies != "" {
+		r.mcPolicies = s.Policies("mc-policies", flags.MCPolicies)
 	}
-	if *duel != "" {
-		cands, err := core.ParseDuelCandidates(*duel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpppb-experiments: -duel: %v\n", err)
-			os.Exit(1)
-		}
-		sim.SetDuelCandidates(cands)
-	}
-	if *benches != "" {
-		r.stBenches = strings.Split(*benches, ",")
+	if flags.Benches != "" {
+		r.stBenches = strings.Split(flags.Benches, ",")
 		for _, b := range r.stBenches {
 			if !workload.Lookup(b) {
-				fmt.Fprintf(os.Stderr, "mpppb-experiments: unknown benchmark %q\n", b)
-				os.Exit(1)
+				s.Exit(fmt.Errorf("-benches: unknown benchmark %q", b))
 			}
 		}
 	}
-	fp := journal.Fingerprint{
-		Config: journal.ConfigHash(fingerprintConfig{
-			Tool:       "mpppb-experiments",
-			Warmup:     *warmup,
-			Measure:    *measure,
-			Mixes:      *mixes,
-			Ablate:     *ablate,
-			Random:     *nRandom,
-			Climb:      *climb,
-			ROCSegs:    *rocSegs,
-			T3Segs:     *t3Segs,
-			AdaptSeeds: *aSeeds,
-			Duel:       *duel,
-			STPolicies: r.stPolicies,
-			MCPolicies: r.mcPolicies,
-			Benches:    r.stBenches,
-			Fig3Seed:   fig3Seed,
-		}),
-		Version: journal.BuildVersion(),
-		Seed:    int64(workload.DefaultMixSeed),
-	}
-	if *coord && *workURL != "" {
-		fmt.Fprintln(os.Stderr, "mpppb-experiments: -coordinator and -worker are mutually exclusive")
-		os.Exit(1)
-	}
-	if *coord && of.Listen == "" {
-		fmt.Fprintln(os.Stderr, "mpppb-experiments: -coordinator needs -listen to serve the work-lease API")
-		os.Exit(1)
-	}
-	if *workURL != "" && jf.Path != "" {
-		fmt.Fprintln(os.Stderr, "mpppb-experiments: -worker does not journal locally (the coordinator owns the journal); drop -journal")
-		os.Exit(1)
-	}
-
-	jrnl, err := jf.Open(fp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpppb-experiments: %v\n", err)
-		os.Exit(1)
-	}
-	defer jrnl.Close()
-
-	status := obs.NewRunStatus("mpppb-experiments")
-	status.SetMeta(fp.Config, jf.Path)
-	var board *fleet.Board
-	var routes []obs.Route
-	if *coord {
-		board = fleet.NewBoard(fleet.BoardConfig{
-			Fingerprint: fp,
-			Journal:     jrnl,
-			Status:      status,
-			TTL:         *ttl,
-			Retries:     jf.Retries,
-		})
-		defer board.Close()
-		routes = fleet.Routes(board)
-	}
-	obsStop, err := of.Start(status, routes...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpppb-experiments: %v\n", err)
-		os.Exit(1)
-	}
-	defer obsStop()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	r.opts = &experiments.Run{
-		Ctx:         ctx,
-		Journal:     jrnl,
-		Retries:     jf.Retries,
-		TaskTimeout: jf.Timeout,
-		// Keep going past a permanently failed cell: the tables render its
-		// slots as NaN and the tool exits 3 after reporting the failures.
-		KeepGoing: true,
-		Status:    status,
-		Fleet:     board,
-	}
-	if *workURL != "" {
-		wk, err := fleet.NewWorker(fleet.WorkerConfig{
-			URL:         *workURL,
-			Fingerprint: fp,
-			Workers:     *j,
-			Retries:     jf.Retries,
-			Timeout:     jf.Timeout,
-			Status:      status,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpppb-experiments: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "mpppb-experiments: fleet worker %s leasing from %s\n", wk.ID(), *workURL)
-		r.opts.FleetWorker = wk
-	}
-	if !*quiet {
-		r.opts.Progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-
 	all := []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "figadapt", "table1", "table3"}
 	ids := []string{*id}
-	if *id == "all" {
+	switch {
+	case *id == "all":
 		ids = all
+	case !slices.Contains(append(all, "fig1", "table2"), *id):
+		s.Exit(fmt.Errorf("-id: unknown experiment %q", *id))
 	}
+	r.opts = s.Start()
 	for _, one := range ids {
 		if err := r.run(one); err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "mpppb-experiments: interrupted")
-				if jf.Path != "" {
-					fmt.Fprintf(os.Stderr, "; completed cells are saved — re-run with -journal %s -resume to continue", jf.Path)
-				} else {
-					fmt.Fprintf(os.Stderr, " (hint: -journal FILE makes runs resumable)")
-				}
-				fmt.Fprintln(os.Stderr)
-				os.Exit(130)
-			}
-			fmt.Fprintf(os.Stderr, "mpppb-experiments: %v\n", err)
-			os.Exit(1)
+			s.Exit(err)
 		}
 	}
-	if board != nil {
-		// Linger until live workers have fetched the final grid (so they
-		// can render the same tables) rather than vanishing mid-poll.
-		board.SettleWorkers(ctx, 2**ttl)
-	}
-	if failures := r.opts.Failures(); len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "mpppb-experiments: %d cell(s) failed permanently; their table entries are NaN:\n", len(failures))
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "  FAILED %s: %v\n", f.Key, f.Err)
-		}
-		os.Exit(3)
-	}
+	s.Exit(nil)
 }
 
 // output opens the TSV sink for an experiment.
@@ -390,11 +230,13 @@ func (r *runner) run(id string) error {
 				}
 				fmt.Fprintln(w)
 			}
-			var series []plot.Series
-			for _, p := range t.Policies {
-				series = append(series, plot.Series{Name: p, Y: curves[p]})
+			if r.plot {
+				var series []plot.Series
+				for _, p := range t.Policies {
+					series = append(series, plot.Series{Name: p, Y: curves[p]})
+				}
+				chart(w, plot.Lines("Figure 4: weighted speedup over LRU, mixes sorted", 60, 12, series...))
 			}
-			r.chart(w, plot.Lines("Figure 4: weighted speedup over LRU, mixes sorted", 60, 12, series...))
 		} else {
 			fmt.Fprintf(w, "# Figure 5: MPKI S-curves, %d mixes. means: lru=%.2f", len(t.Mixes), t.MeanMPKI["lru"])
 			for _, p := range t.Policies {
@@ -414,11 +256,13 @@ func (r *runner) run(id string) error {
 				}
 				fmt.Fprintln(w)
 			}
-			var series []plot.Series
-			for _, p := range cols {
-				series = append(series, plot.Series{Name: p, Y: curves[p]})
+			if r.plot {
+				var series []plot.Series
+				for _, p := range cols {
+					series = append(series, plot.Series{Name: p, Y: curves[p]})
+				}
+				chart(w, plot.Lines("Figure 5: MPKI, mixes sorted worst-to-best", 60, 12, series...))
 			}
-			r.chart(w, plot.Lines("Figure 5: MPKI, mixes sorted worst-to-best", 60, 12, series...))
 		}
 
 	case "fig6", "fig7":
@@ -446,11 +290,13 @@ func (r *runner) run(id string) error {
 				}
 				fmt.Fprintln(w)
 			}
-			vals := make([]float64, len(order))
-			for i, b := range order {
-				vals[i] = t.Speedup[sortBy][b]
+			if r.plot {
+				vals := make([]float64, len(order))
+				for i, b := range order {
+					vals[i] = t.Speedup[sortBy][b]
+				}
+				chart(w, plot.Bars("Figure 6: MPPPB speedup over LRU", 40, order, vals))
 			}
-			r.chart(w, plot.Bars("Figure 6: MPPPB speedup over LRU", 40, order, vals))
 		} else {
 			fmt.Fprintf(w, "# Figure 7: single-thread MPKI. means:")
 			for _, p := range cols {
@@ -484,16 +330,18 @@ func (r *runner) run(id string) error {
 				fmt.Fprintf(w, "%s\t%d\t%.4f\t%.4f\n", p, pt.Threshold, pt.FPR, pt.TPR)
 			}
 		}
-		var series []plot.Series
-		for _, p := range t.Predictors {
-			xs := make([]float64, len(t.Curves[p]))
-			ys := make([]float64, len(t.Curves[p]))
-			for i, pt := range t.Curves[p] {
-				xs[i], ys[i] = pt.FPR, pt.TPR
+		if r.plot {
+			var series []plot.Series
+			for _, p := range t.Predictors {
+				xs := make([]float64, len(t.Curves[p]))
+				ys := make([]float64, len(t.Curves[p]))
+				for i, pt := range t.Curves[p] {
+					xs[i], ys[i] = pt.FPR, pt.TPR
+				}
+				series = append(series, plot.Series{Name: p, X: xs, Y: ys})
 			}
-			series = append(series, plot.Series{Name: p, X: xs, Y: ys})
+			chart(w, plot.Lines("Figure 8: ROC (FPR vs TPR)", 60, 14, series...))
 		}
-		r.chart(w, plot.Lines("Figure 8: ROC (FPR vs TPR)", 60, 14, series...))
 
 	case "fig9":
 		mixes := experiments.TestingMixes(workload.Mixes(r.ablateMixes*10, workload.DefaultMixSeed))[:r.ablateMixes]
@@ -506,8 +354,10 @@ func (r *runner) run(id string) error {
 		for a, ws := range res.UniformWS {
 			fmt.Fprintf(w, "%d\t%.4f\n", a+1, ws)
 		}
-		r.chart(w, plot.Lines("Figure 9: uniform associativity sweep", 54, 10,
-			plot.Series{Name: "uniform A", Y: res.UniformWS[:]}))
+		if r.plot {
+			chart(w, plot.Lines("Figure 9: uniform associativity sweep", 54, 10,
+				plot.Series{Name: "uniform A", Y: res.UniformWS[:]}))
+		}
 
 	case "fig10":
 		mixes := experiments.TestingMixes(workload.Mixes(r.ablateMixes*10, workload.DefaultMixSeed))[:r.ablateMixes]
@@ -522,7 +372,9 @@ func (r *runner) run(id string) error {
 			fmt.Fprintf(w, "%s\t%.4f\n", f, res.OmittedWS[i])
 			labels[i] = f.String()
 		}
-		r.chart(w, plot.Bars("Figure 10: weighted speedup with feature omitted", 40, labels, res.OmittedWS))
+		if r.plot {
+			chart(w, plot.Bars("Figure 10: weighted speedup with feature omitted", 40, labels, res.OmittedWS))
+		}
 
 	case "figadapt":
 		// Adaptive-vs-static S-curve: every fig6 segment under the
@@ -556,8 +408,10 @@ func (r *runner) run(id string) error {
 				row.Ratio)
 			ratios[i] = row.Ratio
 		}
-		r.chart(w, plot.Lines("figadapt: adaptive/static MPKI ratio, segments sorted", 60, 12,
-			plot.Series{Name: "ratio", Y: ratios}))
+		if r.plot {
+			chart(w, plot.Lines("figadapt: adaptive/static MPKI ratio, segments sorted", 60, 12,
+				plot.Series{Name: "ratio", Y: ratios}))
+		}
 
 	case "table1", "table2":
 		fmt.Fprintln(w, "# Table 1(a), Table 1(b), Table 2: the paper's feature sets as compiled in.")

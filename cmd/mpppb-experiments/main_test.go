@@ -11,7 +11,6 @@ package main
 //	go test ./cmd/mpppb-experiments -run Golden -update
 
 import (
-	"flag"
 	"io"
 	"net/http"
 	"os"
@@ -19,12 +18,13 @@ import (
 	"strings"
 	"testing"
 
+	"mpppb/internal/clitest"
 	"mpppb/internal/experiments"
 	"mpppb/internal/obs"
 	"mpppb/internal/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files in testdata/")
+var update = clitest.Update
 
 // goldenRunner builds the 2-policy × 3-segment configuration shared by the
 // golden tests: one benchmark (3 segments), short warmup/measure.

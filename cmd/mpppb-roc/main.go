@@ -7,154 +7,49 @@
 //	mpppb-roc -bench all -predictor sdbp,perceptron,mpppb -summary
 //
 // Suite-wide extractions can checkpoint with -journal FILE; -resume
-// replays the per-segment sample sets already on disk.
+// replays the per-segment sample sets already on disk. A failed segment
+// is left out of its pooled curve and the tool exits 3.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"runtime"
 	"strings"
-	"time"
 
-	"mpppb"
-	"mpppb/internal/journal"
-	"mpppb/internal/obs"
-	"mpppb/internal/parallel"
-	"mpppb/internal/prof"
+	"mpppb/internal/experiments"
+	"mpppb/internal/runspec"
 	"mpppb/internal/sim"
 	"mpppb/internal/stats"
-	"mpppb/internal/workload"
 )
 
 func main() {
+	s := runspec.New(flag.CommandLine, "mpppb-roc", sim.DefaultWarmup, sim.DefaultMeasure, 0, nil)
 	var (
 		bench      = flag.String("bench", "gcc_like", "benchmark, or 'all'")
 		seg        = flag.Int("seg", -1, "segment (0-2), or -1 for all")
 		predictors = flag.String("predictor", "sdbp,perceptron,mpppb", "comma-separated predictors")
-		warmup     = flag.Uint64("warmup", sim.DefaultWarmup, "warmup instructions")
-		measure    = flag.Uint64("measure", sim.DefaultMeasure, "measured instructions")
-		check      = flag.Bool("check", false, "run the lockstep verification layer on every cache (slow; a divergence aborts with the access index and set dump)")
 		summary    = flag.Bool("summary", false, "print only AUC and band TPRs")
-		j          = flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for independent runs (1 = serial)")
 	)
-	jf := journal.RegisterFlags(flag.CommandLine)
-	of := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	defer prof.Start()()
-	parallel.SetDefault(*j)
 
-	cfg := mpppb.SingleThreadConfig()
-	cfg.Warmup, cfg.Measure = *warmup, *measure
-	cfg.Check = *check
-
-	var ids []mpppb.SegmentID
-	for _, b := range workload.Benchmarks() {
-		if *bench != "all" && b != *bench {
-			continue
-		}
-		for s := 0; s < workload.SegmentsPerBenchmark; s++ {
-			if *seg >= 0 && s != *seg {
-				continue
-			}
-			ids = append(ids, mpppb.Segment(b, s))
+	ids := s.Segments(*bench, *seg)
+	preds := strings.Split(*predictors, ",")
+	for i, pred := range preds {
+		preds[i] = strings.TrimSpace(pred)
+		if _, err := sim.Confidence(preds[i]); err != nil {
+			s.Exit(fmt.Errorf("-predictor: %v", err))
 		}
 	}
-	if len(ids) == 0 {
-		fmt.Fprintln(os.Stderr, "no matching segments")
-		os.Exit(1)
-	}
-
-	type fingerprintConfig struct {
-		Tool    string `json:"tool"`
-		Warmup  uint64 `json:"warmup"`
-		Measure uint64 `json:"measure"`
-	}
-	fp := journal.Fingerprint{
-		Config: journal.ConfigHash(fingerprintConfig{
-			Tool:    "mpppb-roc",
-			Warmup:  *warmup,
-			Measure: *measure,
-		}),
-		Version: journal.BuildVersion(),
-	}
-	jrnl, err := jf.Open(fp)
+	// Segments fan across the pool; samples pool in segment order, so
+	// the curves match a serial run exactly.
+	t, err := experiments.ROCCurves(s.Config(sim.SingleThreadConfig()), preds, ids, s.Start())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpppb-roc: %v\n", err)
-		os.Exit(1)
+		s.Exit(err)
 	}
-	defer jrnl.Close()
-
-	status := obs.NewRunStatus("mpppb-roc")
-	status.SetMeta(fp.Config, jf.Path)
-	obsStop, err := of.Start(status)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpppb-roc: %v\n", err)
-		os.Exit(1)
-	}
-	defer obsStop()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	exit := 0
-	for _, pred := range strings.Split(*predictors, ",") {
-		pred = strings.TrimSpace(pred)
-		// Segments fan across the pool; samples pool in segment order, so
-		// the curve matches a serial run exactly.
-		for _, id := range ids {
-			status.AddCells("roc/" + pred + "/" + id.String())
-		}
-		opts := parallel.RunOpts{Retries: jf.Retries, Timeout: jf.Timeout, KeepGoing: true}
-		perSeg, segErrs, err := parallel.MapErr(ctx, opts, len(ids), func(ctx context.Context, i int) (stats.PackedROC, error) {
-			key := "roc/" + pred + "/" + ids[i].String()
-			status.CellRunning(key)
-			var packed stats.PackedROC
-			if hit, err := jrnl.Load(key, &packed); err != nil {
-				return stats.PackedROC{}, err
-			} else if hit {
-				status.CellDone(key, obs.CellJournal, 0)
-				return packed, nil
-			}
-			t0 := time.Now()
-			samples, err := mpppb.ROCSamples(cfg, ids[i], pred)
-			if err != nil {
-				return stats.PackedROC{}, err
-			}
-			packed = stats.PackROC(samples)
-			status.CellDone(key, obs.CellOK, time.Since(t0))
-			return packed, jrnl.Record(key, packed)
-		})
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "mpppb-roc: interrupted")
-				if jf.Path != "" {
-					fmt.Fprintf(os.Stderr, "mpppb-roc: completed segments saved; re-run with -journal %s -resume to continue\n", jf.Path)
-				}
-				os.Exit(130)
-			}
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		var pool []stats.ROCSample
-		for i, packed := range perSeg {
-			if segErrs[i] != nil {
-				fmt.Fprintf(os.Stderr, "FAILED roc/%s/%s: %v\n", pred, ids[i], segErrs[i])
-				jrnl.RecordFailure("roc/"+pred+"/"+ids[i].String(), segErrs[i])
-				status.CellDone("roc/"+pred+"/"+ids[i].String(), obs.CellFailed, 0)
-				exit = 3
-				continue
-			}
-			pool = append(pool, packed.Unpack()...)
-		}
-		curve := stats.ROC(pool)
+	for _, pred := range preds {
+		curve := t.Curves[pred]
 		fmt.Printf("# %s: %d samples, AUC=%.4f TPR@25%%=%.3f TPR@30%%=%.3f\n",
-			pred, len(pool), stats.AUC(curve),
-			stats.TPRAtFPR(curve, 0.25), stats.TPRAtFPR(curve, 0.30))
+			pred, t.Samples[pred], t.AUC[pred], stats.TPRAtFPR(curve, 0.25), t.TPRAt30[pred])
 		if *summary {
 			continue
 		}
@@ -163,8 +58,5 @@ func main() {
 			fmt.Printf("%d\t%.4f\t%.4f\n", p.Threshold, p.FPR, p.TPR)
 		}
 	}
-	if exit != 0 {
-		fmt.Fprintln(os.Stderr, "mpppb-roc: some segments failed; their samples are missing from the pooled curves")
-		os.Exit(exit)
-	}
+	s.Exit(nil)
 }

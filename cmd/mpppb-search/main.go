@@ -14,99 +14,33 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"runtime"
 
 	"mpppb/internal/experiments"
-	"mpppb/internal/journal"
-	"mpppb/internal/obs"
-	"mpppb/internal/parallel"
-	"mpppb/internal/prof"
+	"mpppb/internal/runspec"
 	"mpppb/internal/sim"
 )
 
 func main() {
-	var (
-		nRandom  = flag.Int("random", 40, "random feature sets to evaluate (paper: 4000)")
-		climb    = flag.Int("climb", 80, "hill-climb proposals")
-		training = flag.Int("training", 8, "training segments drawn across the suite")
-		warmup   = flag.Uint64("warmup", 300_000, "warmup instructions per evaluation")
-		measure  = flag.Uint64("measure", 1_000_000, "measured instructions per evaluation")
-		check    = flag.Bool("check", false, "run the lockstep verification layer on every cache (slow; a divergence aborts with the access index and set dump)")
-		seed     = flag.Uint64("seed", 2017, "search seed")
-		quiet    = flag.Bool("q", false, "suppress progress output")
-		j        = flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines; each feature-set evaluation fans its training segments across them (1 = serial)")
-	)
-	jf := journal.RegisterFlags(flag.CommandLine)
-	of := obs.RegisterFlags(flag.CommandLine)
+	var flags struct {
+		Random   int `json:"random"`
+		Climb    int `json:"climb"`
+		Training int `json:"training"`
+	}
+	s := runspec.New(flag.CommandLine, "mpppb-search", 300_000, 1_000_000, runspec.Quiet, &flags)
+	flag.IntVar(&flags.Random, "random", 40, "random feature sets to evaluate (paper: 4000)")
+	flag.IntVar(&flags.Climb, "climb", 80, "hill-climb proposals")
+	flag.IntVar(&flags.Training, "training", 8, "training segments drawn across the suite")
+	flag.Uint64Var(&s.Seed, "seed", 2017, "search seed")
 	flag.Parse()
-	defer prof.Start()()
-	parallel.SetDefault(*j)
+	s.Positive("random")
 
-	cfg := sim.SingleThreadConfig()
-	cfg.Warmup, cfg.Measure = *warmup, *measure
-	cfg.Check = *check
-
-	type fingerprintConfig struct {
-		Tool     string `json:"tool"`
-		Random   int    `json:"random"`
-		Climb    int    `json:"climb"`
-		Training int    `json:"training"`
-		Warmup   uint64 `json:"warmup"`
-		Measure  uint64 `json:"measure"`
-	}
-	fp := journal.Fingerprint{
-		Config: journal.ConfigHash(fingerprintConfig{
-			Tool:     "mpppb-search",
-			Random:   *nRandom,
-			Climb:    *climb,
-			Training: *training,
-			Warmup:   *warmup,
-			Measure:  *measure,
-		}),
-		Version: journal.BuildVersion(),
-		Seed:    int64(*seed),
-	}
-	jrnl, err := jf.Open(fp)
+	cfg := s.Config(sim.SingleThreadConfig())
+	res, err := experiments.Fig3FeatureSearch(cfg, experiments.TrainingSegments(flags.Training),
+		flags.Random, flags.Climb, s.Seed, s.Start())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpppb-search: %v\n", err)
-		os.Exit(1)
-	}
-	defer jrnl.Close()
-
-	status := obs.NewRunStatus("mpppb-search")
-	status.SetMeta(fp.Config, jf.Path)
-	obsStop, err := of.Start(status)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpppb-search: %v\n", err)
-		os.Exit(1)
-	}
-	defer obsStop()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	opts := &experiments.Run{Ctx: ctx, Journal: jrnl, Retries: jf.Retries, TaskTimeout: jf.Timeout, Status: status}
-	if !*quiet {
-		opts.Progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-
-	res, err := experiments.Fig3FeatureSearch(cfg, experiments.TrainingSegments(*training),
-		*nRandom, *climb, *seed, opts)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "mpppb-search: interrupted; re-run with the same flags plus -resume to continue")
-			os.Exit(130)
-		}
-		fmt.Fprintf(os.Stderr, "mpppb-search: %v\n", err)
-		os.Exit(1)
+		s.Exit(err)
 	}
 
 	fmt.Printf("random sets evaluated: %d (training MPKI %.3f worst .. %.3f best)\n",
@@ -120,4 +54,5 @@ func main() {
 	for _, f := range res.HillClimbed.Features {
 		fmt.Printf("  %s\n", f)
 	}
+	s.Exit(nil)
 }

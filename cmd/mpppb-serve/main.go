@@ -120,8 +120,15 @@ func runServer(addr string, params core.Params, sets, shards int, check bool, dr
 }
 
 func runClient(addr string, params core.Params, bench string, seg, n, batch, sets, ways int, clientID uint64, verifyInline bool) error {
-	if !workload.Lookup(bench) {
-		return fmt.Errorf("unknown benchmark %q", bench)
+	switch {
+	case !workload.Lookup(bench):
+		return fmt.Errorf("-bench: unknown benchmark %q", bench)
+	case seg < 0 || seg >= workload.SegmentsPerBenchmark:
+		return fmt.Errorf("-seg: %d is not a segment index 0..%d", seg, workload.SegmentsPerBenchmark-1)
+	case n < 0:
+		return fmt.Errorf("-events: %d is negative", n)
+	case batch < 1:
+		return fmt.Errorf("-batch: %d events per request; want at least 1", batch)
 	}
 	gen := workload.NewGenerator(workload.SegmentID{Bench: bench, Seg: seg}, 0)
 	events := serve.Annotate(gen, n, sets, ways, params)

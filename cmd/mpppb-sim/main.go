@@ -9,51 +9,39 @@
 //
 // Large sweeps (-bench all with many policies) can checkpoint with
 // -journal FILE; -resume skips the (segment, policy) runs already on
-// disk. Failed runs print NA cells and exit non-zero instead of aborting
-// the whole grid. -listen HOST:PORT serves live /metrics, /status and
+// disk. Failed runs print NA cells and exit 3 instead of aborting the
+// whole grid. -listen HOST:PORT serves live /metrics, /status and
 // /debug/pprof for the run; -progress 10s prints a stderr ticker.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"mpppb"
-	"mpppb/internal/core"
-	"mpppb/internal/journal"
-	"mpppb/internal/obs"
-	"mpppb/internal/parallel"
-	"mpppb/internal/prof"
+	"mpppb/internal/experiments"
+	"mpppb/internal/runspec"
 	"mpppb/internal/sim"
 	"mpppb/internal/workload"
 )
 
 func main() {
+	var shape struct {
+		Verbose bool `json:"verbose"`
+	}
+	s := runspec.New(flag.CommandLine, "mpppb-sim", sim.DefaultWarmup, sim.DefaultMeasure, runspec.Duel, &shape)
 	var (
 		bench    = flag.String("bench", "mcf_like", "benchmark name, or 'all' for the whole suite")
 		seg      = flag.Int("seg", -1, "segment index (0-2), or -1 for all segments")
 		policies = flag.String("policy", "lru,mpppb", "comma-separated policy names (see -list)")
-		warmup   = flag.Uint64("warmup", sim.DefaultWarmup, "warmup instructions")
-		measure  = flag.Uint64("measure", sim.DefaultMeasure, "measured instructions")
-		check    = flag.Bool("check", false, "run the lockstep verification layer on every cache (slow; a divergence aborts with the access index and set dump)")
 		list     = flag.Bool("list", false, "list benchmarks and policies, then exit")
-		verbose  = flag.Bool("v", false, "after mpppb runs, print decision counters and per-feature weight statistics")
-		duel     = flag.String("duel", "", "override mpppb-adaptive duel candidates: ';'-separated threshold specs (the 'duel:' line mpppb-tune prints)")
-		j        = flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for independent runs (1 = serial)")
 	)
-	jf := journal.RegisterFlags(flag.CommandLine)
-	of := obs.RegisterFlags(flag.CommandLine)
+	flag.BoolVar(&shape.Verbose, "v", false, "after mpppb runs, print decision counters and per-feature weight statistics")
 	flag.Parse()
-	defer prof.Start()()
-	parallel.SetDefault(*j)
 
 	if *list {
 		fmt.Println("policies:", strings.Join(sim.PolicyNames(), " "), "min")
@@ -66,75 +54,6 @@ func main() {
 		return
 	}
 
-	cfg := sim.SingleThreadConfig()
-	cfg.Warmup = *warmup
-	cfg.Measure = *measure
-	cfg.Check = *check
-
-	if *duel != "" {
-		cands, err := core.ParseDuelCandidates(*duel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpppb-sim: -duel: %v\n", err)
-			os.Exit(1)
-		}
-		sim.SetDuelCandidates(cands)
-	}
-
-	var benches []string
-	if *bench == "all" {
-		benches = workload.Benchmarks()
-	} else {
-		if !workload.Lookup(*bench) {
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q (try -list)\n", *bench)
-			os.Exit(1)
-		}
-		benches = []string{*bench}
-	}
-	var segs []int
-	if *seg >= 0 {
-		segs = []int{*seg}
-	} else {
-		for s := 0; s < workload.SegmentsPerBenchmark; s++ {
-			segs = append(segs, s)
-		}
-	}
-
-	type fingerprintConfig struct {
-		Tool    string `json:"tool"`
-		Warmup  uint64 `json:"warmup"`
-		Measure uint64 `json:"measure"`
-		Verbose bool   `json:"verbose"`
-		Duel    string `json:"duel,omitempty"`
-	}
-	fp := journal.Fingerprint{
-		Config: journal.ConfigHash(fingerprintConfig{
-			Tool:    "mpppb-sim",
-			Warmup:  *warmup,
-			Measure: *measure,
-			Verbose: *verbose,
-			Duel:    *duel,
-		}),
-		Version: journal.BuildVersion(),
-	}
-	jrnl, err := jf.Open(fp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpppb-sim: %v\n", err)
-		os.Exit(1)
-	}
-	defer jrnl.Close()
-
-	status := obs.NewRunStatus("mpppb-sim")
-	status.SetMeta(fp.Config, jf.Path)
-	obsStop, err := of.Start(status)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpppb-sim: %v\n", err)
-		os.Exit(1)
-	}
-	defer obsStop()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
 	// Every (segment, policy) run is independent: fan the grid across the
 	// worker pool, then print rows in grid order so output is identical at
 	// any -j.
@@ -143,67 +62,37 @@ func main() {
 		pname string
 	}
 	var jobs []job
-	for _, b := range benches {
-		for _, s := range segs {
-			for _, pname := range strings.Split(*policies, ",") {
-				jobs = append(jobs, job{workload.SegmentID{Bench: b, Seg: s}, strings.TrimSpace(pname)})
-			}
+	var keys []string
+	pols := s.Policies("policy", *policies, "min")
+	for _, id := range s.Segments(*bench, *seg) {
+		for _, pname := range pols {
+			jobs = append(jobs, job{id, pname})
+			keys = append(keys, "sim/"+id.String()+"/"+pname)
 		}
 	}
+	cfg := s.Config(sim.SingleThreadConfig())
+	run := s.Start()
 	type rowInfo struct {
 		Res  mpppb.Result `json:"res"`
 		Info string       `json:"info,omitempty"`
 	}
-	for _, jb := range jobs {
-		status.AddCells("sim/" + jb.id.String() + "/" + jb.pname)
-	}
-	opts := parallel.RunOpts{Retries: jf.Retries, Timeout: jf.Timeout, KeepGoing: true}
-	rows, rowErrs, err := parallel.MapErr(ctx, opts, len(jobs), func(ctx context.Context, i int) (rowInfo, error) {
+	rows, rowErrs, err := experiments.RunCells(run, keys, func(_ context.Context, i int) (rowInfo, error) {
 		jb := jobs[i]
-		key := "sim/" + jb.id.String() + "/" + jb.pname
-		status.CellRunning(key)
-		var row rowInfo
-		if hit, err := jrnl.Load(key, &row); err != nil {
-			return rowInfo{}, err
-		} else if hit {
-			status.CellDone(key, obs.CellJournal, 0)
-			return row, nil
-		}
-		t0 := time.Now()
-		if *verbose && strings.HasPrefix(jb.pname, "mpppb") {
+		if shape.Verbose && (jb.pname == "mpppb" || jb.pname == "mpppb-srrip") {
 			res, info, err := mpppb.RunVerbose(cfg, jb.id, jb.pname)
-			if err != nil {
-				return rowInfo{}, err
-			}
-			row = rowInfo{Res: res, Info: info}
-		} else {
-			res, err := mpppb.Run(cfg, jb.id, jb.pname)
-			if err != nil {
-				return rowInfo{}, err
-			}
-			row = rowInfo{Res: res}
+			return rowInfo{Res: res, Info: info}, err
 		}
-		status.CellDone(key, obs.CellOK, time.Since(t0))
-		return row, jrnl.Record(key, row)
+		res, err := sim.RunNamed(cfg, workload.NewGenerator(jb.id, workload.CoreBase(0)), jb.pname, run.Duel)
+		return rowInfo{Res: res}, err
 	})
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "mpppb-sim: interrupted")
-			if jf.Path != "" {
-				fmt.Fprintf(os.Stderr, "mpppb-sim: completed runs saved; re-run with -journal %s -resume to continue\n", jf.Path)
-			}
-			os.Exit(130)
-		}
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(1)
+		s.Exit(err)
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
 	fmt.Fprintln(w, "segment\tpolicy\tIPC\tMPKI\tLLC misses\tbypasses")
-	failed := 0
 	for i, jb := range jobs {
 		if rowErrs[i] != nil {
-			failed++
 			fmt.Fprintf(w, "%s\t%s\tNA\tNA\tNA\tNA\n", jb.id, jb.pname)
 			continue
 		}
@@ -217,15 +106,5 @@ func main() {
 			fmt.Fprintf(os.Stderr, "\n--- %s on %s ---\n%s", jb.pname, jb.id, rows[i].Info)
 		}
 	}
-	if failed > 0 {
-		for i, jb := range jobs {
-			if rowErrs[i] != nil {
-				fmt.Fprintf(os.Stderr, "FAILED %s/%s: %v\n", jb.id, jb.pname, rowErrs[i])
-				jrnl.RecordFailure("sim/"+jb.id.String()+"/"+jb.pname, rowErrs[i])
-				status.CellDone("sim/"+jb.id.String()+"/"+jb.pname, obs.CellFailed, 0)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "mpppb-sim: %d of %d runs failed (NA cells above)\n", failed, len(jobs))
-		os.Exit(3)
-	}
+	s.Exit(nil)
 }

@@ -31,15 +31,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
-	"strings"
-	"time"
 
-	"mpppb/internal/journal"
-	"mpppb/internal/obs"
-	"mpppb/internal/parallel"
-	"mpppb/internal/prof"
+	"mpppb/internal/experiments"
+	"mpppb/internal/runspec"
 	"mpppb/internal/sim"
 	"mpppb/internal/stats"
 	"mpppb/internal/trace"
@@ -47,6 +41,13 @@ import (
 )
 
 func main() {
+	// flags are the content digests the journal fingerprint covers: the
+	// replayed trace, or the ingested source.
+	var flags struct {
+		Trace  string `json:"trace,omitempty"`
+		Source string `json:"source,omitempty"`
+	}
+	s := runspec.New(flag.CommandLine, "mpppb-trace", sim.DefaultWarmup, sim.DefaultMeasure, 0, &flags)
 	var (
 		capture  = flag.String("capture", "", "segment to capture, e.g. mcf_like-0")
 		n        = flag.Int("n", 1_000_000, "records to capture")
@@ -58,145 +59,138 @@ func main() {
 		imp      = flag.String("import", "", "CSV trace to convert to binary (with -o); older spelling of -ingest -format csv")
 		export   = flag.String("export", "", "binary trace to dump as CSV to stdout")
 		policies = flag.String("policy", "lru,mpppb", "policies for -replay")
-		warmup   = flag.Uint64("warmup", sim.DefaultWarmup, "warmup instructions for -replay")
-		measure  = flag.Uint64("measure", sim.DefaultMeasure, "measured instructions for -replay")
-		check    = flag.Bool("check", false, "run the lockstep verification layer on every cache (slow; a divergence aborts with the access index and set dump)")
-		j        = flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for independent runs (1 = serial)")
 	)
-	jf := journal.RegisterFlags(flag.CommandLine)
-	of := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	defer prof.Start()()
-	parallel.SetDefault(*j)
 
-	status := obs.NewRunStatus("mpppb-trace")
-	obsStop, err := of.Start(status)
-	if err != nil {
-		fatal("%v", err)
+	src, srcFormat := *ingest, *format
+	if src == "" {
+		src, srcFormat = *imp, "csv"
 	}
-	defer obsStop()
+	if src == "" && *export == "" && *capture == "" && *statsF == "" && *replay == "" {
+		flag.Usage()
+		os.Exit(2)
+	}
+	var data []byte
+	var recs []trace.Record
+	var pols []string
+	var err error
+	switch {
+	case src != "":
+		if data, err = os.ReadFile(src); err != nil {
+			s.Exit(err)
+		}
+		flags.Source = digest(data)
+	case *replay != "":
+		if recs, flags.Trace, err = loadHashed(*replay); err != nil {
+			s.Exit(err)
+		}
+		pols = s.Policies("policy", *policies)
+	}
+	run := s.Start()
 
 	switch {
-	case *ingest != "" || *imp != "":
-		src, ffmt := *ingest, *format
-		if src == "" {
-			src, ffmt = *imp, "csv"
-		}
+	case src != "":
 		if *out == "" {
-			fatal("need -o with -ingest")
+			s.Exit(errors.New("need -o with -ingest"))
 		}
-		data, err := os.ReadFile(src)
+		f, err := trace.ParseFormat(srcFormat)
 		if err != nil {
-			fatal("%v", err)
-		}
-		f, err := trace.ParseFormat(ffmt)
-		if err != nil {
-			fatal("%v", err)
+			s.Exit(err)
 		}
 		// The journal key is the source file's content hash: re-running
 		// the same ingest is a hit, a changed source is a different key,
 		// and a hit only skips work if the output file still carries the
 		// recorded bytes.
-		sum := sha256.Sum256(data)
-		srcHash := hex.EncodeToString(sum[:8])
-		key := "ingest/" + srcHash
-		type ingestConfig struct {
-			Tool   string `json:"tool"`
-			Source string `json:"source"`
-		}
+		key := "ingest/" + flags.Source
 		type ingestRes struct {
 			Records int    `json:"records"`
 			OutHash string `json:"out_hash"`
 		}
-		fp := journal.Fingerprint{
-			Config:  journal.ConfigHash(ingestConfig{Tool: "mpppb-trace-ingest", Source: srcHash}),
-			Version: journal.BuildVersion(),
-		}
-		jrnl, err := jf.Open(fp)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer jrnl.Close()
-		status.SetMeta(fp.Config, jf.Path)
 		var prev ingestRes
-		if hit, err := jrnl.Load(key, &prev); err != nil {
-			fatal("%v", err)
+		if hit, err := run.Journal.Load(key, &prev); err != nil {
+			s.Exit(err)
 		} else if hit {
-			if cur, err := os.ReadFile(*out); err == nil {
-				curSum := sha256.Sum256(cur)
-				if hex.EncodeToString(curSum[:8]) == prev.OutHash {
-					fmt.Printf("ingested %d records from %s to %s (journal hit)\n", prev.Records, src, *out)
-					return
-				}
+			if cur, err := os.ReadFile(*out); err == nil && digest(cur) == prev.OutHash {
+				fmt.Printf("ingested %d records from %s to %s (journal hit)\n", prev.Records, src, *out)
+				s.Exit(nil)
 			}
 		}
 		recs, err := trace.Ingest(src, data, f)
 		if err != nil {
-			fatal("%v", err)
+			s.Exit(err)
 		}
 		var buf bytes.Buffer
 		w, err := trace.NewWriter(&buf)
 		if err != nil {
-			fatal("%v", err)
+			s.Exit(err)
 		}
 		for _, r := range recs {
 			if err := w.Add(r); err != nil {
-				fatal("%v", err)
+				s.Exit(err)
 			}
 		}
 		if err := w.Flush(); err != nil {
-			fatal("%v", err)
+			s.Exit(err)
 		}
 		if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
-			fatal("%v", err)
+			s.Exit(err)
 		}
-		outSum := sha256.Sum256(buf.Bytes())
-		if err := jrnl.Record(key, ingestRes{Records: len(recs), OutHash: hex.EncodeToString(outSum[:8])}); err != nil {
-			fatal("%v", err)
+		if err := run.Journal.Record(key, ingestRes{Records: len(recs), OutHash: digest(buf.Bytes())}); err != nil {
+			s.Exit(err)
 		}
 		fmt.Printf("ingested %d records from %s to %s\n", len(recs), src, *out)
 
 	case *export != "":
-		if err := trace.WriteCSV(os.Stdout, load(*export)); err != nil {
-			fatal("%v", err)
+		recs, _, err := loadHashed(*export)
+		if err == nil {
+			err = trace.WriteCSV(os.Stdout, recs)
+		}
+		if err != nil {
+			s.Exit(err)
 		}
 
 	case *capture != "":
 		if *out == "" {
-			fatal("need -o with -capture")
+			s.Exit(errors.New("need -o with -capture"))
 		}
+		s.Positive("n")
 		id, err := workload.ParseSegmentID(*capture)
 		if err != nil {
-			fatal("%v", err)
+			s.Exit(fmt.Errorf("-capture: %v", err))
 		}
 		gen := workload.NewGenerator(id, workload.CoreBase(0))
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal("%v", err)
+			s.Exit(err)
 		}
-		defer f.Close()
 		w, err := trace.NewWriter(f)
 		if err != nil {
-			fatal("%v", err)
+			s.Exit(err)
 		}
 		var rec trace.Record
 		var instr uint64
 		for i := 0; i < *n; i++ {
 			gen.Next(&rec)
 			if err := w.Add(rec); err != nil {
-				fatal("%v", err)
+				s.Exit(err)
 			}
 			instr += rec.Instructions()
 		}
 		if err := w.Flush(); err != nil {
-			fatal("%v", err)
+			s.Exit(err)
 		}
 		fi, _ := f.Stat()
+		if err := f.Close(); err != nil {
+			s.Exit(err)
+		}
 		fmt.Printf("captured %d records (%d instructions) of %s to %s (%d bytes, %.2f B/record)\n",
 			w.Count(), instr, id, *out, fi.Size(), float64(fi.Size())/float64(w.Count()))
 
 	case *statsF != "":
-		recs := load(*statsF)
+		recs, _, err := loadHashed(*statsF)
+		if err != nil {
+			s.Exit(err)
+		}
 		var instr, writes uint64
 		blockIDs := make([]uint64, len(recs))
 		blocks := map[uint64]struct{}{}
@@ -231,129 +225,56 @@ func main() {
 			100*float64(cold)/float64(len(recs)))
 
 	case *replay != "":
-		recs, hash := loadHashed(*replay)
-		// Transpose once; every per-policy replay cursor shares the same
-		// read-only column store.
-		cols := trace.ColumnsOf(recs)
-		cfg := sim.SingleThreadConfig()
-		cfg.Warmup, cfg.Measure = *warmup, *measure
-		cfg.Check = *check
-
-		type fingerprintConfig struct {
-			Tool    string `json:"tool"`
-			Trace   string `json:"trace"`
-			Warmup  uint64 `json:"warmup"`
-			Measure uint64 `json:"measure"`
-		}
-		fp := journal.Fingerprint{
-			Config: journal.ConfigHash(fingerprintConfig{
-				Tool:    "mpppb-trace",
-				Trace:   hash,
-				Warmup:  *warmup,
-				Measure: *measure,
-			}),
-			Version: journal.BuildVersion(),
-		}
-		jrnl, err := jf.Open(fp)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer jrnl.Close()
-		status.SetMeta(fp.Config, jf.Path)
-
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-
 		// Policies replay independently: each worker gets its own replay
-		// cursor over the shared (read-only) record slice.
-		pols := strings.Split(*policies, ",")
+		// cursor over one shared, read-only column store.
+		cols := trace.ColumnsOf(recs)
+		cfg := s.Config(sim.SingleThreadConfig())
 		type replayRes struct {
 			Res   sim.Result `json:"res"`
 			Wraps uint64     `json:"wraps"`
 		}
-		for _, pname := range pols {
-			status.AddCells("replay/" + hash + "/" + strings.TrimSpace(pname))
+		keys := make([]string, len(pols))
+		for i, pname := range pols {
+			keys[i] = "replay/" + flags.Trace + "/" + pname
 		}
-		opts := parallel.RunOpts{Retries: jf.Retries, Timeout: jf.Timeout, KeepGoing: true}
-		results, polErrs, err := parallel.MapErr(ctx, opts, len(pols), func(ctx context.Context, i int) (replayRes, error) {
-			pname := strings.TrimSpace(pols[i])
-			key := "replay/" + hash + "/" + pname
-			status.CellRunning(key)
-			var rr replayRes
-			if hit, err := jrnl.Load(key, &rr); err != nil {
-				return replayRes{}, err
-			} else if hit {
-				status.CellDone(key, obs.CellJournal, 0)
-				return rr, nil
-			}
-			pf, err := sim.Policy(pname)
+		results, polErrs, err := experiments.RunCells(run, keys, func(_ context.Context, i int) (replayRes, error) {
+			pf, err := sim.Policy(pols[i])
 			if err != nil {
 				return replayRes{}, err
 			}
-			t0 := time.Now()
 			gen := trace.NewColumnarReplay(*replay, cols)
 			res := sim.RunSingle(cfg, gen, pf)
-			rr = replayRes{Res: res, Wraps: gen.Wraps}
-			status.CellDone(key, obs.CellOK, time.Since(t0))
-			return rr, jrnl.Record(key, rr)
+			return replayRes{Res: res, Wraps: gen.Wraps}, nil
 		})
 		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "mpppb-trace: interrupted")
-				if jf.Path != "" {
-					fmt.Fprintf(os.Stderr, "mpppb-trace: completed replays saved; re-run with -journal %s -resume to continue\n", jf.Path)
-				}
-				os.Exit(130)
-			}
-			fatal("%v", err)
+			s.Exit(err)
 		}
-		failed := 0
 		for i, pname := range pols {
-			pname = strings.TrimSpace(pname)
 			if polErrs[i] != nil {
-				failed++
 				fmt.Printf("%-14s FAILED: %v\n", pname, polErrs[i])
-				jrnl.RecordFailure("replay/"+hash+"/"+pname, polErrs[i])
-				status.CellDone("replay/"+hash+"/"+pname, obs.CellFailed, 0)
 				continue
 			}
 			fmt.Printf("%-14s IPC %.3f  MPKI %.2f  (replay wrapped %d times)\n",
 				pname, results[i].Res.IPC, results[i].Res.MPKI, results[i].Wraps)
 		}
-		if failed > 0 {
-			fmt.Fprintf(os.Stderr, "mpppb-trace: %d of %d replays failed\n", failed, len(pols))
-			os.Exit(3)
-		}
-
-	default:
-		flag.Usage()
-		os.Exit(2)
 	}
-}
-
-func load(path string) []trace.Record {
-	recs, _ := loadHashed(path)
-	return recs
+	s.Exit(nil)
 }
 
 // loadHashed reads a whole binary trace and returns its records along with
-// a short content hash identifying the file's exact bytes (used to key
-// replay journal entries, so stale results can't be replayed against a
-// modified trace).
-func loadHashed(path string) ([]trace.Record, string) {
+// the digest of the file's exact bytes (used to key replay journal
+// entries, so stale results can't be replayed against a modified trace).
+func loadHashed(path string) ([]trace.Record, string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatal("%v", err)
+		return nil, "", err
 	}
 	recs, err := trace.ReadAll(bytes.NewReader(data))
-	if err != nil {
-		fatal("%v", err)
-	}
-	sum := sha256.Sum256(data)
-	return recs, hex.EncodeToString(sum[:8])
+	return recs, digest(data), err
 }
 
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "mpppb-trace: "+format+"\n", args...)
-	os.Exit(1)
+// digest is a short content hash of data.
+func digest(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:8])
 }

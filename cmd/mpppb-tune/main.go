@@ -14,148 +14,92 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
 
 	"mpppb/internal/core"
 	"mpppb/internal/experiments"
-	"mpppb/internal/journal"
-	"mpppb/internal/obs"
-	"mpppb/internal/parallel"
-	"mpppb/internal/prof"
+	"mpppb/internal/runspec"
 	"mpppb/internal/search"
 	"mpppb/internal/sim"
 	"mpppb/internal/xrand"
 )
 
 func main() {
-	var (
-		mode     = flag.String("mode", "st", "st (single-thread/MDPP) or mp (multi-core feature set, SRRIP)")
-		segments = flag.Int("segments", 12, "training segments")
-		combos   = flag.Int("combos", 200, "random feasible combinations to try")
-		warmup   = flag.Uint64("warmup", 400_000, "warmup instructions")
-		measure  = flag.Uint64("measure", 1_200_000, "measured instructions")
-		check    = flag.Bool("check", false, "run the lockstep verification layer on every cache (slow; a divergence aborts with the access index and set dump)")
-		seed     = flag.Uint64("seed", 55, "search seed")
-		tau0step = flag.Int("tau0-step", 16, "exhaustive tau0 sweep step")
-		j        = flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines; each evaluation fans its training segments across them (1 = serial)")
-	)
-	jf := journal.RegisterFlags(flag.CommandLine)
-	of := obs.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	defer prof.Start()()
-	parallel.SetDefault(*j)
-
-	cfg := sim.SingleThreadConfig()
-	params := core.SingleThreadParams()
-	if *mode == "mp" {
-		params = core.MultiCoreParams()
-		params.Cores = 1 // tuned on single-thread MPKI runs, as a fast proxy
-	}
-	cfg.Warmup, cfg.Measure = *warmup, *measure
-	cfg.Check = *check
-
-	type fingerprintConfig struct {
-		Tool     string `json:"tool"`
+	var flags struct {
 		Mode     string `json:"mode"`
 		Segments int    `json:"segments"`
-		Warmup   uint64 `json:"warmup"`
-		Measure  uint64 `json:"measure"`
 	}
-	fp := journal.Fingerprint{
-		Config: journal.ConfigHash(fingerprintConfig{
-			Tool:     "mpppb-tune",
-			Mode:     *mode,
-			Segments: *segments,
-			Warmup:   *warmup,
-			Measure:  *measure,
-		}),
-		Version: journal.BuildVersion(),
-		Seed:    int64(*seed),
-	}
-	jrnl, err := jf.Open(fp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpppb-tune: %v\n", err)
-		os.Exit(1)
-	}
-	defer jrnl.Close()
+	s := runspec.New(flag.CommandLine, "mpppb-tune", 400_000, 1_200_000, 0, &flags)
+	flag.StringVar(&flags.Mode, "mode", "st", "st (single-thread/MDPP) or mp (multi-core feature set, SRRIP)")
+	flag.IntVar(&flags.Segments, "segments", 12, "training segments")
+	flag.Uint64Var(&s.Seed, "seed", 55, "search seed")
+	var (
+		combos   = flag.Int("combos", 200, "random feasible combinations to try")
+		tau0step = flag.Int("tau0-step", 16, "exhaustive tau0 sweep step")
+	)
+	flag.Parse()
+	s.Positive("tau0-step")
 
+	params := core.SingleThreadParams()
+	switch flags.Mode {
+	case "st":
+	case "mp":
+		params = core.MultiCoreParams()
+		params.Cores = 1 // tuned on single-thread MPKI runs, as a fast proxy
+	default:
+		s.Exit(fmt.Errorf("-mode: unknown mode %q (want st or mp)", flags.Mode))
+	}
 	// The tuner's search loops have no cell grid to declare, so /status
 	// reports uptime only; /metrics still carries the pool, journal and sim
 	// phase counters, and /debug/pprof profiles the search.
-	status := obs.NewRunStatus("mpppb-tune")
-	status.SetMeta(fp.Config, jf.Path)
-	obsStop, err := of.Start(status)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpppb-tune: %v\n", err)
-		os.Exit(1)
-	}
-	defer obsStop()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
+	run := s.Start()
 	ev := &search.ThresholdEvaluator{
-		Cfg:      cfg,
-		Training: experiments.TrainingSegments(*segments),
-		Ctx:      ctx,
-		Journal:  jrnl,
+		Cfg:      s.Config(sim.SingleThreadConfig()),
+		Training: experiments.TrainingSegments(flags.Segments),
+		Ctx:      run.Ctx,
+		Journal:  run.Journal,
 	}
 	fmt.Fprintf(os.Stderr, "training on %d segments\n", len(ev.Training))
 
 	// The evaluator surfaces cancellation and journal failures as panics
 	// carrying wrapped errors (its callers, the search loops, have no error
 	// returns); convert them back here.
-	err = func() (retErr error) {
-		defer func() {
-			if p := recover(); p != nil {
-				if e, ok := p.(error); ok {
-					retErr = e
-					return
-				}
-				panic(p)
+	defer func() {
+		if p := recover(); p != nil {
+			if e, ok := p.(error); ok {
+				s.Exit(e)
 			}
-		}()
-
-		base := ev.MPKI(params)
-		fmt.Fprintf(os.Stderr, "baseline %.4f MPKI (tau0=%d tau=%d,%d,%d,%d pi=%v)\n",
-			base, params.Tau0, params.Tau1, params.Tau2, params.Tau3, params.Tau4, params.Pi)
-
-		tau0, m := ev.SearchTau0(params, 0, core.ConfMax, *tau0step, func(t int, m float64) {
-			fmt.Fprintf(os.Stderr, "tau0=%-4d %.4f\n", t, m)
-		})
-		params.Tau0 = tau0
-		fmt.Fprintf(os.Stderr, "best tau0=%d (%.4f MPKI)\n", tau0, m)
-
-		rng := xrand.New(*seed)
-		best, bestMPKI := search.SearchThresholds(ev, rng, params, *combos, func(i int, b float64) {
-			if (i+1)%20 == 0 {
-				fmt.Fprintf(os.Stderr, "combo %d/%d best %.4f\n", i+1, *combos, b)
-			}
-		})
-
-		fmt.Printf("mode=%s evaluations=%d\n", *mode, ev.Evals)
-		fmt.Printf("baseline MPKI %.4f -> tuned %.4f\n", base, bestMPKI)
-		fmt.Printf("Tau0: %d\nTau1: %d\nTau2: %d\nTau3: %d\nTau4: %d\nPi:   %v\n",
-			best.Tau0, best.Tau1, best.Tau2, best.Tau3, best.Tau4, best.Pi)
-		// The compact spec feeds straight back into the online duel:
-		// collect several tunes' specs ';'-separated into -duel on
-		// mpppb-sim or mpppb-experiments, and mpppb-adaptive duels them
-		// at runtime instead of trusting any single offline winner.
-		fmt.Printf("duel: %s\n", best.Thresholds())
-		return nil
-	}()
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "mpppb-tune: interrupted; re-run with the same flags plus -resume to continue")
-			os.Exit(130)
+			panic(p)
 		}
-		fmt.Fprintf(os.Stderr, "mpppb-tune: %v\n", err)
-		os.Exit(1)
-	}
+	}()
+
+	base := ev.MPKI(params)
+	fmt.Fprintf(os.Stderr, "baseline %.4f MPKI (tau0=%d tau=%d,%d,%d,%d pi=%v)\n",
+		base, params.Tau0, params.Tau1, params.Tau2, params.Tau3, params.Tau4, params.Pi)
+
+	tau0, m := ev.SearchTau0(params, 0, core.ConfMax, *tau0step, func(t int, m float64) {
+		fmt.Fprintf(os.Stderr, "tau0=%-4d %.4f\n", t, m)
+	})
+	params.Tau0 = tau0
+	fmt.Fprintf(os.Stderr, "best tau0=%d (%.4f MPKI)\n", tau0, m)
+
+	rng := xrand.New(s.Seed)
+	best, bestMPKI := search.SearchThresholds(ev, rng, params, *combos, func(i int, b float64) {
+		if (i+1)%20 == 0 {
+			fmt.Fprintf(os.Stderr, "combo %d/%d best %.4f\n", i+1, *combos, b)
+		}
+	})
+
+	fmt.Printf("mode=%s evaluations=%d\n", flags.Mode, ev.Evals)
+	fmt.Printf("baseline MPKI %.4f -> tuned %.4f\n", base, bestMPKI)
+	fmt.Printf("Tau0: %d\nTau1: %d\nTau2: %d\nTau3: %d\nTau4: %d\nPi:   %v\n",
+		best.Tau0, best.Tau1, best.Tau2, best.Tau3, best.Tau4, best.Pi)
+	// The compact spec feeds straight back into the online duel:
+	// collect several tunes' specs ';'-separated into -duel on
+	// mpppb-sim or mpppb-experiments, and mpppb-adaptive duels them
+	// at runtime instead of trusting any single offline winner.
+	fmt.Printf("duel: %s\n", best.Thresholds())
+	s.Exit(nil)
 }

@@ -34,12 +34,12 @@ type lruWSCache = parallel.Memo[int, float64]
 // and a distinct keyPrefix per sweep point so journal keys never collide.
 // A failed mix contributes NaN, making the point's geomean NaN.
 func multiCoreGeomeanWS(cfg sim.Config, pf sim.PolicyFactory, mixes []workload.Mix, singles *sim.SingleIPCCache, lruWS *lruWSCache, r *Run, keyPrefix string) (float64, error) {
-	lruPF := mustPolicy("lru")
+	lruPF := r.mustPolicy("lru")
 	keys := make([]string, len(mixes))
 	for i, mix := range mixes {
 		keys[i] = keyPrefix + "mix=" + mix.String()
 	}
-	speedups, cellErrs, err := runCells(r, keys, func(_ context.Context, i int) (float64, error) {
+	speedups, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (float64, error) {
 		mix := mixes[i]
 		single := singles.For(mix)
 		base := lruWS.Do(i, func() float64 {
@@ -206,7 +206,7 @@ func Table3FeatureBenefit(cfg sim.Config, features []core.Feature, segments []wo
 	for si, id := range segments {
 		keys[si] = "table3/" + id.String()
 	}
-	runs, cellErrs, err := runCells(r, keys, func(_ context.Context, si int) (segMPKIs, error) {
+	runs, cellErrs, err := RunCells(r, keys, func(_ context.Context, si int) (segMPKIs, error) {
 		id := segments[si]
 		gen := workload.NewGenerator(id, workload.CoreBase(0))
 		c := segMPKIs{Without: make([]float64, len(features))}

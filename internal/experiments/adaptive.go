@@ -70,13 +70,13 @@ func AdaptiveVsStatic(cfg sim.Config, staticPolicy, adaptivePolicy string, segs 
 	for i, id := range segs {
 		keys[i] = "adapt/" + id.String()
 	}
-	runs, cellErrs, err := runCells(r, keys, func(_ context.Context, i int) (adaptCell, error) {
+	runs, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (adaptCell, error) {
 		id := segs[i]
 		c := adaptCell{Static: make([]float64, seeds), Adaptive: make([]float64, seeds)}
 		for s := 0; s < seeds; s++ {
 			gen := workload.NewSeededGenerator(id, workload.CoreBase(0), uint64(s))
-			c.Static[s] = sim.RunFastMPKI(cfg, gen, mustPolicy(staticPolicy)).MPKI
-			c.Adaptive[s] = sim.RunFastMPKI(cfg, gen, mustPolicy(adaptivePolicy)).MPKI
+			c.Static[s] = sim.RunFastMPKI(cfg, gen, r.mustPolicy(staticPolicy)).MPKI
+			c.Adaptive[s] = sim.RunFastMPKI(cfg, gen, r.mustPolicy(adaptivePolicy)).MPKI
 		}
 		return c, nil
 	})

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"mpppb/internal/core"
 	"mpppb/internal/fleet"
 	"mpppb/internal/journal"
 	"mpppb/internal/obs"
@@ -23,7 +24,7 @@ import (
 	"mpppb/internal/workload"
 )
 
-// Cell-grid metrics: one observation per cell, fed by runCells — the
+// Cell-grid metrics: one observation per cell, fed by RunCells — the
 // single choke point every experiment driver funnels through.
 var (
 	mCellsDeclared = obs.Default().Gauge("mpppb_experiments_cells_total",
@@ -81,10 +82,10 @@ func (t *tracker) step(format string, args ...any) {
 }
 
 // Run carries the execution policy for one experiment invocation:
-// cancellation, checkpointing, pool sizing, retry/timeout behavior, and
-// progress reporting. A nil *Run means "all defaults" — background
-// context, no journal, default pool, fail-fast, silent — so existing call
-// sites that used to pass a nil Progress keep working unchanged.
+// cancellation, checkpointing, pool sizing, failure handling, duel
+// candidates and progress reporting. A nil *Run means "all defaults" —
+// background context, no journal, default pool, fail-fast, default duel,
+// silent.
 type Run struct {
 	// Ctx cancels the run: dispatch of new cells stops, in-flight cells
 	// finish (and are journaled), and the experiment returns Ctx's error.
@@ -93,15 +94,13 @@ type Run struct {
 	Journal *journal.Journal
 	// Workers overrides the pool width; 0 uses parallel.Default (-j).
 	Workers int
-	// Retries, Backoff and TaskTimeout configure per-cell fault handling
-	// (see parallel.RunOpts).
-	Retries     int
-	Backoff     time.Duration
-	TaskTimeout time.Duration
-	// KeepGoing degrades gracefully: a cell that exhausts its retries is
-	// recorded as a FAILED journal entry and an entry in Failures(), its
-	// slots in the result table hold NaN (rendered "NaN" in the TSVs), and
-	// the remaining cells still run. Without it the first failure aborts.
+	// Duel, when non-nil, replaces the candidates the mpppb-adaptive
+	// policies duel (the -duel flag; see sim.PolicyWith).
+	Duel []core.ThresholdSet
+	// KeepGoing degrades gracefully: a cell that fails is recorded as a
+	// FAILED journal entry and an entry in Failures(), its slots in the
+	// result table hold NaN (rendered "NaN" in the TSVs), and the
+	// remaining cells still run. Without it the first failure aborts.
 	// Geomean aggregation is lenient under KeepGoing too: a degenerate
 	// non-positive cell value (an IPC of 0 from a zero-instruction
 	// segment) poisons its aggregate to NaN instead of panicking.
@@ -129,7 +128,7 @@ type Run struct {
 	failures []CellFailure
 }
 
-// CellFailure records one cell that exhausted its attempts.
+// CellFailure records one cell that failed permanently.
 type CellFailure struct {
 	Key string
 	Err error
@@ -187,13 +186,21 @@ func (r *Run) popts() parallel.RunOpts {
 	if r == nil {
 		return parallel.RunOpts{}
 	}
-	return parallel.RunOpts{
-		Workers:   r.Workers,
-		Retries:   r.Retries,
-		Backoff:   r.Backoff,
-		Timeout:   r.TaskTimeout,
-		KeepGoing: r.KeepGoing,
+	return parallel.RunOpts{Workers: r.Workers, KeepGoing: r.KeepGoing}
+}
+
+// mustPolicy resolves a policy name the caller has already validated,
+// with the run's duel candidates applied.
+func (r *Run) mustPolicy(name string) sim.PolicyFactory {
+	var cands []core.ThresholdSet
+	if r != nil {
+		cands = r.Duel
 	}
+	pf, err := sim.PolicyWith(name, cands)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return pf
 }
 
 func (r *Run) addFailure(key string, err error) {
@@ -216,14 +223,16 @@ func (r *Run) Failures() []CellFailure {
 	return append([]CellFailure(nil), r.failures...)
 }
 
-// runCells executes one cell grid: for each key, either serve the cell
+// RunCells executes one cell grid: for each key, either serve the cell
 // from the journal or compute and journal it, fanning across the pool per
-// the Run's options. It is the single choke point where checkpointing,
-// retry, timeout, and failure accounting meet, so every experiment driver
-// gets identical fault semantics. Cancellation errors are never recorded
-// as cell failures — an interrupted cell is simply absent and recomputes
-// on resume.
-func runCells[T any](r *Run, keys []string, compute func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
+// the Run's options — or, under Run.Fleet or Run.FleetWorker, across a
+// fleet. It is the single choke point where checkpointing, live status
+// and failure accounting meet, so every experiment driver and batch tool
+// gets identical fault semantics. It returns each cell's value, each
+// cell's error (a failed cell under KeepGoing), and the run's error.
+// Cancellation errors are never recorded as cell failures — an
+// interrupted cell is simply absent and recomputes on resume.
+func RunCells[T any](r *Run, keys []string, compute func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
 	if r != nil && r.Fleet != nil {
 		return runCellsCoordinator[T](r, keys)
 	}
@@ -249,8 +258,7 @@ func runCells[T any](r *Run, keys []string, compute func(ctx context.Context, i 
 		t0 := time.Now()
 		v, cerr := compute(ctx, i)
 		if cerr != nil {
-			// Not marked failed here: parallel may still retry this cell.
-			// Permanent failures are settled below, after MapErr returns.
+			// Failures are settled below, after MapErr returns.
 			return v, cerr
 		}
 		if rerr := j.Record(keys[i], v); rerr != nil {
@@ -311,10 +319,9 @@ func runCellsCoordinator[T any](r *Run, keys []string) ([]T, []error, error) {
 }
 
 // runCellsWorker runs one grid in fleet-worker mode: lease cells from the
-// coordinator, compute them locally (with the Run's retry/timeout policy),
-// upload results, and — once the coordinator reports the grid drained —
-// fetch every cell so this process can emit the same tables the
-// coordinator does. No local journal is written; the coordinator owns it.
+// coordinator, compute them locally, upload results, and — once the
+// coordinator reports the grid drained — fetch every cell so this process
+// can emit the same tables the coordinator does. No local journal is written; the coordinator owns it.
 func runCellsWorker[T any](r *Run, keys []string, compute func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
 	trk := r.prog().tracker(len(keys))
 	st := r.status()
@@ -374,16 +381,6 @@ func DefaultSingleThreadPolicies() []string { return []string{"hawkeye", "percep
 // DefaultMultiCorePolicies are the policies of the multi-programmed
 // evaluation (Figures 4 and 5); LRU is always run in addition.
 func DefaultMultiCorePolicies() []string { return []string{"hawkeye", "perceptron", "mpppb-srrip"} }
-
-// mustPolicy resolves a registered policy or panics: experiment policy
-// lists are compiled in or validated by the caller.
-func mustPolicy(name string) sim.PolicyFactory {
-	pf, err := sim.Policy(name)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return pf
-}
 
 // TrainingMixes and TestingMixes split the canonical mix list as in
 // Section 5.3: the first 100 mixes train the feature search, the remaining

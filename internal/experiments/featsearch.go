@@ -98,7 +98,7 @@ func Fig3FeatureSearch(cfg sim.Config, training []workload.SegmentID, nRandom, c
 	for i, id := range training {
 		keys[i] = "fig3/ref/" + id.String()
 	}
-	refs, cellErrs, err := runCells(r, keys, func(_ context.Context, i int) (refMPKI, error) {
+	refs, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (refMPKI, error) {
 		gen := workload.NewGenerator(training[i], workload.CoreBase(0))
 		lru := sim.RunFastMPKI(cfg, gen, func(sets, ways int) cache.ReplacementPolicy {
 			return policy.NewLRU(sets, ways)

@@ -56,20 +56,20 @@ func MultiCore(cfg sim.Config, policies []string, mixes []workload.Mix, r *Run) 
 		BelowLRU:        map[string]int{},
 	}
 	singles := sim.NewSingleIPCCache(cfg)
-	lruPF := mustPolicy("lru")
+	lruPF := r.mustPolicy("lru")
 
 	keys := make([]string, len(mixes))
 	for i, mix := range mixes {
 		keys[i] = "multi/" + mix.String()
 	}
-	runs, cellErrs, err := runCells(r, keys, func(_ context.Context, i int) (mixCell, error) {
+	runs, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (mixCell, error) {
 		mix := mixes[i]
 		single := singles.For(mix)
 		lruRes := sim.RunMulti(cfg, mix, lruPF)
 		lruWS := lruRes.WeightedSpeedup(single)
 		c := mixCell{LRUMPKI: lruRes.MPKI, WS: map[string]float64{}, MPKI: map[string]float64{}}
 		for _, p := range policies {
-			res := sim.RunMulti(cfg, mix, mustPolicy(p))
+			res := sim.RunMulti(cfg, mix, r.mustPolicy(p))
 			c.WS[p] = res.WeightedSpeedup(single) / lruWS
 			c.MPKI[p] = res.MPKI
 		}

@@ -71,7 +71,7 @@ func ROCCurves(cfg sim.Config, predictors []string, segments []workload.SegmentI
 			keys = append(keys, "roc/"+pred+"/"+id.String())
 		}
 	}
-	cells, cellErrs, err := runCells(r, keys, func(_ context.Context, i int) (stats.PackedROC, error) {
+	cells, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (stats.PackedROC, error) {
 		pi, si := i/len(segments), i%len(segments)
 		gen := workload.NewGenerator(segments[si], workload.CoreBase(0))
 		return stats.PackROC(sim.RunROC(cfg, gen, cfs[pi])), nil

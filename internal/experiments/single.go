@@ -91,7 +91,7 @@ func SingleThread(cfg sim.Config, policies []string, benches []string, r *Run) (
 	for i, id := range ids {
 		keys[i] = "single/" + id.String()
 	}
-	runs, cellErrs, err := runCells(r, keys, func(_ context.Context, i int) (segCell, error) {
+	runs, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (segCell, error) {
 		id := ids[i]
 		c := segCell{IPC: map[string]float64{}, MPKI: map[string]float64{}}
 		gen := workload.NewGenerator(id, workload.CoreBase(0))
@@ -99,7 +99,7 @@ func SingleThread(cfg sim.Config, policies []string, benches []string, r *Run) (
 		c.IPC["lru"], c.MPKI["lru"] = lruRes.IPC, lruRes.MPKI
 		c.IPC["min"], c.MPKI["min"] = minRes.IPC, minRes.MPKI
 		for _, p := range policies {
-			res := sim.RunSingle(cfg, gen, mustPolicy(p))
+			res := sim.RunSingle(cfg, gen, r.mustPolicy(p))
 			c.IPC[p], c.MPKI[p] = res.IPC, res.MPKI
 		}
 		return c, nil

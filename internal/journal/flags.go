@@ -1,36 +1,15 @@
 package journal
 
-import (
-	"errors"
-	"flag"
-	"time"
-)
+import "errors"
 
-// Flags is the standard checkpoint/fault-tolerance flag set shared by the
-// cmd tools. Register it with RegisterFlags, then Open the journal after
-// flag.Parse with the run's fingerprint.
+// Flags holds the -journal and -resume flags the batch tools share; Open
+// the journal they name after flag parsing, with the run's fingerprint.
 type Flags struct {
 	// Path is the -journal flag: where to persist completed cells.
 	Path string
 	// Resume is the -resume flag: continue an existing journal instead of
 	// refusing it.
 	Resume bool
-	// Timeout is the -task-timeout flag: per-cell attempt deadline.
-	Timeout time.Duration
-	// Retries is the -retries flag: extra attempts per retryable cell
-	// failure.
-	Retries int
-}
-
-// RegisterFlags installs -journal, -resume, -task-timeout and -retries on
-// fs (typically flag.CommandLine) and returns the destination struct.
-func RegisterFlags(fs *flag.FlagSet) *Flags {
-	f := &Flags{}
-	fs.StringVar(&f.Path, "journal", "", "append-only JSONL checkpoint file; each completed cell is persisted as it finishes")
-	fs.BoolVar(&f.Resume, "resume", false, "resume the -journal file, skipping cells it already holds (refuses a journal from a different config/binary/seed)")
-	fs.DurationVar(&f.Timeout, "task-timeout", 0, "per-cell timeout, e.g. 5m (0 = unbounded)")
-	fs.IntVar(&f.Retries, "retries", 0, "extra attempts for a cell that fails retryably before it is marked FAILED")
-	return f
 }
 
 // Open creates or resumes the journal per the parsed flags. With no

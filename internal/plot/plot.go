@@ -18,11 +18,28 @@ type Series struct {
 	X []float64
 }
 
+// points calls f with every finite point of s; a NaN or infinite
+// coordinate (a failed or degenerate cell) is not drawn.
+func (s Series) points(f func(x, y float64)) {
+	for i, y := range s.Y {
+		x := float64(i)
+		if s.X != nil {
+			x = s.X[i]
+		}
+		if finite(x) && finite(y) {
+			f(x, y)
+		}
+	}
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // markers assigns one rune per series, in order.
 var markers = []rune{'*', 'o', '+', 'x', '#', '@', '%', '&'}
 
 // Lines renders one or more series on a shared canvas of the given size.
 // Each series draws with its own marker; a legend follows the canvas.
+// Non-finite points are skipped.
 func Lines(title string, width, height int, series ...Series) string {
 	if width < 16 {
 		width = 16
@@ -33,14 +50,10 @@ func Lines(title string, width, height int, series ...Series) string {
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := math.Inf(1), math.Inf(-1)
 	for _, s := range series {
-		for i, y := range s.Y {
-			x := float64(i)
-			if s.X != nil {
-				x = s.X[i]
-			}
+		s.points(func(x, y float64) {
 			minX, maxX = math.Min(minX, x), math.Max(maxX, x)
 			minY, maxY = math.Min(minY, y), math.Max(maxY, y)
-		}
+		})
 	}
 	if math.IsInf(minX, 1) {
 		return title + " (no data)\n"
@@ -58,15 +71,11 @@ func Lines(title string, width, height int, series ...Series) string {
 	}
 	for si, s := range series {
 		m := markers[si%len(markers)]
-		for i, y := range s.Y {
-			x := float64(i)
-			if s.X != nil {
-				x = s.X[i]
-			}
+		s.points(func(x, y float64) {
 			col := int((x - minX) / (maxX - minX) * float64(width-1))
 			row := height - 1 - int((y-minY)/(maxY-minY)*float64(height-1))
 			grid[row][col] = m
-		}
+		})
 	}
 
 	var b strings.Builder
@@ -85,7 +94,8 @@ func Lines(title string, width, height int, series ...Series) string {
 }
 
 // Bars renders a horizontal bar chart with one row per label. Values may
-// be negative; bars grow from the value closest to zero in range.
+// be negative; bars grow from the value closest to zero in range. A NaN
+// or infinite value gets an empty bar.
 func Bars(title string, width int, labels []string, values []float64) string {
 	if len(labels) != len(values) {
 		panic("plot: labels/values length mismatch")
@@ -101,8 +111,10 @@ func Bars(title string, width int, labels []string, values []float64) string {
 	}
 	minV, maxV := 0.0, 0.0
 	for _, v := range values {
-		minV = math.Min(minV, v)
-		maxV = math.Max(maxV, v)
+		if finite(v) {
+			minV = math.Min(minV, v)
+			maxV = math.Max(maxV, v)
+		}
 	}
 	span := maxV - minV
 	if span == 0 {
@@ -111,7 +123,10 @@ func Bars(title string, width int, labels []string, values []float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	for i, l := range labels {
-		n := int((values[i] - minV) / span * float64(width))
+		n := 0 // a non-finite value prints with no bar
+		if finite(values[i]) {
+			n = int((values[i] - minV) / span * float64(width))
+		}
 		fmt.Fprintf(&b, "  %-*s │%-*s %.4f\n", maxLabel, l, width, strings.Repeat("█", n), values[i])
 	}
 	return b.String()

@@ -1,6 +1,7 @@
 package plot
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -89,5 +90,30 @@ func TestSCurveSortsWithoutMutating(t *testing.T) {
 	SCurve("s", 20, 5, Series{Name: "s", Y: in})
 	if in[0] != 3 || in[1] != 1 {
 		t.Fatal("SCurve mutated the input")
+	}
+}
+
+// TestNonFinitePointsSkipped: a NaN or infinite value — a failed cell, or
+// a 0/0 MPKI ratio — is left off the chart instead of becoming int(NaN)
+// as a canvas index or a bar length.
+func TestNonFinitePointsSkipped(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	out := Lines("gaps", 20, 5,
+		Series{Name: "a", Y: []float64{1, nan, 3, inf}},
+		Series{Name: "b", X: []float64{nan, 2}, Y: []float64{2, 2}})
+	if !strings.Contains(out, "3.000 ┤") || !strings.Contains(out, "1.000 ┤") {
+		t.Fatalf("axis should span the finite points only:\n%s", out)
+	}
+	if got := Lines("none", 20, 5, Series{Name: "a", Y: []float64{nan, -inf}}); got != "none (no data)\n" {
+		t.Fatalf("all-NaN series: got %q", got)
+	}
+	bars := Bars("bars", 10, []string{"x", "y", "z"}, []float64{2, nan, -inf})
+	for _, row := range strings.Split(bars, "\n")[2:4] {
+		if strings.Contains(row, "█") {
+			t.Errorf("non-finite value drew a bar: %q", row)
+		}
+	}
+	if !strings.Contains(bars, "NaN") || !strings.Contains(bars, "██████████ 2.0000") {
+		t.Fatalf("finite bar or NaN label missing:\n%s", bars)
 	}
 }

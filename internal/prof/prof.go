@@ -1,35 +1,22 @@
-// Package prof gives every command a uniform profiling interface: importing
-// it registers -cpuprofile and -memprofile flags, and Start (called after
-// flag.Parse) activates them. Typical wiring:
-//
-//	flag.Parse()
-//	defer prof.Start()()
-//
-// docs/PERFORMANCE.md shows how to read the resulting profiles.
+// Package prof backs the batch tools' -cpuprofile and -memprofile flags
+// (registered by internal/runspec). docs/PERFORMANCE.md shows how to read
+// the resulting profiles.
 package prof
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
-var (
-	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-)
-
-// Start begins CPU profiling when -cpuprofile was given. The returned stop
-// function ends the CPU profile and writes the heap profile when
-// -memprofile was given; defer it from main so it runs on normal exit
-// (error paths that os.Exit lose the profile, which is fine — profiles of
-// failed runs are not useful).
-func Start() func() {
+// Start begins CPU profiling into cpuProfile when it is non-empty. The
+// returned stop function ends the CPU profile and writes a heap profile
+// to memProfile when that is non-empty.
+func Start(cpuProfile, memProfile string) func() {
 	var cpuF *os.File
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if cpuProfile != "" {
+		f, err := os.Create(cpuProfile)
 		if err != nil {
 			fail("cpuprofile", err)
 		}
@@ -43,8 +30,8 @@ func Start() func() {
 			pprof.StopCPUProfile()
 			cpuF.Close()
 		}
-		if *memProfile != "" {
-			f, err := os.Create(*memProfile)
+		if memProfile != "" {
+			f, err := os.Create(memProfile)
 			if err != nil {
 				fail("memprofile", err)
 			}

@@ -1,28 +1,15 @@
 package prof
 
 import (
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// setFlag sets a registered flag for the test and restores it afterwards.
-func setFlag(t *testing.T, name, value string) {
-	t.Helper()
-	old := flag.Lookup(name).Value.String()
-	if err := flag.Set(name, value); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { flag.Set(name, old) })
-}
-
-// TestStartDisabled: with neither flag set, Start and its stop function
+// TestStartDisabled: with neither path set, Start and its stop function
 // are no-ops that create no files.
 func TestStartDisabled(t *testing.T) {
-	setFlag(t, "cpuprofile", "")
-	setFlag(t, "memprofile", "")
-	stop := Start()
+	stop := Start("", "")
 	stop()
 }
 
@@ -30,10 +17,7 @@ func TestStartDisabled(t *testing.T) {
 // non-empty profile lands at the configured path after stop.
 func TestStartWritesCPUProfile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cpu.pprof")
-	setFlag(t, "cpuprofile", path)
-	setFlag(t, "memprofile", "")
-
-	stop := Start()
+	stop := Start(path, "")
 	// Burn a little CPU so the profile has something to sample; the file
 	// is non-empty regardless (pprof writes a header).
 	sink := 0
@@ -55,10 +39,7 @@ func TestStartWritesCPUProfile(t *testing.T) {
 // TestStartWritesMemProfile checks the heap profile is written on stop.
 func TestStartWritesMemProfile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mem.pprof")
-	setFlag(t, "cpuprofile", "")
-	setFlag(t, "memprofile", path)
-
-	stop := Start()
+	stop := Start("", path)
 	live := make([][]byte, 64)
 	for i := range live {
 		live[i] = make([]byte, 1<<12)
@@ -80,10 +61,7 @@ func TestStartBothProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cp := filepath.Join(dir, "cpu.pprof")
 	mp := filepath.Join(dir, "mem.pprof")
-	setFlag(t, "cpuprofile", cp)
-	setFlag(t, "memprofile", mp)
-
-	Start()()
+	Start(cp, mp)()
 
 	for _, p := range []string{cp, mp} {
 		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {

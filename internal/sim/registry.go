@@ -72,10 +72,10 @@ func init() {
 	// -srrip variant runs the duel over the multi-core machine
 	// configuration.
 	Register("mpppb-adaptive", func(sets, ways int) cache.ReplacementPolicy {
-		return core.NewMPPPB(sets, ways, adaptiveParams(core.AdaptiveSingleThreadParams()))
+		return core.NewMPPPB(sets, ways, core.AdaptiveSingleThreadParams())
 	})
 	Register("mpppb-adaptive-srrip", func(sets, ways int) cache.ReplacementPolicy {
-		return core.NewMPPPB(sets, ways, adaptiveParams(core.AdaptiveMultiCoreParams()))
+		return core.NewMPPPB(sets, ways, core.AdaptiveMultiCoreParams())
 	})
 	// mpppb-srrip-1b runs the multi-core machine configuration with the
 	// single-thread Table 1(b) features, the cross-set observation of
@@ -99,22 +99,28 @@ func init() {
 	})
 }
 
-// duelCandidates, when non-nil, replaces the default candidate lineup of
-// the mpppb-adaptive policies for this process.
-var duelCandidates []core.ThresholdSet
-
-// SetDuelCandidates overrides the threshold sets the mpppb-adaptive
-// policies duel — the seam the cmd tools' -duel flag uses to feed
-// mpppb-tune output (offline per-workload winners) into the online duel.
-// Callers must include the candidate spec in any journal fingerprint,
-// since it changes every adaptive cell value. nil restores the defaults.
-func SetDuelCandidates(cands []core.ThresholdSet) { duelCandidates = cands }
-
-func adaptiveParams(p core.Params) core.Params {
-	if duelCandidates != nil {
-		p.Duel.Candidates = duelCandidates
+// PolicyWith is Policy with the mpppb-adaptive policies dueling cands
+// instead of their default lineup; nil cands is Policy. The candidates
+// are checked against the policy's threshold invariants here, so a bad
+// -duel spec fails with its cause instead of panicking in every cell.
+func PolicyWith(name string, cands []core.ThresholdSet) (PolicyFactory, error) {
+	params, adaptive := adaptiveParams[name]
+	if !adaptive || cands == nil {
+		return Policy(name)
 	}
-	return p
+	p := params()
+	p.Duel.Candidates = cands
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %s duel candidates: %v", name, err)
+	}
+	return func(sets, ways int) cache.ReplacementPolicy { return core.NewMPPPB(sets, ways, p) }, nil
+}
+
+// adaptiveParams are the params of the set-dueling MPPPB policies, whose
+// candidates PolicyWith can replace.
+var adaptiveParams = map[string]func() core.Params{
+	"mpppb-adaptive":       core.AdaptiveSingleThreadParams,
+	"mpppb-adaptive-srrip": core.AdaptiveMultiCoreParams,
 }
 
 // Confidence looks up a ConfidenceFactory for the predictors whose

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mpppb/internal/cache"
+	"mpppb/internal/core"
 	"mpppb/internal/stats"
 	"mpppb/internal/workload"
 )
@@ -63,6 +64,40 @@ func TestPolicyRegistry(t *testing.T) {
 	}
 	if _, err := Confidence("hawkeye"); err == nil {
 		t.Fatal("hawkeye must not expose confidences (Section 6.3)")
+	}
+}
+
+// TestPolicyWith: duel candidates reach only the adaptive policies, and
+// are checked against the invariants of the policy that would run them.
+func TestPolicyWith(t *testing.T) {
+	tuned, err := core.ParseDuelCandidates("0,-9,-38,-117,42,15,6,0,0;0,-1,-3,-87,-6,15,2,1,0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(pf PolicyFactory) [2]uint64 {
+		cfg := SingleThreadConfig()
+		cfg.Warmup, cfg.Measure = 100_000, 400_000
+		res := RunSingle(cfg, workload.NewGenerator(workload.SegmentID{Bench: "gcc_like", Seg: 1}, 0), pf)
+		return [2]uint64{res.LLCMisses, res.Bypasses}
+	}
+	def, _ := Policy("mpppb-adaptive")
+	with, err := PolicyWith("mpppb-adaptive", tuned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run(def) == run(with) {
+		t.Error("duel candidates did not change the adaptive policy's run")
+	}
+	if _, err := PolicyWith("lru", tuned); err != nil {
+		t.Errorf("a non-adaptive policy rejected the candidates: %v", err)
+	}
+	// π1 = 15 is an MDPP position, outside SRRIP's RRPV range.
+	if _, err := PolicyWith("mpppb-adaptive-srrip", tuned); err == nil {
+		t.Error("SRRIP adaptive policy accepted MDPP positions")
+	}
+	ascending := append([]core.ThresholdSet{{Tau1: -98, Tau2: -68, Tau3: -38}}, tuned...)
+	if _, err := PolicyWith("mpppb-adaptive", ascending); err == nil {
+		t.Error("ascending thresholds accepted")
 	}
 }
 

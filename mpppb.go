@@ -74,16 +74,7 @@ func Policies() []string { return append(sim.PolicyNames(), "min") }
 // Run simulates one segment under the named policy on the single-thread
 // machine. The policy name "min" triggers the two-pass Bélády simulation.
 func Run(cfg Config, id SegmentID, policyName string) (Result, error) {
-	gen := workload.NewGenerator(id, workload.CoreBase(0))
-	if policyName == "min" {
-		_, res := sim.RunSingleMIN(cfg, gen)
-		return res, nil
-	}
-	pf, err := sim.Policy(policyName)
-	if err != nil {
-		return Result{}, err
-	}
-	return sim.RunSingle(cfg, gen, pf), nil
+	return sim.RunNamed(cfg, workload.NewGenerator(id, workload.CoreBase(0)), policyName, nil)
 }
 
 // RunVerbose is Run for the MPPPB policies ("mpppb", "mpppb-srrip"),
@@ -203,14 +194,5 @@ func ReadTrace(r io.Reader) ([]TraceRecord, error) { return trace.ReadAll(r) }
 // once into column-major form so the simulator's batch cursor refills by
 // bulk column copies.
 func RunTrace(cfg Config, name string, recs []TraceRecord, policyName string) (Result, error) {
-	gen := trace.NewColumnarReplay(name, trace.ColumnsOf(recs))
-	if policyName == "min" {
-		_, res := sim.RunSingleMIN(cfg, gen)
-		return res, nil
-	}
-	pf, err := sim.Policy(policyName)
-	if err != nil {
-		return Result{}, err
-	}
-	return sim.RunSingle(cfg, gen, pf), nil
+	return sim.RunNamed(cfg, trace.NewColumnarReplay(name, trace.ColumnsOf(recs)), policyName, nil)
 }

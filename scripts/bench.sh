@@ -74,17 +74,7 @@ prev="BENCH_$((n - 1)).json"
 if [ -e "$prev" ]; then
     echo
     echo "delta vs $prev:"
-    awk -v prevfile="$prev" -v curfile="$out" '
-    function load(file, tbl,    line, k, v) {
-        while ((getline line < file) > 0) {
-            if (match(line, /"[a-z_0-9]+": *[0-9.eE+-]+/)) {
-                k = line; sub(/^ *"/, "", k); sub(/".*$/, "", k)
-                v = line; sub(/^[^:]*: */, "", v); sub(/,.*$/, "", v)
-                tbl[k] = v + 0
-            }
-        }
-        close(file)
-    }
+    awk -v prevfile="$prev" -v curfile="$out" "$(cat scripts/bench_json.awk)"'
     BEGIN {
         load(prevfile, old); load(curfile, cur)
         printf "  %-42s %14s %14s %9s\n", "metric", "previous", "current", "change"

@@ -31,17 +31,7 @@ scripts/bench.sh "$tmpn"
 
 echo
 echo "== regression gate (threshold ${threshold}%)"
-awk -v basefile="$basefile" -v curfile="$tmpfile" -v threshold="$threshold" '
-function load(file, tbl,    line, k, v) {
-    while ((getline line < file) > 0) {
-        if (match(line, /"[a-z_0-9]+": *[0-9.eE+-]+/)) {
-            k = line; sub(/^ *"/, "", k); sub(/".*$/, "", k)
-            v = line; sub(/^[^:]*: */, "", v); sub(/,.*$/, "", v)
-            tbl[k] = v + 0
-        }
-    }
-    close(file)
-}
+awk -v basefile="$basefile" -v curfile="$tmpfile" -v threshold="$threshold" "$(cat scripts/bench_json.awk)"'
 BEGIN {
     load(basefile, old); load(curfile, cur)
     nk = split("llc_access_ns_per_op predictor_confidence_ns_per_op", keys, " ")
