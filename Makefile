@@ -11,6 +11,8 @@ build:
 
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 test: vet
 	$(GO) test -shuffle=on ./...

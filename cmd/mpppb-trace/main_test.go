@@ -62,9 +62,9 @@ func TestGolden(t *testing.T) {
 func TestBadInput(t *testing.T) {
 	dir := t.TempDir()
 	clitest.Run(t, dir, "-capture", "mcf_like-0", "-n", "40", "-o", "s.mpt")
-	clitest.Refused(t, "policy", "-replay", filepath.Join(dir, "s.mpt"), "-policy", "lru,bogus")
-	clitest.Refused(t, "capture", "-capture", "gcc_like-3", "-o", filepath.Join(dir, "x.mpt"))
-	clitest.Refused(t, "n", "-capture", "gcc_like-1", "-n", "0", "-o", filepath.Join(dir, "x.mpt"))
+	clitest.RefusedIn(t, dir, "policy", "-replay", "s.mpt", "-policy", "lru,bogus")
+	clitest.RefusedIn(t, dir, "capture", "-capture", "gcc_like-3", "-o", "x.mpt")
+	clitest.RefusedIn(t, dir, "n", "-capture", "gcc_like-1", "-n", "0", "-o", "x.mpt")
 }
 
 // TestFlags pins the flag surface: the parent's flags, less -task-timeout

@@ -116,8 +116,16 @@ func Resume(t *testing.T, dir string, c Journaled) {
 // code 1, nothing on stdout, and a message on stderr naming -flag.
 func Refused(t *testing.T, flag string, args ...string) {
 	t.Helper()
+	RefusedIn(t, "", flag, args...)
+}
+
+// RefusedIn is Refused run in dir (empty = the package directory), so
+// args can name files there by relative paths and the subtest name, which
+// is args, stays the same from run to run.
+func RefusedIn(t *testing.T, dir, flag string, args ...string) {
+	t.Helper()
 	t.Run(strings.Join(args, " "), func(t *testing.T) {
-		stdout, stderr, code := Run(t, "", args...)
+		stdout, stderr, code := Run(t, dir, args...)
 		if code != 1 || stdout != "" || !strings.Contains(stderr, "-"+flag) {
 			t.Errorf("exit code %d, stdout %q, stderr %q; want exit code 1, no stdout and a message naming -%s",
 				code, stdout, stderr, flag)

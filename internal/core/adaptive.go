@@ -293,10 +293,8 @@ func (v *Advisor) thresholdsFor(set int) *ThresholdSet {
 }
 
 // duelVote records one non-writeback miss with the duel, if adaptive mode
-// is on, and publishes a winner change. Both decision paths (the inline
-// policy's Victim/Fill hooks and AdviseMiss) call it exactly once per
-// miss, before reading thresholds, so their state evolution stays
-// bit-identical.
+// is on, and publishes a winner change. predictMiss calls it once per
+// miss, before any threshold read.
 func (v *Advisor) duelVote(set int) {
 	if v.duel != nil && v.duel.Miss(set) {
 		v.switchCounter.Inc()

@@ -95,6 +95,12 @@ func TestParamsValidate(t *testing.T) {
 		want   string
 	}{
 		{"empty features", func(p *Params) { p.Features = nil }, "empty feature set"},
+		{"65 features", func(p *Params) {
+			p.Features = make([]Feature, MaxFeatures+1)
+			for i := range p.Features {
+				p.Features[i] = Feature{Kind: KindBias, A: 1 + i%MaxA}
+			}
+		}, "65 features exceed the limit of 64"},
 		{"tau1 <= tau2", func(p *Params) { p.Tau1 = p.Tau2 }, "not descending"},
 		{"tau2 <= tau3", func(p *Params) { p.Tau2 = p.Tau3 - 1 }, "not descending"},
 		{"pi out of range", func(p *Params) { p.Pi[1] = 16 }, "placement position"},

@@ -109,19 +109,10 @@ func (v *Advisor) Predict(a cache.Access, set int, insert bool) int {
 	return v.pred.Confidence(a, set, insert)
 }
 
-// predictAndTrain computes the confidence for the access and, if the set is
-// sampled, performs the sampler access that trains the tables. Only that
-// training reads the index vector, so unsampled sets predict without the
-// per-feature idx store.
-func (v *Advisor) predictAndTrain(a cache.Access, set int, insert bool) int {
-	conf := v.pred.predict(a, set, insert, v.sampler.sampledSet(set) >= 0)
-	v.train(a, set, conf)
-	return conf
-}
-
 // train performs the sampler access that updates the weight tables, using
 // the index vector left in the predictor by its last prediction for this
-// same access.
+// same access. Only this reads the index vector, so predictions ask for it
+// only on sampled sets.
 func (v *Advisor) train(a cache.Access, set, conf int) {
 	if ss := v.sampler.sampledSet(set); ss >= 0 {
 		v.sampler.access(v.pred, ss, a.Block(), conf, v.pred.idx)
@@ -129,24 +120,17 @@ func (v *Advisor) train(a cache.Access, set, conf int) {
 	}
 }
 
-// placement maps a confidence value to a recency position under the
-// static thresholds (duel candidate 0 in adaptive mode); per-set adaptive
-// decisions go through thresholdsFor instead. Kept for threshold-mapping
-// tests and probes.
-func (v *Advisor) placement(conf int) (pos, slot int) {
-	return v.static.placement(conf)
-}
-
 // AdviseHit is the hit-side decision (Section 3.6: "On a cache hit, if the
 // value exceeds a threshold τ4, then the block is not promoted"): predict,
-// train, decide promotion, and update predictor state. Its state evolution
-// is exactly MPPPB.Hit's. Writeback hits carry no prediction and leave all
-// state untouched, as in the inline policy.
+// train, decide promotion, and update predictor state. MPPPB.Hit applies
+// its advice. Writeback hits carry no prediction and leave all state
+// untouched.
 func (v *Advisor) AdviseHit(a cache.Access, set int) Advice {
 	if a.Type == trace.Writeback {
 		return Advice{}
 	}
-	conf := v.predictAndTrain(a, set, false)
+	conf := v.pred.predict(a, set, false, v.sampler.sampledSet(set) >= 0)
+	v.train(a, set, conf)
 	ts := v.thresholdsFor(set)
 	adv := Advice{Conf: int16(conf)}
 	if conf > ts.Tau4 {
@@ -159,32 +143,59 @@ func (v *Advisor) AdviseHit(a cache.Access, set int) Advice {
 	return adv
 }
 
-// AdviseMiss is the miss-side decision: predict, train, decide bypass
-// versus placement position, and update predictor state. mayBypass
+// AdviseMiss is the miss-side decision: predict, decide bypass versus
+// placement position, train, and update predictor state. mayBypass
 // reports whether the caller is able to decline the fill — false when the
 // set has an invalid frame, mirroring cache.Cache, which only consults
-// Victim (the bypass point) when the set is full. Its state evolution is
-// exactly the Victim+Fill (or bare Fill) sequence of the inline policy:
-// in adaptive mode the duel vote lands first, before any threshold read,
-// at both decision points. Writeback misses never allocate and leave all
-// state untouched.
+// Victim (the bypass point) when the set is full. It runs the same steps
+// as the inline policy's Victim+Fill (or bare Fill) sequence, so their
+// state evolution is identical. Writeback misses never allocate and leave
+// all state untouched.
 func (v *Advisor) AdviseMiss(a cache.Access, set int, mayBypass bool) Advice {
 	if a.Type == trace.Writeback {
 		return Advice{Bypass: true}
 	}
-	v.duelVote(set)
-	conf := v.pred.predict(a, set, true, v.sampler.sampledSet(set) >= 0)
-	v.train(a, set, conf)
-	ts := v.thresholdsFor(set)
-	if mayBypass && v.params.BypassEnabled && conf > ts.Tau0 {
-		v.Bypasses++
-		v.pred.observe(a, set, true, false)
+	conf := v.predictMiss(a, set)
+	if mayBypass && v.bypasses(set, conf) {
+		v.decline(a, set, conf)
 		return Advice{Conf: int16(conf), Bypass: true}
 	}
-	pos, slot := ts.placement(conf)
+	pos, slot := v.place(a, set, conf)
+	return Advice{Conf: int16(conf), Pos: int8(pos), Slot: uint8(slot)}
+}
+
+// The miss-side steps of Section 3.6, shared by AdviseMiss and MPPPB's
+// Victim and Fill hooks.
+
+// predictMiss votes the miss with the duel — in adaptive mode before any
+// threshold read — and predicts it.
+func (v *Advisor) predictMiss(a cache.Access, set int) int {
+	v.duelVote(set)
+	return v.pred.predict(a, set, true, v.sampler.sampledSet(set) >= 0)
+}
+
+// bypasses reports whether a miss with confidence conf is dead enough to
+// decline (confidence > τ0), when bypass is enabled.
+func (v *Advisor) bypasses(set, conf int) bool {
+	return v.params.BypassEnabled && conf > v.thresholdsFor(set).Tau0
+}
+
+// decline trains on a bypassed miss, counts it, and records it as not
+// resident.
+func (v *Advisor) decline(a cache.Access, set, conf int) {
+	v.train(a, set, conf)
+	v.Bypasses++
+	v.pred.observe(a, set, true, false)
+}
+
+// place trains on a placed miss, picks its position and statistic slot
+// (0 = MRU) from the thresholds, counts it, and records it as resident.
+func (v *Advisor) place(a cache.Access, set, conf int) (pos, slot int) {
+	v.train(a, set, conf)
+	pos, slot = v.thresholdsFor(set).placement(conf)
 	v.Placements[slot]++
 	v.pred.observe(a, set, true, true)
-	return Advice{Conf: int16(conf), Pos: int8(pos), Slot: uint8(slot)}
+	return pos, slot
 }
 
 // ForEachSamplerEntry visits every valid sampler entry with its sampler

@@ -66,6 +66,11 @@ const (
 	MaxBit = 63
 	// OffsetBits is the width of the block offset (64-byte blocks).
 	OffsetBits = trace.BlockBits
+	// MaxFeatures is the largest feature set a predictor accepts: the
+	// sampler's per-position masks hold one bit per feature in a uint64,
+	// and the confidence sum stages one byte per feature (kernel.go). The
+	// paper's sets have 16 (DefaultFeatureCount).
+	MaxFeatures = 64
 )
 
 // Feature is one parameterized feature: the kind plus the parameters from
@@ -285,7 +290,7 @@ type Input struct {
 
 // Index computes the feature's table index for an access. This is the
 // reference implementation the compiled kernels are verified against; the
-// predictor itself evaluates kernels (see kernel.go).
+// predictor itself evaluates fastKernels (see kernel.go).
 func (f Feature) Index(in *Input) uint32 {
 	bits := f.IndexBits()
 	var raw uint64

@@ -8,8 +8,9 @@ import (
 
 // FuzzPredictorKernel fuzzes the compiled-kernel/reference-index
 // equivalence: for any input and any batch of randomly constructed (but
-// valid) features, the specialized kernel must compute exactly the table
-// index the reference Feature.Index computes. featSeed drives the feature
+// valid) features, the compiled kernels must compute exactly the table
+// indices the reference Feature.Index computes, and the confidence a
+// plain sum over them gives. featSeed drives the feature and weight
 // generator, so the corpus explores the feature space as well as the
 // input space.
 func FuzzPredictorKernel(f *testing.F) {
@@ -18,35 +19,12 @@ func FuzzPredictorKernel(f *testing.F) {
 	f.Add(^uint64(0), ^uint64(0), ^uint64(0), uint64(42), true, true, true)
 	f.Add(uint64(1)<<63, uint64(0x7f)<<40, uint64(3), uint64(99), false, true, false)
 	f.Fuzz(func(t *testing.T, pc, addr, h, featSeed uint64, ins, burst, lm bool) {
-		in := Input{PC: pc, Addr: addr, Insert: ins, Burst: burst, LastMiss: lm}
-		in.History[0] = pc
-		for i := 1; i < len(in.History); i++ {
-			in.History[i] = h*uint64(i+1) + uint64(i)
-		}
-		ring, head := ringFromInput(&in)
+		in := randomInput(pc, addr, h, ins, burst, lm)
 		rng := xrand.New(featSeed)
-		for k := 0; k < 16; k++ {
-			ft := Feature{
-				Kind: Kind(rng.Intn(7)),
-				A:    1 + rng.Intn(MaxA),
-				W:    rng.Intn(MaxW + 1),
-				X:    rng.Bool(),
-			}
-			switch ft.Kind {
-			case KindOffset:
-				ft.B = rng.Intn(OffsetBits)
-				ft.E = ft.B + rng.Intn(OffsetBits-ft.B+2)
-			case KindPC, KindAddress:
-				ft.B = rng.Intn(40)
-				ft.E = ft.B + rng.Intn(24)
-			}
-			if err := ft.Validate(); err != nil {
-				t.Fatalf("generated invalid feature: %v", err)
-			}
-			kern := compileKernel(ft, 0)
-			if got, want := kern.index(&in, ring, head), ft.Index(&in); got != want {
-				t.Fatalf("%s: kernel %#x, reference %#x (in=%+v)", ft, got, want, in)
-			}
+		p := NewPredictor(randomFeatureSet(rng, DefaultFeatureCount), 1, 1)
+		scrambleState(p, rng)
+		if err := gatherMismatch(p, &in); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -1,18 +1,13 @@
 package core
 
-import (
-	"mpppb/internal/trace"
-)
-
 // Compiled feature kernels. Feature.Index is the readable reference
 // implementation: on every access it re-derives the table width, re-clamps
 // the offset bit range, and switches on the feature kind. None of that
-// depends on the access, so NewPredictor compiles each feature into a
-// kernel once — operands resolved, offset range clamped, fold width fixed,
+// depends on the access, so NewPredictor compiles each feature once into a
+// fastKernel — operands resolved, offset range clamped, fold width fixed,
 // and the feature's weight table located by offset into one contiguous
-// array — and the per-access path just executes it.
-// TestKernelMatchesReferenceIndex proves the two paths agree on random
-// features and inputs.
+// array — and the per-access path just executes it. The kernel tests pin
+// the compiled indices and confidence to Feature.Index and a plain sum.
 
 // History ring geometry: one power-of-two ring of recent PCs per core,
 // holding at least the MaxW entries a pc feature can reach. Kernels read
@@ -23,66 +18,6 @@ const (
 	histRingMask = histRingLen - 1
 )
 
-// Kernel op codes, one per distinct raw-value source.
-const (
-	opPC       uint8 = iota // pc with W=0: the current access's PC
-	opHist                  // pc with W>0: the W-th most recent PC
-	opAddr                  // address: the referenced byte address
-	opOffset                // offset: the block offset, pre-clamped range
-	opBias                  // bias: constant 0
-	opBurst                 // burst bit
-	opInsert                // insert bit
-	opLastMiss              // lastmiss bit
-)
-
-// kernel is one feature with every access-independent decision taken.
-type kernel struct {
-	op    uint8
-	xorPC bool   // mix in PC>>2 before folding (the X parameter)
-	bits  uint8  // fold width, == Feature.IndexBits()
-	w     uint8  // history depth for opHist
-	shift uint8  // bit-range start (B; clamped b for opOffset)
-	wmask uint64 // bit-range width mask applied after the shift
-	mask  uint32 // table index mask, TableSize-1
-	base  uint32 // table offset in the predictor's flat weight array
-}
-
-// compileKernel resolves one feature into a kernel. base is the feature's
-// weight-table offset in the flat array.
-func compileKernel(f Feature, base uint32) kernel {
-	k := kernel{
-		xorPC: f.X,
-		bits:  uint8(f.IndexBits()),
-		mask:  uint32(f.TableSize() - 1),
-		base:  base,
-	}
-	switch f.Kind {
-	case KindPC:
-		k.op = opPC
-		if f.W > 0 {
-			k.op = opHist
-			k.w = uint8(f.W)
-		}
-		k.shift, k.wmask = uint8(f.B), widthMask(f.B, f.E)
-	case KindAddress:
-		k.op = opAddr
-		k.shift, k.wmask = uint8(f.B), widthMask(f.B, f.E)
-	case KindOffset:
-		b, e := f.offsetRange()
-		k.op = opOffset
-		k.shift, k.wmask = uint8(b), widthMask(b, e)
-	case KindBias:
-		k.op = opBias
-	case KindBurst:
-		k.op = opBurst
-	case KindInsert:
-		k.op = opInsert
-	case KindLastMiss:
-		k.op = opLastMiss
-	}
-	return k
-}
-
 // widthMask returns the mask that retains bits b..e after bit b has been
 // shifted to position 0, matching extractBits.
 func widthMask(b, e int) uint64 {
@@ -90,48 +25,6 @@ func widthMask(b, e int) uint64 {
 		return uint64(1)<<uint(width) - 1
 	}
 	return ^uint64(0)
-}
-
-// index computes the feature's table index for an access: the precompiled
-// equivalent of Feature.Index. hist and head locate the requesting core's
-// history ring; in.PC plays History[0]'s role, exactly as buildInput
-// guaranteed on the reference path.
-func (k *kernel) index(in *Input, hist *[histRingLen]uint64, head uint32) uint32 {
-	var raw uint64
-	switch k.op {
-	case opPC:
-		raw = (in.PC >> k.shift) & k.wmask
-	case opHist:
-		raw = (hist[(head+uint32(k.w)-1)&histRingMask] >> k.shift) & k.wmask
-	case opAddr:
-		raw = (in.Addr >> k.shift) & k.wmask
-	case opOffset:
-		raw = ((in.Addr & (trace.BlockSize - 1)) >> k.shift) & k.wmask
-	case opBurst:
-		if in.Burst {
-			raw = 1
-		}
-	case opInsert:
-		if in.Insert {
-			raw = 1
-		}
-	case opLastMiss:
-		if in.LastMiss {
-			raw = 1
-		}
-	}
-	if k.xorPC {
-		raw ^= in.PC >> 2
-	}
-	// Values that already fit the table fold to themselves (this is also
-	// the only possibility for bits == 0, where raw is always 0).
-	if raw>>k.bits == 0 {
-		return uint32(raw)
-	}
-	if k.bits == 8 {
-		return fold8(raw)
-	}
-	return foldTo(raw, int(k.bits))
 }
 
 // fold8 xor-folds a 64-bit value to 8 bits without foldTo's data-dependent
@@ -143,10 +36,9 @@ func fold8(v uint64) uint32 {
 	return uint32(v & 0xff)
 }
 
-// Branch-light kernel form. kernel.index dispatches on the op code with an
-// eight-way switch per feature; the hot loop in computeIndices instead uses
-// a second compiled representation in which every feature is the same
-// straight-line expression
+// fastKernel is one feature with every access-independent decision taken,
+// in a branch-light form: every feature is the same straight-line
+// expression
 //
 //	raw = (srcs[src] >> shift) & wmask; raw ^= pcMix & xmask
 //
@@ -195,10 +87,10 @@ const (
 	srcHist     = 6 // first history slot
 )
 
-// compileFastKernels builds the branch-light representation for a feature
-// set: the per-feature fastKernels (bases matching the flat weight array
-// layout) and the distinct history ring offsets (W-1 for each depth used)
-// backing source slots srcHist+j.
+// compileFastKernels builds the compiled form of a feature set: the
+// per-feature fastKernels (bases matching the flat weight array layout)
+// and the distinct history ring offsets (W-1 for each depth used) backing
+// source slots srcHist+j.
 func compileFastKernels(features []Feature) (ks []fastKernel, histOffs []uint32) {
 	ks = make([]fastKernel, len(features))
 	depthSlot := make(map[uint32]uint8)
@@ -258,9 +150,9 @@ func compileFastKernels(features []Feature) (ks []fastKernel, histOffs []uint32)
 	return ks, histOffs
 }
 
-// Bit-parallel (SWAR) confidence summation. The reference loop accumulates
+// Bit-parallel (SWAR) confidence summation. A plain loop would accumulate
 // the per-feature int8 weights through a loop-carried scalar add — each
-// `sum += int(weights[...])` waits on the previous one. The hot path
+// `sum += int(weights[...])` waiting on the previous one. The hot path
 // instead gathers the weights into a staging vector of uint64 lane words,
 // eight biased bytes per word, and reduces the whole vector with a handful
 // of word-wide adds at the end, so the gathers are independent loads and
@@ -273,11 +165,9 @@ func compileFastKernels(features []Feature) (ks []fastKernel, histOffs []uint32)
 // Unused bytes in the last word stay zero and are cancelled by biasing
 // only the features actually gathered.
 
-// laneWords is the staging-vector capacity in uint64 words; at 8 byte
-// lanes per word it covers feature sets up to laneWords*8 features.
-// Larger sets (nothing in the repository ships one) fall back to the
-// scalar reference summation.
-const laneWords = 8
+// laneWords is the staging-vector capacity in uint64 words: one byte lane
+// per feature, for the largest feature set NewPredictor accepts.
+const laneWords = MaxFeatures / 8
 
 // weightBias is the per-byte offset that maps int8 weights onto
 // non-negative lane bytes.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -10,56 +11,94 @@ import (
 	"mpppb/internal/xrand"
 )
 
-// ringFromInput lays an Input's History array out as the predictor's ring
-// would hold it: History[w] is the w-th most recent PC, so it lives w-1
-// slots past the head (History[0] is the current PC, which kernels take
-// from in.PC instead of the ring).
-func ringFromInput(in *Input) (*[histRingLen]uint64, uint32) {
-	var ring [histRingLen]uint64
-	head := uint32(5) // arbitrary; equivalence must hold for any head
-	for w := 1; w <= MaxW; w++ {
-		ring[(head+uint32(w)-1)&histRingMask] = in.History[w]
+// refInput assembles the reference Input for an access from the
+// predictor's own state, the way predict reads it: the requesting core's
+// history ring (History[w] is the w-th most recent PC, History[0] the
+// current one) and the set's burst/lastmiss metadata.
+func refInput(p *Predictor, a cache.Access, set int, insert bool) Input {
+	core := p.ring(a.Core)
+	m := p.setMeta[set]
+	in := Input{
+		PC:       a.PC,
+		Addr:     a.Addr,
+		Insert:   insert,
+		Burst:    !insert && m.flags&setHaveBlock != 0 && m.lastBlock == a.Block(),
+		LastMiss: m.flags&setLastMiss != 0,
 	}
-	return &ring, head
+	in.History[0] = a.PC
+	for w := 1; w <= MaxW; w++ {
+		in.History[w] = p.hist[core][(p.heads[core]+uint32(w)-1)&histRingMask]
+	}
+	return in
+}
+
+// refConf is the reference prediction for an Input: Feature.Index for
+// every feature and a plain clamped sum of the indexed weights.
+func refConf(p *Predictor, in *Input) (int, []uint16) {
+	idx := make([]uint16, len(p.features))
+	sum := 0
+	for i, f := range p.features {
+		ix := f.Index(in)
+		idx[i] = uint16(ix)
+		sum += int(p.tables[i][ix])
+	}
+	return clampConf(sum), idx
+}
+
+// gatherMismatch runs the compiled kernels on an arbitrary Input through
+// the source vector — so it reaches inputs predict never builds, such as
+// a burst that is also an insert — and compares both gathers' confidence
+// and the index vector against refConf. It returns nil when they agree.
+func gatherMismatch(p *Predictor, in *Input) error {
+	srcs := p.srcs
+	srcs[srcPC] = in.PC
+	srcs[srcAddr] = in.Addr
+	srcs[srcBurst] = b2u(in.Burst)
+	srcs[srcInsert] = b2u(in.Insert)
+	srcs[srcLastMiss] = b2u(in.LastMiss)
+	for j, off := range p.histOffs {
+		srcs[srcHist+j] = in.History[off+1]
+	}
+	want, wantIdx := refConf(p, in)
+	if got := p.gatherConf(in.PC >> 2); got != want {
+		return fmt.Errorf("gatherConf confidence %d, reference %d (in=%+v)", got, want, *in)
+	}
+	if got := p.gather(in.PC >> 2); got != want {
+		return fmt.Errorf("gather confidence %d, reference %d (in=%+v)", got, want, *in)
+	}
+	for i, ix := range wantIdx {
+		if p.idx[i] != ix {
+			return fmt.Errorf("%s: kernel index %#x, reference %#x (in=%+v)", p.features[i], p.idx[i], ix, *in)
+		}
+	}
+	return nil
+}
+
+// randomInput builds an Input with every field drawn from the arguments,
+// History[0] being the current PC as Feature.Index requires.
+func randomInput(pc, addr, h uint64, ins, burst, lm bool) Input {
+	in := Input{PC: pc, Addr: addr, Insert: ins, Burst: burst, LastMiss: lm}
+	in.History[0] = pc
+	for i := 1; i < len(in.History); i++ {
+		in.History[i] = h*uint64(i+1) + uint64(i)
+	}
+	return in
 }
 
 // TestKernelMatchesReferenceIndex proves the compiled kernels compute
-// exactly what the reference Feature.Index computes, over random features
-// (including offset features with out-of-range E, as search generates) and
-// random inputs.
+// exactly the indices the reference Feature.Index computes, and the
+// confidence a plain sum over them gives, over random features (including
+// offset features with out-of-range E, as search generates), random
+// weights, and random inputs.
 func TestKernelMatchesReferenceIndex(t *testing.T) {
 	rng := xrand.New(7)
 	if err := quick.Check(func(pc, addr, h uint64, ins, burst, lm bool) bool {
-		in := Input{PC: pc, Addr: addr, Insert: ins, Burst: burst, LastMiss: lm}
-		in.History[0] = pc
-		for i := 1; i < len(in.History); i++ {
-			in.History[i] = h*uint64(i+1) + uint64(i)
-		}
-		ring, head := ringFromInput(&in)
-		for k := 0; k < 40; k++ {
-			f := Feature{
-				Kind: Kind(rng.Intn(7)),
-				A:    1 + rng.Intn(MaxA),
-				W:    rng.Intn(MaxW + 1),
-				X:    rng.Bool(),
-			}
-			switch f.Kind {
-			case KindOffset:
-				// Mirror search.RandomFeature: E may exceed the offset width.
-				f.B = rng.Intn(OffsetBits)
-				f.E = f.B + rng.Intn(OffsetBits-f.B+2)
-			case KindPC, KindAddress:
-				f.B = rng.Intn(40)
-				f.E = f.B + rng.Intn(24)
-			}
-			if err := f.Validate(); err != nil {
-				t.Fatalf("generated invalid feature: %v", err)
-			}
-			kern := compileKernel(f, 0)
-			if got, want := kern.index(&in, ring, head), f.Index(&in); got != want {
-				t.Logf("%s: kernel %#x, reference %#x (in=%+v)", f, got, want, in)
-				return false
-			}
+		in := randomInput(pc, addr, h, ins, burst, lm)
+		p := NewPredictor(randomFeatureSet(rng, 40), 1, 1)
+		scrambleState(p, rng)
+		if err := gatherMismatch(p, &in); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}, &quick.Config{MaxCount: 200}); err != nil {
@@ -76,19 +115,35 @@ func TestKernelMatchesReferenceOnPaperSets(t *testing.T) {
 	for i := 1; i < len(in.History); i++ {
 		in.History[i] = 0x400000 + uint64(i)*0x1234
 	}
-	ring, head := ringFromInput(&in)
+	rng := xrand.New(3)
 	for name, set := range map[string][]Feature{
 		"1a": SingleThreadSetA(),
 		"1b": SingleThreadSetB(),
 		"2":  MultiProgrammedSet(),
 	} {
-		for _, f := range set {
-			kern := compileKernel(f, 0)
-			if got, want := kern.index(&in, ring, head), f.Index(&in); got != want {
-				t.Errorf("set %s, %s: kernel %#x, reference %#x", name, f, got, want)
-			}
+		p := NewPredictor(set, 1, 1)
+		scrambleState(p, rng)
+		if err := gatherMismatch(p, &in); err != nil {
+			t.Errorf("set %s: %v", name, err)
 		}
 	}
+}
+
+// TestNewPredictorRejectsOversizedSet pins the MaxFeatures limit at
+// construction: one feature past it panics instead of overrunning the
+// staging vector and the sampler's per-position masks.
+func TestNewPredictorRejectsOversizedSet(t *testing.T) {
+	feats := make([]Feature, MaxFeatures+1)
+	for i := range feats {
+		feats[i] = Feature{Kind: KindBias, A: 1}
+	}
+	NewPredictor(feats[:MaxFeatures], 1, 1) // at the limit: accepted
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewPredictor accepted MaxFeatures+1 features")
+		}
+	}()
+	NewPredictor(feats, 1, 1)
 }
 
 // TestFold8MatchesFoldTo pins the unrolled 8-bit fold against the generic

@@ -5,7 +5,6 @@ import (
 
 	"mpppb/internal/cache"
 	"mpppb/internal/policy"
-	"mpppb/internal/trace"
 )
 
 // DefaultPolicy selects the underlying replacement policy MPPPB layers its
@@ -68,16 +67,19 @@ func maxPlacementPosition(d DefaultPolicy) int {
 }
 
 // Validate checks the documented parameter invariants: a non-empty feature
-// set, the descending miss-side threshold ordering Tau1 > Tau2 > Tau3,
-// placement and promotion positions inside the default policy's position
-// space, positive sampler/training/core dimensions, and — in adaptive
-// mode — the same invariants on every duel candidate. NewAdvisor (and so
-// NewMPPPB and the serving layer) panic on a violation: a mis-ordered
-// configuration from a search or a hand-rolled duel candidate would
-// otherwise silently make placement tiers unreachable.
+// set of at most MaxFeatures, the descending miss-side threshold ordering
+// Tau1 > Tau2 > Tau3, placement and promotion positions inside the default
+// policy's position space, positive sampler/training/core dimensions, and
+// — in adaptive mode — the same invariants on every duel candidate.
+// NewAdvisor (and so NewMPPPB and the serving layer) panic on a violation:
+// a mis-ordered configuration from a search or a hand-rolled duel
+// candidate would otherwise silently make placement tiers unreachable.
 func (p Params) Validate() error {
 	if len(p.Features) == 0 {
 		return fmt.Errorf("params: empty feature set")
+	}
+	if len(p.Features) > MaxFeatures {
+		return fmt.Errorf("params: %d features exceed the limit of %d", len(p.Features), MaxFeatures)
 	}
 	maxPos := maxPlacementPosition(p.Default)
 	if err := p.Thresholds().validate(maxPos); err != nil {
@@ -242,45 +244,23 @@ func (m *MPPPB) Name() string {
 	return name
 }
 
-// Hit implements cache.ReplacementPolicy: predict, train, and decide
-// promotion (Section 3.6: "On a cache hit, if the value exceeds a
-// threshold τ4, then the block is not promoted").
+// Hit implements cache.ReplacementPolicy: the hit-side decision
+// (AdviseHit) applied to the default policy.
 func (m *MPPPB) Hit(set, way int, a cache.Access) {
-	if a.Type == trace.Writeback {
-		return
+	if adv := m.AdviseHit(a, set); adv.Promote {
+		m.setPosition(set, way, int(adv.Pos))
 	}
-	conf := m.predictAndTrain(a, set, false)
-	ts := m.thresholdsFor(set)
-	if conf > ts.Tau4 {
-		m.NoPromotes++
-	} else {
-		if m.mdpp != nil {
-			m.mdpp.PromoteAt(set, way, ts.PromotePos)
-		} else {
-			m.srrip.SetRRPV(set, way, uint8(ts.PromotePos))
-		}
-	}
-	m.pred.observe(a, set, false, true)
 }
 
 // Victim implements cache.ReplacementPolicy: decide bypass, else delegate
-// victim selection to the default policy.
+// victim selection to the default policy. A placed miss trains at Fill,
+// not here: the -check reference compares the production confidence
+// before Fill, which must still see the untrained weights.
 func (m *MPPPB) Victim(set int, a cache.Access) (int, bool) {
-	// In adaptive mode the duel vote lands first, before any threshold
-	// read — the same point AdviseMiss votes — so the inline and serving
-	// paths evolve identically. The paired Fill reads the same window's
-	// winner: no duel event can land between a Victim and its Fill.
-	m.duelVote(set)
-	// The index vector is consumed by train — immediately on bypass, or at
-	// Fill through the memo — and only for sampled sets.
-	conf := m.pred.predict(a, set, true, m.sampler.sampledSet(set) >= 0)
-	ts := m.thresholdsFor(set)
-	if m.params.BypassEnabled && conf > ts.Tau0 {
-		// Bypassed: Fill will not run, so train and update state here. The
-		// Confidence call above already computed this access's indices.
-		m.train(a, set, conf)
-		m.pred.observe(a, set, true, false)
-		m.Bypasses++
+	conf := m.predictMiss(a, set)
+	if m.bypasses(set, conf) {
+		// Bypassed: Fill will not run, so decline the fill here.
+		m.decline(a, set, conf)
 		m.pendValid = false
 		return 0, true
 	}
@@ -296,31 +276,34 @@ func (m *MPPPB) Victim(set int, a cache.Access) (int, bool) {
 	return w, false
 }
 
-// Fill implements cache.ReplacementPolicy: predict, train, and place the
-// block at the position selected by the thresholds.
+// Fill implements cache.ReplacementPolicy: place the block at the
+// position the thresholds select.
 func (m *MPPPB) Fill(set, way int, a cache.Access) {
 	var conf int
 	if m.pendValid && m.pendSet == set && m.pendBlock == a.Block() && m.pendPC == a.PC {
-		// Same access Victim just predicted, with no predictor activity in
-		// between: the confidence and index vector are still valid. Victim
-		// already voted this miss with the duel.
+		// Same access Victim just predicted (and voted with the duel),
+		// with no predictor activity in between: the confidence and index
+		// vector are still valid, and no duel event can land between a
+		// Victim and its Fill, so place reads the winner Victim read.
 		conf = m.pendConf
-		m.train(a, set, conf)
 	} else {
-		// Fill without a preceding Victim (invalid frame) — predict here.
-		// This is the miss's only hook, so the duel vote lands here.
-		m.duelVote(set)
-		conf = m.predictAndTrain(a, set, true)
+		// Fill without a preceding Victim (invalid frame): this is the
+		// miss's only hook.
+		conf = m.predictMiss(a, set)
 	}
 	m.pendValid = false
-	pos, slot := m.thresholdsFor(set).placement(conf)
-	m.Placements[slot]++
+	pos, _ := m.place(a, set, conf)
+	m.setPosition(set, way, pos)
+}
+
+// setPosition moves a block to a placement or promotion position in the
+// default policy's units.
+func (m *MPPPB) setPosition(set, way, pos int) {
 	if m.mdpp != nil {
 		m.mdpp.PlaceAt(set, way, pos)
 	} else {
 		m.srrip.SetRRPV(set, way, uint8(pos))
 	}
-	m.pred.observe(a, set, true, true)
 }
 
 // Evict implements cache.ReplacementPolicy. Evictions carry no special

@@ -45,7 +45,7 @@ func TestPlacementThresholdMapping(t *testing.T) {
 		{-200, 0, 0},
 	}
 	for _, c := range cases {
-		pos, slot := m.placement(c.conf)
+		pos, slot := m.thresholdsFor(0).placement(c.conf)
 		if pos != c.pos || slot != c.slot {
 			t.Errorf("placement(%d) = (%d,%d), want (%d,%d)", c.conf, pos, slot, c.pos, c.slot)
 		}
@@ -185,68 +185,75 @@ func TestConfidenceClamped(t *testing.T) {
 }
 
 func TestPredictorHistoryPerCore(t *testing.T) {
-	p := NewPredictor([]Feature{{Kind: KindPC, A: 5, B: 0, E: 20, W: 1}}, 64, 2)
+	f := Feature{Kind: KindPC, A: 5, B: 0, E: 20, W: 1}
+	p := NewPredictor([]Feature{f}, 64, 2)
 	// Push distinct histories per core.
 	a0 := cache.Access{PC: 0x1000, Addr: 0, Type: trace.Load, Core: 0}
 	a1 := cache.Access{PC: 0x2000, Addr: 0, Type: trace.Load, Core: 1}
 	p.observe(a0, 0, true, true)
 	p.observe(a1, 0, true, true)
-	if got := p.historyPC(0, 1); got != 0x1000 {
-		t.Fatalf("core 0 history = %#x", got)
-	}
-	if got := p.historyPC(1, 1); got != 0x2000 {
-		t.Fatalf("core 1 history = %#x", got)
-	}
-	// The compiled W=1 kernel must read the same values through buildInput.
-	p.buildInput(cache.Access{PC: 9, Core: 0}, 0, false)
-	if got := p.curHist[p.curHead&histRingMask]; got != 0x1000 {
-		t.Fatalf("core 0 ring head = %#x", got)
-	}
-	p.buildInput(cache.Access{PC: 9, Core: 1}, 0, false)
-	if got := p.curHist[p.curHead&histRingMask]; got != 0x2000 {
-		t.Fatalf("core 1 ring head = %#x", got)
+	// The W=1 feature must read each core's own most recent PC through
+	// predict; a core beyond the predictor's count folds onto core 0.
+	for _, c := range []struct {
+		core int
+		last uint64
+	}{{0, 0x1000}, {1, 0x2000}, {7, 0x1000}} {
+		p.predict(cache.Access{PC: 9, Core: c.core}, 0, false, true)
+		in := Input{PC: 9}
+		in.History[0], in.History[1] = 9, c.last
+		if got, want := uint32(p.idx[0]), f.Index(&in); got != want {
+			t.Fatalf("core %d: W=1 index %#x, want %#x (history %#x)", c.core, got, want, c.last)
+		}
 	}
 }
 
+// burstLastMiss predicts an access on a predictor whose features are
+// exactly burst then lastmiss, and returns the two raw inputs the compiled
+// kernels read.
+func burstLastMiss(p *Predictor, a cache.Access, set int, insert bool) (burst, lastMiss bool) {
+	p.predict(a, set, insert, true)
+	return p.idx[0] == 1, p.idx[1] == 1
+}
+
+func newBurstLastMissPredictor() *Predictor {
+	return NewPredictor([]Feature{{Kind: KindBurst, A: 5}, {Kind: KindLastMiss, A: 5}}, 64, 1)
+}
+
 func TestPredictorBurstAndLastMissInputs(t *testing.T) {
-	p := NewPredictor(SingleThreadSetB(), 64, 1)
+	p := newBurstLastMissPredictor()
 	a := demand(0x400, 5<<trace.BlockBits)
 	set := 5
 	// Initially: no last block, lastmiss false.
-	in := p.buildInput(a, set, false)
-	if in.Burst || in.LastMiss {
-		t.Fatalf("fresh set inputs: burst=%v lastmiss=%v", in.Burst, in.LastMiss)
+	if burst, lm := burstLastMiss(p, a, set, false); burst || lm {
+		t.Fatalf("fresh set inputs: burst=%v lastmiss=%v", burst, lm)
 	}
 	// After a miss fill of the same block, a re-access is a burst and
 	// lastmiss is set.
 	p.observe(a, set, true, true)
-	in = p.buildInput(a, set, false)
-	if !in.Burst || !in.LastMiss {
-		t.Fatalf("after miss: burst=%v lastmiss=%v, want true,true", in.Burst, in.LastMiss)
+	if burst, lm := burstLastMiss(p, a, set, false); !burst || !lm {
+		t.Fatalf("after miss: burst=%v lastmiss=%v, want true,true", burst, lm)
 	}
 	// Insertions are never bursts.
-	in = p.buildInput(a, set, true)
-	if in.Burst {
+	if burst, _ := burstLastMiss(p, a, set, true); burst {
 		t.Fatal("insertion flagged as burst")
 	}
 	// A different block is not a burst; a hit clears lastmiss.
 	p.observe(a, set, false, true)
 	other := demand(0x404, 9<<trace.BlockBits)
-	in = p.buildInput(other, set, false)
-	if in.Burst || in.LastMiss {
-		t.Fatalf("other block: burst=%v lastmiss=%v", in.Burst, in.LastMiss)
+	if burst, lm := burstLastMiss(p, other, set, false); burst || lm {
+		t.Fatalf("other block: burst=%v lastmiss=%v", burst, lm)
 	}
 }
 
 func TestBypassedBlockDoesNotBecomeBurstMRU(t *testing.T) {
-	p := NewPredictor(SingleThreadSetB(), 64, 1)
+	p := newBurstLastMissPredictor()
 	a := demand(0x400, 5<<trace.BlockBits)
 	p.observe(a, 5, true, false) // bypassed: not resident
-	in := p.buildInput(a, 5, false)
-	if in.Burst {
+	burst, lm := burstLastMiss(p, a, 5, false)
+	if burst {
 		t.Fatal("bypassed block treated as MRU for burst")
 	}
-	if !in.LastMiss {
+	if !lm {
 		t.Fatal("bypass did not set lastmiss")
 	}
 }

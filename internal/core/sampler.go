@@ -57,7 +57,8 @@ type sampler struct {
 	// boundaryMask[p] has bit i set when A[i] == p (a demotion to p is an
 	// eviction from feature i's virtual cache). Most demotions land on a
 	// position that is no feature's boundary, making trainDemoted a single
-	// mask test.
+	// mask test. One bit per feature is why a feature set holds at most
+	// MaxFeatures.
 	liveMask     [SamplerWays + 1]uint64
 	boundaryMask [SamplerWays + 1]uint64
 
@@ -78,11 +79,6 @@ func newSampler(llcSets, samplerSets int, features []Feature, theta int) *sample
 	}
 	if samplerSets > 1<<15-1 {
 		panic("core: sampler size exceeds the int16 set map")
-	}
-	if len(features) > 64 {
-		// The per-position masks hold one bit per feature; no shipped set
-		// comes close to the limit (the paper's sets have 16).
-		panic("core: sampler supports at most 64 features")
 	}
 	s := &sampler{
 		sets:    samplerSets,

@@ -49,20 +49,25 @@ func scrambleState(p *Predictor, rng *xrand.RNG) {
 	}
 }
 
-// TestComputeIndicesMatchesScalarSum pins the SWAR hot path — the
-// branch-light fastKernel walk, the biased-byte lane gather, and the
-// sumLanes reduction — against the reference scalar summation, on random
-// feature sets, random weight tables, and random accesses: same clamped
-// confidence, same per-feature index vector.
+// TestComputeIndicesMatchesScalarSum pins the SWAR hot path — predict's
+// source vector, the branch-light fastKernel walk, the biased-byte lane
+// gather, and the sumLanes reduction — against the reference: Feature.Index
+// and a plain sum on the Input assembled from the predictor's history ring
+// and set metadata. Random feature sets (one at MaxFeatures, filling every
+// lane word), random weight tables, and random accesses must give the
+// same clamped confidence and the same per-feature index vector, with and
+// without the index store.
 func TestComputeIndicesMatchesScalarSum(t *testing.T) {
 	rng := xrand.New(11)
 	for trial := 0; trial < 25; trial++ {
 		nf := 1 + rng.Intn(20)
+		if trial == 0 {
+			nf = MaxFeatures
+		}
 		feats := randomFeatureSet(rng, nf)
 		p := NewPredictor(feats, 64, 2)
 		scrambleState(p, rng)
 
-		scalarIdx := make([]uint16, nf)
 		for i := 0; i < 300; i++ {
 			a := cache.Access{
 				PC:   rng.Uint64() >> uint(rng.Intn(40)),
@@ -75,24 +80,20 @@ func TestComputeIndicesMatchesScalarSum(t *testing.T) {
 
 			noIdxConf := p.predict(a, set, insert, false)
 			gotConf := p.predict(a, set, insert, true)
-			gotIdx := append([]uint16(nil), p.idx...)
 			if noIdxConf != gotConf {
 				t.Fatalf("trial %d access %d: needIdx=false confidence %d != needIdx=true %d",
 					trial, i, noIdxConf, gotConf)
 			}
-
-			in := p.buildInput(a, set, insert)
-			wantConf := p.computeIndicesScalar(in)
-			copy(scalarIdx, p.idx)
-
+			in := refInput(p, a, set, insert)
+			wantConf, wantIdx := refConf(p, &in)
 			if gotConf != wantConf {
-				t.Fatalf("trial %d access %d: SWAR confidence %d != scalar %d (features %v)",
+				t.Fatalf("trial %d access %d: SWAR confidence %d != reference %d (features %v)",
 					trial, i, gotConf, wantConf, feats)
 			}
-			for j := range scalarIdx {
-				if gotIdx[j] != scalarIdx[j] {
-					t.Fatalf("trial %d access %d: idx[%d] = %d, scalar %d (feature %s)",
-						trial, i, j, gotIdx[j], scalarIdx[j], feats[j])
+			for j, ix := range wantIdx {
+				if p.idx[j] != ix {
+					t.Fatalf("trial %d access %d: idx[%d] = %d, reference %d (feature %s)",
+						trial, i, j, p.idx[j], ix, feats[j])
 				}
 			}
 		}
@@ -115,10 +116,9 @@ func TestComputeIndicesMatchesScalarOnPaperSets(t *testing.T) {
 			}
 			a := cache.Access{PC: 0x402468, Addr: 0xdeadbeef, Type: trace.Load}
 			got := p.predict(a, 3, true, true)
-			in := p.buildInput(a, 3, true)
-			want := p.computeIndicesScalar(in)
-			if got != want {
-				t.Errorf("set %s, weights %d: SWAR %d != scalar %d", name, w, got, want)
+			in := refInput(p, a, 3, true)
+			if want, _ := refConf(p, &in); got != want {
+				t.Errorf("set %s, weights %d: SWAR %d != reference %d", name, w, got, want)
 			}
 		}
 	}

@@ -14,7 +14,7 @@ var (
 	mLeasesExpired = obs.Default().Counter("mpppb_fleet_leases_expired_total",
 		"leases that missed their heartbeat deadline (dead or hung worker)")
 	mCellsReassigned = obs.Default().Counter("mpppb_fleet_cells_reassigned_total",
-		"cells returned to the pending pool for a fresh worker (lease expiry or retryable failure)")
+		"cells returned to the pending pool for a fresh worker (lease expiry)")
 	mCompletions = obs.Default().Counter("mpppb_fleet_completions_total",
 		"worker results accepted and merged into the journal")
 	mDuplicateCompletions = obs.Default().Counter("mpppb_fleet_duplicate_completions_total",

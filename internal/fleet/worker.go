@@ -37,15 +37,6 @@ type WorkerConfig struct {
 	// Workers is how many cells to compute concurrently; <= 0 uses
 	// parallel.Default().
 	Workers int
-	// Retries/Backoff/Timeout govern local compute attempts per lease,
-	// with the same classification the single-process pool uses
-	// (parallel.Transient marks retryable errors). A cell that exhausts
-	// local retries is reported to the coordinator with its final
-	// retryability, and the coordinator's own budget decides whether a
-	// fresh worker gets it.
-	Retries int
-	Backoff time.Duration
-	Timeout time.Duration
 	// Status, when non-nil, mirrors this worker's cell activity into its
 	// local /status manifest.
 	Status *obs.RunStatus
@@ -277,11 +268,10 @@ func (w *Worker) runLease(ctx context.Context, lease leaseResponse, index map[st
 		}
 	}()
 
-	// Local compute reuses the single-process retry machinery — one item,
-	// full Retries/Backoff/Timeout classification.
+	// Local compute reuses the single-process pool — one item, with its
+	// panic capture and task metrics.
 	vals, errs, runErr := parallel.MapErr(computeCtx, parallel.RunOpts{
-		Workers: 1, Retries: w.cfg.Retries, Backoff: w.cfg.Backoff,
-		Timeout: w.cfg.Timeout, KeepGoing: true,
+		Workers: 1, KeepGoing: true,
 	}, 1, func(actx context.Context, _ int) (any, error) {
 		return compute(actx, i)
 	})
@@ -325,7 +315,7 @@ func (w *Worker) runLease(ctx context.Context, lease leaseResponse, index map[st
 	if err := w.report(ctx, "/fail", failRequest{
 		Worker: w.cfg.ID, Fingerprint: w.cfg.Fingerprint,
 		Key: key, LeaseID: lease.LeaseID,
-		Error: cellErr.Error(), Retryable: parallel.Retryable(cellErr),
+		Error: cellErr.Error(),
 	}, fatal); err != nil {
 		return
 	}

@@ -107,8 +107,7 @@ func (s *RunStatus) CellLeased(key, worker string) {
 }
 
 // CellRequeued returns a dispatched-but-unfinished cell to pending (a
-// fleet lease expired, or a retryable failure earned the cell a fresh
-// assignment). Terminal cells are left untouched.
+// fleet lease expired). Terminal cells are left untouched.
 func (s *RunStatus) CellRequeued(key string) {
 	if s == nil {
 		return

@@ -9,37 +9,11 @@ import (
 	"time"
 )
 
-// fastOpts returns opts with a tiny backoff so retry tests run quickly.
-func fastOpts(o RunOpts) RunOpts {
-	if o.Backoff == 0 {
-		o.Backoff = time.Millisecond
-	}
-	return o
-}
-
-func TestMapErrRetryTransientSucceeds(t *testing.T) {
-	var calls atomic.Int64
-	results, errs, err := MapErr(context.Background(),
-		fastOpts(RunOpts{Workers: 1, Retries: 2}), 1,
-		func(_ context.Context, i int) (int, error) {
-			if calls.Add(1) < 3 {
-				return 0, Transient(errors.New("flaky"))
-			}
-			return 42, nil
-		})
-	if err != nil || errs[0] != nil {
-		t.Fatalf("err=%v errs=%v, want success after retries", err, errs)
-	}
-	if results[0] != 42 || calls.Load() != 3 {
-		t.Fatalf("result %d after %d calls, want 42 after 3", results[0], calls.Load())
-	}
-}
-
 func TestMapErrNonRetryableFailsImmediately(t *testing.T) {
 	var calls atomic.Int64
 	boom := errors.New("deterministic failure")
 	_, errs, err := MapErr(context.Background(),
-		fastOpts(RunOpts{Workers: 1, Retries: 5}), 1,
+		RunOpts{Workers: 1}, 1,
 		func(_ context.Context, i int) (int, error) {
 			calls.Add(1)
 			return 0, boom
@@ -52,26 +26,31 @@ func TestMapErrNonRetryableFailsImmediately(t *testing.T) {
 	}
 }
 
+// TestMapErrRetriesAreBounded: the pool never retries — across workers
+// and with KeepGoing, every failing item runs exactly once and keeps its
+// own error.
 func TestMapErrRetriesAreBounded(t *testing.T) {
-	var calls atomic.Int64
+	var calls [8]atomic.Int64
 	_, errs, err := MapErr(context.Background(),
-		fastOpts(RunOpts{Workers: 1, Retries: 3}), 1,
+		RunOpts{Workers: 4, KeepGoing: true}, len(calls),
 		func(_ context.Context, i int) (int, error) {
-			calls.Add(1)
-			return 0, Transient(errors.New("always failing"))
+			calls[i].Add(1)
+			return 0, fmt.Errorf("item %d always fails", i)
 		})
-	if err == nil || errs[0] == nil {
-		t.Fatal("want failure after exhausted retries")
+	if err != nil {
+		t.Fatalf("run-level err %v with KeepGoing, want nil", err)
 	}
-	if calls.Load() != 4 { // 1 initial + 3 retries
-		t.Fatalf("%d calls, want 4 (1 + Retries)", calls.Load())
+	for i := range calls {
+		if n := calls[i].Load(); n != 1 || errs[i] == nil {
+			t.Fatalf("item %d: %d calls, err %v; want 1 call and its error", i, n, errs[i])
+		}
 	}
 }
 
 func TestMapErrPanicNotRetried(t *testing.T) {
 	var calls atomic.Int64
 	_, errs, err := MapErr(context.Background(),
-		fastOpts(RunOpts{Workers: 1, Retries: 5}), 1,
+		RunOpts{Workers: 1}, 1,
 		func(_ context.Context, i int) (int, error) {
 			calls.Add(1)
 			panic("boom")
@@ -85,28 +64,13 @@ func TestMapErrPanicNotRetried(t *testing.T) {
 	}
 }
 
-func TestMapErrTimeoutRetried(t *testing.T) {
-	var calls atomic.Int64
-	results, errs, err := MapErr(context.Background(),
-		fastOpts(RunOpts{Workers: 1, Retries: 1, Timeout: 20 * time.Millisecond}), 1,
-		func(ctx context.Context, i int) (int, error) {
-			if calls.Add(1) == 1 {
-				<-ctx.Done() // hang until the per-attempt deadline fires
-				return 0, ctx.Err()
-			}
-			return 7, nil
-		})
-	if err != nil || errs[0] != nil {
-		t.Fatalf("err=%v errs=%v, want timeout retried to success", err, errs)
-	}
-	if results[0] != 7 || calls.Load() != 2 {
-		t.Fatalf("result %d after %d calls, want 7 after 2", results[0], calls.Load())
-	}
-}
-
+// TestMapErrTimeoutExhaustedIsDeadlineExceeded: a caller's deadline that
+// expires while an item runs reaches the item through its ctx and comes
+// back as DeadlineExceeded, per item and for the run.
 func TestMapErrTimeoutExhaustedIsDeadlineExceeded(t *testing.T) {
-	_, errs, err := MapErr(context.Background(),
-		fastOpts(RunOpts{Workers: 1, Timeout: 10 * time.Millisecond}), 1,
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	_, errs, err := MapErr(ctx, RunOpts{Workers: 1}, 1,
 		func(ctx context.Context, i int) (int, error) {
 			<-ctx.Done()
 			return 0, ctx.Err()
@@ -171,35 +135,5 @@ func TestMapErrCancelReportsCtxError(t *testing.T) {
 		func(_ context.Context, i int) (int, error) { return i, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want Canceled even with KeepGoing", err)
-	}
-}
-
-func TestRetryableClassification(t *testing.T) {
-	cases := []struct {
-		err  error
-		want bool
-	}{
-		{nil, false},
-		{errors.New("plain"), false},
-		{Transient(errors.New("flaky")), true},
-		{fmt.Errorf("wrapped: %w", Transient(errors.New("flaky"))), true},
-		{context.DeadlineExceeded, true},
-		{context.Canceled, false},
-		{&PanicError{Value: "boom"}, false},
-	}
-	for _, c := range cases {
-		if got := Retryable(c.err); got != c.want {
-			t.Errorf("Retryable(%v) = %v, want %v", c.err, got, c.want)
-		}
-	}
-}
-
-func TestTransientUnwraps(t *testing.T) {
-	base := errors.New("base")
-	if Transient(nil) != nil {
-		t.Fatal("Transient(nil) must be nil")
-	}
-	if !errors.Is(Transient(base), base) {
-		t.Fatal("Transient must unwrap to the base error")
 	}
 }

@@ -131,7 +131,7 @@ func TestMDPPMinimalDisturbanceLaw(t *testing.T) {
 		way := rng.Intn(ways)
 		pos := rng.Intn(ways)
 		before := posOf(tr, 0, way)
-		m.PromoteAt(0, way, pos)
+		m.PlaceAt(0, way, pos)
 		after := posOf(tr, 0, way)
 		if after != before&pos {
 			t.Fatalf("trial %d: way %d at %d promoted to %d landed at %d, want %d",

@@ -150,7 +150,7 @@ var _ cache.ReplacementPolicy = (*TreePLRU)(nil)
 type MDPP struct {
 	tree *TreePLRU
 	// posMask[pos] caches maskFor(pos) for the in-range positions, so the
-	// per-access PlaceAt/PromoteAt skip the bit-reversal loop.
+	// per-access PlaceAt skips the bit-reversal loop.
 	posMask []uint32
 	// PlacePos is the recency position used for newly inserted blocks.
 	PlacePos int
@@ -203,12 +203,10 @@ func (m *MDPP) maskFor(pos int) uint32 {
 	return mask
 }
 
-// PlaceAt inserts (set, way) at an explicit recency position. Exposed for
-// MPPPB, which maps predictor confidence to placement positions π1..π3.
+// PlaceAt inserts or promotes (set, way) to an explicit recency position.
+// Exposed for MPPPB, which maps predictor confidence to placement
+// positions π1..π3 and to its promotion position.
 func (m *MDPP) PlaceAt(set, way, pos int) { m.tree.TouchMasked(set, way, m.mask(pos)) }
-
-// PromoteAt promotes (set, way) to an explicit recency position.
-func (m *MDPP) PromoteAt(set, way, pos int) { m.tree.TouchMasked(set, way, m.mask(pos)) }
 
 // mask returns the cached touch mask for a position, computing it only for
 // out-of-range positions.
@@ -226,7 +224,7 @@ func (m *MDPP) VictimWay(set int) int { return m.tree.VictimWay(set) }
 func (m *MDPP) Name() string { return "mdpp" }
 
 // Hit implements cache.ReplacementPolicy.
-func (m *MDPP) Hit(set, way int, _ cache.Access) { m.PromoteAt(set, way, m.PromotePos) }
+func (m *MDPP) Hit(set, way int, _ cache.Access) { m.PlaceAt(set, way, m.PromotePos) }
 
 // Victim implements cache.ReplacementPolicy.
 func (m *MDPP) Victim(set int, _ cache.Access) (int, bool) { return m.tree.VictimWay(set), false }

@@ -301,7 +301,7 @@ func TestMDPPPositionZeroActsLikeFullPromotion(t *testing.T) {
 	// Promoting to position 0 must equal classic PLRU touch: same victims.
 	seq := []int{3, 7, 1, 15, 8, 0, 12, 7, 3}
 	for _, w := range seq {
-		m.PromoteAt(0, w, 0)
+		m.PlaceAt(0, w, 0)
 		plru.Hit(0, w, noAccess)
 	}
 	mv, _ := m.Victim(0, noAccess)

@@ -18,7 +18,8 @@ type Event struct {
 	Addr uint64
 	// Type is the access type (load, store, prefetch, writeback).
 	Type trace.AccessType
-	// Core identifies the requesting core (0-based).
+	// Core identifies the requesting core (0-based, below the served
+	// params' Cores; the server refuses a batch naming any other).
 	Core int
 	// Hit reports whether the client's lookup hit.
 	Hit bool

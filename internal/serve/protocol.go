@@ -195,7 +195,8 @@ func AppendEvents(dst []byte, events []Event) []byte {
 
 // ParseEvents decodes a FrameEvents payload into events, reusing the
 // passed slice. It rejects malformed payloads (bad length, reserved flag
-// bits, out-of-range cores) rather than guessing.
+// bits, a hit with mayBypass) rather than guessing. Cores are checked
+// against the served params by the server, which alone knows them.
 func ParseEvents(p []byte, events []Event) ([]Event, error) {
 	if len(p)%EventWireSize != 0 {
 		return nil, fmt.Errorf("serve: events payload %d bytes is not a multiple of %d", len(p), EventWireSize)

@@ -218,6 +218,50 @@ func TestServeProtocolErrors(t *testing.T) {
 	}
 }
 
+// TestServeRefusesOutOfRangeCore: a batch naming a core the served params
+// do not model gets an error frame naming the event, its core and the
+// limit, and none of its events is applied; the last modeled core is
+// accepted.
+func TestServeRefusesOutOfRangeCore(t *testing.T) {
+	for name, params := range map[string]core.Params{
+		"st": core.SingleThreadParams(),
+		"mc": core.MultiCoreParams(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			srv, err := Start(Config{Addr: "127.0.0.1:0", Sets: 64, Params: params, Check: true, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := Dial(srv.Addr(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			last := params.Cores - 1
+			if _, err := c.Advise([]Event{{PC: 0x400, Addr: 64, Core: last}}, nil); err != nil {
+				t.Fatalf("core %d refused: %v", last, err)
+			}
+			_, err = c.Advise([]Event{
+				{PC: 0x400, Addr: 128, Core: last},
+				{PC: 0x404, Addr: 192, Core: params.Cores},
+			}, nil)
+			want := fmt.Sprintf("event 1: core %d outside the %d core(s)", params.Cores, params.Cores)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("core %d: err %v, want an error containing %q", params.Cores, err, want)
+			}
+			if n := reg.Counter("mpppb_serve_check_events_total", "").Value(); n != 1 {
+				t.Fatalf("%d events applied, want only the accepted batch's 1", n)
+			}
+			if err := srv.Err(); err != nil {
+				t.Fatalf("server recorded %v for a client input error", err)
+			}
+		})
+	}
+}
+
 // TestServeDrainForceCloses pins the shutdown bound: a client that stays
 // connected cannot hold Shutdown past the drain timeout.
 func TestServeDrainForceCloses(t *testing.T) {

@@ -331,6 +331,9 @@ func (s *Server) handle(conn *servedConn) {
 			break
 		}
 		j.events, err = ParseEvents(payload, j.events)
+		if err == nil {
+			err = checkCores(j.events, s.cfg.Params.Cores)
+		}
 		if err != nil {
 			s.m.protoErrors.Inc()
 			s.failConn(bw, err)
@@ -354,6 +357,17 @@ func (s *Server) handle(conn *servedConn) {
 		}
 	}
 	s.cfg.Status.CellDone(cell, state, time.Since(start))
+}
+
+// checkCores refuses a batch that names a core the served params do not
+// model, before any of its events is applied.
+func checkCores(events []Event, cores int) error {
+	for i, ev := range events {
+		if ev.Core >= cores {
+			return fmt.Errorf("serve: event %d: core %d outside the %d core(s) of the served params", i, ev.Core, cores)
+		}
+	}
+	return nil
 }
 
 // failConn best-effort reports an error to the client before the

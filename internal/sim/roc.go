@@ -121,28 +121,12 @@ func RunROC(cfg Config, gen trace.Generator, cf ConfidenceFactory) []stats.ROCSa
 
 	gen.Reset()
 	rd := newBatchReader(gen)
-	// As in RunFastMPKI, the instruction clock is monotonic across the
-	// warmup→measure boundary; only the loop bound resets.
 	endWarmup := startPhase(mWarmupPhases)
-	var now, instr uint64
-	for instr < cfg.Warmup {
-		rec := rd.next()
-		h.Demand(rec.PC, rec.Addr, rec.IsWrite, now)
-		n := rec.Instructions()
-		now += n
-		instr += n
-	}
+	now, _ := runUntimed(rd, h, 0, cfg.Warmup)
 	endWarmup()
 	probe.samples = probe.samples[:0]
 	endMeasure := startPhase(mMeasurePhases)
-	instr = 0
-	for instr < cfg.Measure {
-		rec := rd.next()
-		h.Demand(rec.PC, rec.Addr, rec.IsWrite, now)
-		n := rec.Instructions()
-		now += n
-		instr += n
-	}
+	runUntimed(rd, h, now, cfg.Measure)
 	endMeasure()
 	finishChecks(checks)
 	return probe.samples

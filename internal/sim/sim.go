@@ -330,17 +330,30 @@ func RunSingle(cfg Config, gen trace.Generator, pf PolicyFactory) Result {
 	return res
 }
 
+// runUntimed is one phase of an untimed run: it feeds records to the
+// hierarchy until n instructions have retired, using the instruction clock
+// as each access's time, and returns the advanced clock and the phase's
+// instruction count. The caller carries the clock across the
+// warmup→measure boundary, so it stays monotonic — resetting it would jump
+// "now" backward and confuse timestamp-ordered state (the prefetcher's
+// stream LRU, the sampler) — while the phase count bounds each loop.
+func runUntimed(rd *batchReader, h *cache.Hierarchy, now, n uint64) (uint64, uint64) {
+	var instr uint64
+	for instr < n {
+		rec := rd.next()
+		h.Demand(rec.PC, rec.Addr, rec.IsWrite, now)
+		k := rec.Instructions()
+		now += k
+		instr += k
+	}
+	return now, instr
+}
+
 // RunFastMPKI simulates a segment without the timing model, measuring only
 // LLC MPKI (demand plus prefetch misses, the paper-style accounting — the
 // same counters RunSingle reports). This is the "fast simulator that only
 // measures average MPKI" used for the feature search (Section 5.1); it is
 // several times faster than RunSingle.
-//
-// Untimed runs use the instruction count as the clock passed to the
-// hierarchy. The counter is monotonic across the warmup→measure boundary —
-// resetting it would jump "now" backward and confuse timestamp-ordered
-// state (the prefetcher's stream LRU, the sampler) — while a separate
-// per-phase counter bounds each loop.
 func RunFastMPKI(cfg Config, gen trace.Generator, pf PolicyFactory) Result {
 	llc := NewLLC(cfg, pf)
 	h := buildHierarchy(cfg, 0, llc)
@@ -349,26 +362,12 @@ func RunFastMPKI(cfg Config, gen trace.Generator, pf PolicyFactory) Result {
 	gen.Reset()
 	rd := newBatchReader(gen)
 	endWarmup := startPhase(mWarmupPhases)
-	var now, instr uint64
-	for instr < cfg.Warmup {
-		rec := rd.next()
-		h.Demand(rec.PC, rec.Addr, rec.IsWrite, now)
-		n := rec.Instructions()
-		now += n
-		instr += n
-	}
+	now, _ := runUntimed(rd, h, 0, cfg.Warmup)
 	endWarmup()
 	h.ResetStats()
 	llc.ResetStats()
 	measure := startMeasure()
-	instr = 0
-	for instr < cfg.Measure {
-		rec := rd.next()
-		h.Demand(rec.PC, rec.Addr, rec.IsWrite, now)
-		n := rec.Instructions()
-		now += n
-		instr += n
-	}
+	_, instr := runUntimed(rd, h, now, cfg.Measure)
 	res := Result{
 		Segment:      gen.Name(),
 		Instructions: instr,
