@@ -15,12 +15,25 @@ func TestMain(m *testing.M) { clitest.Main(m, main) }
 var fig6 = []string{"-id", "fig6", "-benches", "gcc_like", "-st-policies", "mpppb,mpppb-adaptive", "-q",
 	"-warmup", "100000", "-measure", "400000"}
 
+// small pins an experiment at the reduced budget. The counts are the
+// smallest that print a table with differing values: the first testing
+// mix leaves every fig9/fig10 point at 1.0000, and table3's first six
+// segments (mcf_like, omnetpp_like) gain nothing from any feature.
+func small(golden string, args ...string) clitest.Case {
+	return clitest.Case{Golden: golden, Args: append(args, "-q", "-warmup", "50000", "-measure", "200000")}
+}
+
 func TestCLIGolden(t *testing.T) {
 	clitest.Check(t, "",
 		clitest.Case{Golden: "cli-table1.golden", Args: []string{"-id", "table1"}},
 		clitest.Case{Golden: "cli-fig6.golden", Args: fig6},
-		clitest.Case{Golden: "cli-fig4.golden", Args: []string{"-id", "fig4", "-mixes", "2", "-mc-policies", "mpppb-srrip", "-q",
-			"-warmup", "50000", "-measure", "200000"}},
+		small("cli-fig4.golden", "-id", "fig4", "-mixes", "2", "-mc-policies", "mpppb-srrip"),
+		small("cli-fig3.golden", "-id", "fig3", "-random", "3", "-climb", "3"),
+		small("cli-fig5.golden", "-id", "fig5", "-mixes", "2", "-mc-policies", "mpppb-srrip"),
+		small("cli-fig8.golden", "-id", "fig8", "-roc-segments", "3"),
+		small("cli-fig9.golden", "-id", "fig9", "-ablate-mixes", "2"),
+		small("cli-fig10.golden", "-id", "fig10", "-ablate-mixes", "2"),
+		small("cli-table3.golden", "-id", "table3", "-table3-segments", "7"),
 	)
 }
 
