@@ -26,7 +26,10 @@ test: vet
 race:
 	$(GO) test -race ./internal/parallel ./internal/sim ./internal/experiments ./internal/obs ./internal/serve ./internal/fleet ./internal/core
 
-# Scaled-down reproduction of every figure/table as Go benchmarks.
+# The root package's Go benchmarks, one iteration each: the ablation
+# sweeps no experiment id prints (θ, sampler size, bypass, default
+# policy) and the end-to-end fig6 segment. The experiments themselves
+# are pinned by the goldens in cmd/mpppb-experiments/testdata.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x .
 

@@ -10,12 +10,14 @@ import (
 	"testing"
 
 	"mpppb/internal/core"
+	"mpppb/internal/experiments"
 	"mpppb/internal/sim"
 	"mpppb/internal/workload"
 )
 
 // ablationMPKI measures average fast-sim MPKI over a small diverse workload
-// sample for one MPPPB parameterization.
+// sample for one MPPPB parameterization, with the evaluator the Section 5
+// searches score candidates by.
 func ablationMPKI(b *testing.B, params core.Params) float64 {
 	b.Helper()
 	cfg := sim.SingleThreadConfig()
@@ -26,15 +28,11 @@ func ablationMPKI(b *testing.B, params core.Params) float64 {
 		{Bench: "gcc_like", Seg: 0},
 		{Bench: "data_caching_like", Seg: 0},
 	}
-	var sum float64
-	for _, id := range ids {
-		gen := workload.NewGenerator(id, workload.CoreBase(0))
-		res := sim.RunFastMPKI(cfg, gen, func(sets, ways int) cacheReplacementPolicy {
-			return core.NewMPPPB(sets, ways, params)
-		})
-		sum += res.MPKI
+	mpki, err := experiments.NewEvaluator(cfg, ids, nil).MPKI(params)
+	if err != nil {
+		b.Fatal(err)
 	}
-	return sum / float64(len(ids))
+	return mpki
 }
 
 // BenchmarkAblationTheta sweeps the perceptron training threshold.

@@ -16,17 +16,11 @@ package main
 //	go test ./cmd/mpppb-experiments -run AdaptiveGolden -update
 
 import (
-	"context"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
 	"mpppb/internal/experiments"
-	"mpppb/internal/fleet"
 	"mpppb/internal/journal"
 	"mpppb/internal/sim"
 )
@@ -161,49 +155,9 @@ func TestAdaptiveGoldenWithFleet(t *testing.T) {
 		t.Skip("golden update pass")
 	}
 	want := wantAdaptiveGolden(t)
-
-	jrnl, err := journal.Create(filepath.Join(t.TempDir(), "run.journal"), adaptiveFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	board := fleet.NewBoard(fleet.BoardConfig{Fingerprint: adaptiveFP, Journal: jrnl, TTL: time.Second})
-	mux := http.NewServeMux()
-	for _, rt := range fleet.Routes(board) {
-		mux.Handle(rt.Pattern, rt.Handler)
-	}
-	srv := httptest.NewServer(mux)
-	defer func() { srv.Close(); board.Close(); jrnl.Close() }()
-
-	wk, err := fleet.NewWorker(fleet.WorkerConfig{
-		URL: srv.URL, ID: "w0", Fingerprint: adaptiveFP,
-		Workers: 2, Poll: 5 * time.Millisecond,
+	coordTSV, workerTSV := fleetSplit(t, adaptiveFP, nil, func(dir string, opts *experiments.Run) (string, error) {
+		return runAdaptive(dir, false, opts)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	var wg sync.WaitGroup
-	var coordTSV, workerTSV string
-	var coordErr, workerErr error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		coordTSV, coordErr = runAdaptive(t.TempDir(), false, &experiments.Run{Ctx: ctx, Journal: jrnl, Fleet: board})
-	}()
-	go func() {
-		defer wg.Done()
-		workerTSV, workerErr = runAdaptive(t.TempDir(), false, &experiments.Run{Ctx: ctx, FleetWorker: wk})
-	}()
-	wg.Wait()
-
-	if coordErr != nil {
-		t.Fatalf("fleet coordinator: %v", coordErr)
-	}
-	if workerErr != nil {
-		t.Fatalf("fleet worker: %v", workerErr)
-	}
 	for label, got := range map[string]string{"fleet coordinator": coordTSV, "fleet worker": workerTSV} {
 		if got != want {
 			t.Errorf("%s differs from golden\n--- got ---\n%s\n--- want ---\n%s", label, got, want)

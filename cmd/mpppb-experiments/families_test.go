@@ -14,18 +14,12 @@ package main
 //	go test ./cmd/mpppb-experiments -run FamiliesGolden -update
 
 import (
-	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
 	"mpppb/internal/experiments"
-	"mpppb/internal/fleet"
 	"mpppb/internal/journal"
 	"mpppb/internal/sim"
 )
@@ -164,49 +158,7 @@ func TestFamiliesGoldenWithFleet(t *testing.T) {
 		t.Skip("golden update pass")
 	}
 	want := wantFamiliesGoldens(t)
-
-	jrnl, err := journal.Create(filepath.Join(t.TempDir(), "run.journal"), familiesFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	board := fleet.NewBoard(fleet.BoardConfig{Fingerprint: familiesFP, Journal: jrnl, TTL: time.Second})
-	mux := http.NewServeMux()
-	for _, rt := range fleet.Routes(board) {
-		mux.Handle(rt.Pattern, rt.Handler)
-	}
-	srv := httptest.NewServer(mux)
-	defer func() { srv.Close(); board.Close(); jrnl.Close() }()
-
-	wk, err := fleet.NewWorker(fleet.WorkerConfig{
-		URL: srv.URL, ID: "w0", Fingerprint: familiesFP,
-		Workers: 2, Poll: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	var wg sync.WaitGroup
-	var coordTSV, workerTSV map[string]string
-	var coordErr, workerErr error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		coordTSV, coordErr = runFamilies(t.TempDir(), &experiments.Run{Ctx: ctx, Journal: jrnl, Fleet: board})
-	}()
-	go func() {
-		defer wg.Done()
-		workerTSV, workerErr = runFamilies(t.TempDir(), &experiments.Run{Ctx: ctx, FleetWorker: wk})
-	}()
-	wg.Wait()
-
-	if coordErr != nil {
-		t.Fatalf("fleet coordinator: %v", coordErr)
-	}
-	if workerErr != nil {
-		t.Fatalf("fleet worker: %v", workerErr)
-	}
+	coordTSV, workerTSV := fleetSplit(t, familiesFP, nil, runFamilies)
 	compareFamilies(t, "fleet coordinator", coordTSV, want)
 	compareFamilies(t, "fleet worker", workerTSV, want)
 }

@@ -7,10 +7,10 @@
 //	mpppb-search -random 100 -climb 200 -training 12
 //	mpppb-search -random 40 -seed 7 -measure 2000000
 //
-// Long searches checkpoint with -journal FILE: every feature set's
-// evaluation is persisted as it completes, and -resume replays them so an
-// interrupted search (the proposal sequence is seeded, hence repeatable)
-// continues where it stopped.
+// Long searches checkpoint with -journal FILE: a feature set's MPKI on
+// each training segment is persisted as it completes, and -resume replays
+// them so an interrupted search (the proposal sequence is seeded, hence
+// repeatable) continues where it stopped.
 package main
 
 import (
@@ -34,7 +34,7 @@ func main() {
 	flag.IntVar(&flags.Training, "training", 8, "training segments drawn across the suite")
 	flag.Uint64Var(&s.Seed, "seed", 2017, "search seed")
 	flag.Parse()
-	s.Positive("random")
+	s.Positive("random", "training")
 
 	cfg := s.Config(sim.SingleThreadConfig())
 	res, err := experiments.Fig3FeatureSearch(cfg, experiments.TrainingSegments(flags.Training),

@@ -20,6 +20,9 @@ func TestGolden(t *testing.T) {
 
 func TestBadInput(t *testing.T) {
 	clitest.Refused(t, "random", "-random", "0")
+	// A non-positive count would otherwise train on the whole suite.
+	clitest.Refused(t, "training", "-training", "0")
+	clitest.Refused(t, "training", "-training", "-1")
 }
 
 func TestResume(t *testing.T) {

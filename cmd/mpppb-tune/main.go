@@ -7,10 +7,10 @@
 //	mpppb-tune -mode st -segments 12 -combos 200
 //	mpppb-tune -mode mp -combos 100
 //
-// Long tunes checkpoint with -journal FILE: every parameterization's
-// training MPKI persists as it completes, and -resume replays them so an
-// interrupted search (the combination sequence is seeded, hence
-// repeatable) continues where it stopped.
+// Long tunes checkpoint with -journal FILE: a parameterization's MPKI on
+// each training segment persists as it completes, and -resume replays
+// them so an interrupted search (the combination sequence is seeded,
+// hence repeatable) continues where it stopped.
 package main
 
 import (
@@ -40,7 +40,7 @@ func main() {
 		tau0step = flag.Int("tau0-step", 16, "exhaustive tau0 sweep step")
 	)
 	flag.Parse()
-	s.Positive("tau0-step")
+	s.Positive("tau0-step", "segments")
 
 	params := core.SingleThreadParams()
 	switch flags.Mode {
@@ -51,46 +51,35 @@ func main() {
 	default:
 		s.Exit(fmt.Errorf("-mode: unknown mode %q (want st or mp)", flags.Mode))
 	}
-	// The tuner's search loops have no cell grid to declare, so /status
-	// reports uptime only; /metrics still carries the pool, journal and sim
-	// phase counters, and /debug/pprof profiles the search.
-	run := s.Start()
-	ev := &search.ThresholdEvaluator{
-		Cfg:      s.Config(sim.SingleThreadConfig()),
-		Training: experiments.TrainingSegments(flags.Segments),
-		Ctx:      run.Ctx,
-		Journal:  run.Journal,
+	training := experiments.TrainingSegments(flags.Segments)
+	ev := experiments.NewEvaluator(s.Config(sim.SingleThreadConfig()), training, s.Start())
+	fmt.Fprintf(os.Stderr, "training on %d segments\n", len(training))
+
+	base, err := ev.MPKI(params)
+	if err != nil {
+		s.Exit(err)
 	}
-	fmt.Fprintf(os.Stderr, "training on %d segments\n", len(ev.Training))
-
-	// The evaluator surfaces cancellation and journal failures as panics
-	// carrying wrapped errors (its callers, the search loops, have no error
-	// returns); convert them back here.
-	defer func() {
-		if p := recover(); p != nil {
-			if e, ok := p.(error); ok {
-				s.Exit(e)
-			}
-			panic(p)
-		}
-	}()
-
-	base := ev.MPKI(params)
 	fmt.Fprintf(os.Stderr, "baseline %.4f MPKI (tau0=%d tau=%d,%d,%d,%d pi=%v)\n",
 		base, params.Tau0, params.Tau1, params.Tau2, params.Tau3, params.Tau4, params.Pi)
 
-	tau0, m := ev.SearchTau0(params, 0, core.ConfMax, *tau0step, func(t int, m float64) {
+	tau0, m, err := search.SearchTau0(ev.MPKI, params, 0, core.ConfMax, *tau0step, func(t int, m float64) {
 		fmt.Fprintf(os.Stderr, "tau0=%-4d %.4f\n", t, m)
 	})
+	if err != nil {
+		s.Exit(err)
+	}
 	params.Tau0 = tau0
 	fmt.Fprintf(os.Stderr, "best tau0=%d (%.4f MPKI)\n", tau0, m)
 
 	rng := xrand.New(s.Seed)
-	best, bestMPKI := search.SearchThresholds(ev, rng, params, *combos, func(i int, b float64) {
+	best, bestMPKI, err := search.SearchThresholds(ev.MPKI, rng, params, *combos, func(i int, b float64) {
 		if (i+1)%20 == 0 {
 			fmt.Fprintf(os.Stderr, "combo %d/%d best %.4f\n", i+1, *combos, b)
 		}
 	})
+	if err != nil {
+		s.Exit(err)
+	}
 
 	fmt.Printf("mode=%s evaluations=%d\n", flags.Mode, ev.Evals)
 	fmt.Printf("baseline MPKI %.4f -> tuned %.4f\n", base, bestMPKI)

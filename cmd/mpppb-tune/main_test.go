@@ -30,6 +30,9 @@ func TestResume(t *testing.T) {
 func TestBadInput(t *testing.T) {
 	clitest.Refused(t, "mode", "-mode", "mc")
 	clitest.Refused(t, "tau0-step", "-tau0-step", "0")
+	// A non-positive count would otherwise train on the whole suite.
+	clitest.Refused(t, "segments", "-segments", "0")
+	clitest.Refused(t, "segments", "-segments", "-3")
 }
 
 // TestFlags pins the flag surface: the parent's flags, less -task-timeout

@@ -59,20 +59,6 @@ func multiCoreGeomeanWS(cfg sim.Config, pf sim.PolicyFactory, mixes []workload.M
 	return r.geoMean(speedups), nil
 }
 
-// MultiCoreWith runs MPPPB with explicit parameters over the given mixes
-// and returns the geometric-mean LRU-normalized weighted speedup. It is
-// the building block the ablation benchmarks drive directly.
-func MultiCoreWith(cfg sim.Config, params core.Params, mixes []workload.Mix, singles *sim.SingleIPCCache) float64 {
-	if singles == nil {
-		singles = sim.NewSingleIPCCache(cfg)
-	}
-	ws, err := multiCoreGeomeanWS(cfg, mpppbFactory(params), mixes, singles, &lruWSCache{}, nil, "with/")
-	if err != nil {
-		panic(err)
-	}
-	return ws
-}
-
 // Fig9Result is the uniform-associativity experiment (Figure 9): fixing
 // every feature's A parameter to the same value 1..18 versus the original
 // per-feature associativities.

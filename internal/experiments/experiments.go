@@ -2,8 +2,8 @@
 // evaluation (Section 6), mapped to experiment IDs fig1/fig3..fig10 and
 // table1..table3 (see DESIGN.md's experiment index). Each experiment is a
 // plain function from a configuration to a typed result; cmd/mpppb-
-// experiments renders results as TSV, and bench_test.go runs scaled-down
-// versions as Go benchmarks.
+// experiments renders results as TSV, and its goldens pin every
+// experiment at reduced scale.
 package experiments
 
 import (
@@ -34,7 +34,7 @@ var (
 	mCellsJournal = obs.Default().Counter("mpppb_experiments_cells_journal_total",
 		"cells served from the checkpoint journal instead of recomputed")
 	mCellsFailed = obs.Default().Counter("mpppb_experiments_cells_failed_total",
-		"cells that exhausted their attempts and render as NaN")
+		"cells that failed and render as NaN")
 	mCellSeconds = obs.Default().Histogram("mpppb_experiments_cell_seconds",
 		"wall time per computed cell", obs.LatencyBuckets)
 	mDegenerateGeoMean = obs.Default().Counter("mpppb_experiments_degenerate_geomean_inputs_total",

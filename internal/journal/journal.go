@@ -10,7 +10,7 @@
 // fingerprint (config hash + build version + seed); every following line
 // is one cell record {"key","status","value"|"error"}. Records are
 // fsync'd as written. Duplicate keys are legal and last-entry-wins, so a
-// cell that failed, was retried on a later invocation, and then succeeded
+// cell that failed and was recomputed by a later -resume invocation
 // leaves its full trail in the file while the final state is what counts.
 // A partial trailing line (a crash mid-write) is truncated on resume;
 // corruption anywhere earlier refuses the file.
@@ -248,9 +248,9 @@ func (j *Journal) LoadRaw(key string) (json.RawMessage, bool) {
 	return rec.Value, true
 }
 
-// RecordFailure persists a cell that exhausted its retries, so a resumed
-// run knows the failure was explicit rather than a missing cell. A later
-// Record for the same key supersedes it. No-op on a nil Journal.
+// RecordFailure persists a cell that failed, so a resumed run knows the
+// failure was explicit rather than a missing cell. A later Record for the
+// same key supersedes it. No-op on a nil Journal.
 func (j *Journal) RecordFailure(key string, cellErr error) error {
 	if j == nil {
 		return nil

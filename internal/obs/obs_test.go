@@ -250,11 +250,21 @@ func TestRunStatusLifecycle(t *testing.T) {
 		t.Fatalf("cell states = %v", snap.Cells)
 	}
 
-	// A retried cell finishing twice counts once.
+	// A cell finishing twice counts once.
 	st.CellDone("c", CellFailed, 0)
 	st.CellDone("c", CellOK, time.Second)
 	if got := st.Snapshot(); got.DoneCells != 3 {
 		t.Fatalf("done after double-finish = %d, want 3", got.DoneCells)
+	}
+	// So does a finished cell run again, as a search revisiting a
+	// candidate does; it shows as finished throughout.
+	st.CellRunning("a")
+	if got := st.Snapshot(); got.Cells["a"] != CellOK || got.RunningCells != 0 {
+		t.Fatalf("finished cell re-run shows %s with %d running", got.Cells["a"], got.RunningCells)
+	}
+	st.CellDone("a", CellOK, time.Second)
+	if got := st.Snapshot(); got.DoneCells != 3 {
+		t.Fatalf("done after a finished cell re-ran = %d, want 3", got.DoneCells)
 	}
 
 	if line := st.Line(); !strings.Contains(line, "test-tool") || !strings.Contains(line, "3/4 cells") {

@@ -22,6 +22,8 @@ const (
 	CellFailed  CellState = "failed"
 )
 
+func (c CellState) finished() bool { return c == CellOK || c == CellJournal || c == CellFailed }
+
 // RunStatus is the live manifest behind the /status endpoint and the
 // -progress ticker: what run this is (tool, config hash, journal path),
 // the cell grid with per-cell state, and completion/ETA accounting fed by
@@ -81,13 +83,17 @@ func (s *RunStatus) AddCells(keys ...string) {
 	s.mu.Unlock()
 }
 
-// CellRunning marks a cell as dispatched to a worker.
+// CellRunning marks a cell as dispatched to a worker. A finished cell
+// keeps its state: a search that revisits a candidate runs its cells
+// again, and each still counts once.
 func (s *RunStatus) CellRunning(key string) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.setLocked(key, CellRunning)
+	if !s.cells[key].finished() {
+		s.setLocked(key, CellRunning)
+	}
 	s.mu.Unlock()
 }
 
@@ -130,9 +136,8 @@ func (s *RunStatus) CellDone(key string, state CellState, elapsed time.Duration)
 	s.mu.Lock()
 	prev := s.cells[key]
 	s.setLocked(key, state)
-	// A retried cell can finish twice (fail, then succeed on a later
-	// attempt); count it once.
-	if prev != CellOK && prev != CellJournal && prev != CellFailed {
+	// A cell run twice in one process finishes twice; count it once.
+	if !prev.finished() {
 		s.done++
 		if state != CellJournal {
 			s.computed++

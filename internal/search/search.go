@@ -1,25 +1,19 @@
-// Package search implements the feature-selection methodology of Section 5:
-// generate a large population of random 16-feature sets, evaluate each with
-// the fast MPKI-only simulator on a training set of workloads, then refine
-// the best set with hill climbing. The hill climber's mutation operator
-// matches the paper's: replace a feature with a fresh random one, replace
-// it with a copy of another feature in the set, or perturb one of its
-// parameters.
+// Package search implements the search algorithms of Section 5: generate
+// a large population of random 16-feature sets, score each, then refine
+// the best set with hill climbing (Section 5.1); sweep the bypass
+// threshold and draw random feasible threshold combinations (Section
+// 5.5). The algorithms take the score function as an argument and stop at
+// its first error; the paper's score, the fast MPKI-only simulator over
+// training segments, is experiments.Evaluator. The hill climber's
+// mutation operator matches the paper's: replace a feature with a fresh
+// random one, replace it with a copy of another feature in the set, or
+// perturb one of its parameters.
 package search
 
 import (
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
-	"mpppb/internal/cache"
 	"mpppb/internal/core"
-	"mpppb/internal/journal"
-	"mpppb/internal/parallel"
-	"mpppb/internal/sim"
-	"mpppb/internal/workload"
 	"mpppb/internal/xrand"
 )
 
@@ -113,100 +107,19 @@ func perturb(rng *xrand.RNG, f core.Feature) core.Feature {
 	return f
 }
 
-// Evaluator measures the average MPKI of a feature set over a training set
-// of workload segments using the fast MPKI-only simulator (Section 5.1).
-type Evaluator struct {
-	Cfg      sim.Config
-	Params   core.Params // template; Features replaced per evaluation
-	Training []workload.SegmentID
-	// Ctx, when set, cancels evaluations: a cancelled MPKI call panics
-	// with the context's error wrapped (the search loops have no error
-	// returns), and the driver recovers it back into an error.
-	Ctx context.Context
-	// Journal, when set, checkpoints each feature set's average MPKI under
-	// a key derived from the set (SetKey), so an interrupted search
-	// resumed with the same seed replays evaluated sets from disk instead
-	// of re-simulating them.
-	Journal *journal.Journal
-	// Evals counts logical evaluations — journal hits included, so a
-	// resumed search reports the same count as an uninterrupted one.
-	Evals int
-}
-
-func (e *Evaluator) ctx() context.Context {
-	if e.Ctx == nil {
-		return context.Background()
-	}
-	return e.Ctx
-}
-
-// SetKey is the journal key of a feature set's training-MPKI evaluation: a
-// short hash of the set's JSON form. The search is seeded, so a resumed
-// run proposes the same sets in the same order and hits these keys.
-func SetKey(set []core.Feature) string {
-	b, err := json.Marshal(set)
-	if err != nil {
-		panic("search: unmarshalable feature set: " + err.Error())
-	}
-	sum := sha256.Sum256(b)
-	return "eval/" + hex.EncodeToString(sum[:8])
-}
-
-// NewEvaluator builds an evaluator over the given training segments using
-// the single-thread MPPPB configuration as the parameter template.
-func NewEvaluator(cfg sim.Config, training []workload.SegmentID) *Evaluator {
-	return &Evaluator{Cfg: cfg, Params: core.SingleThreadParams(), Training: training}
-}
-
-// MPKI returns the average MPKI of a feature set over the training
-// segments. Segments fan across the worker pool — the search itself
-// (random population, then a sequential hill climb) parallelizes here, at
-// the evaluation level — and per-segment MPKIs are summed in training
-// order, so the average is bit-identical to a serial evaluation.
-func (e *Evaluator) MPKI(set []core.Feature) float64 {
-	e.Evals += len(e.Training)
-	key := SetKey(set)
-	var memo float64
-	if ok, err := e.Journal.Load(key, &memo); err != nil {
-		panic(fmt.Errorf("search: %w", err))
-	} else if ok {
-		return memo
-	}
-	params := e.Params
-	params.Features = set
-	mpkis, err := parallel.MapCtx(e.ctx(), 0, len(e.Training), func(_ context.Context, i int) (float64, error) {
-		gen := workload.NewGenerator(e.Training[i], workload.CoreBase(0))
-		res := sim.RunFastMPKI(e.Cfg, gen, func(sets, ways int) cache.ReplacementPolicy {
-			return core.NewMPPPB(sets, ways, params)
-		})
-		return res.MPKI, nil
-	})
-	if err != nil {
-		// Wrap rather than stringify so a recovering driver can still
-		// match context.Canceled with errors.Is.
-		panic(fmt.Errorf("search: %w", err))
-	}
-	var sum float64
-	for _, m := range mpkis {
-		sum += m
-	}
-	avg := sum / float64(len(e.Training))
-	if err := e.Journal.Record(key, avg); err != nil {
-		panic(fmt.Errorf("search: %w", err))
-	}
-	return avg
-}
-
-// RandomSearch evaluates n random feature sets and returns them with their
+// RandomSearch scores n random feature sets and returns them with their
 // MPKIs, best first.
-func RandomSearch(e *Evaluator, rng *xrand.RNG, n, setSize int, progress func(i int, mpki float64)) ([]ScoredSet, error) {
+func RandomSearch(score func([]core.Feature) (float64, error), rng *xrand.RNG, n, setSize int, progress func(i int, mpki float64)) ([]ScoredSet, error) {
 	if n <= 0 || setSize <= 0 {
 		return nil, fmt.Errorf("search: non-positive search size")
 	}
 	out := make([]ScoredSet, n)
 	for i := 0; i < n; i++ {
 		set := RandomSet(rng, setSize)
-		mpki := e.MPKI(set)
+		mpki, err := score(set)
+		if err != nil {
+			return nil, err
+		}
 		out[i] = ScoredSet{Features: set, MPKI: mpki}
 		if progress != nil {
 			progress(i, mpki)
@@ -236,12 +149,15 @@ func sortScored(s []ScoredSet) {
 // it if it lowers training MPKI; the climb stops after `patience`
 // consecutive rejected proposals ("until it appears to have reached a state
 // of convergence", Section 5.1) or maxSteps total proposals.
-func HillClimb(e *Evaluator, rng *xrand.RNG, start ScoredSet, maxSteps, patience int, progress func(step int, best float64)) ScoredSet {
+func HillClimb(score func([]core.Feature) (float64, error), rng *xrand.RNG, start ScoredSet, maxSteps, patience int, progress func(step int, best float64)) (ScoredSet, error) {
 	best := start
 	rejected := 0
 	for step := 0; step < maxSteps && rejected < patience; step++ {
 		cand := Mutate(rng, best.Features)
-		mpki := e.MPKI(cand)
+		mpki, err := score(cand)
+		if err != nil {
+			return best, err
+		}
 		if mpki < best.MPKI {
 			best = ScoredSet{Features: cand, MPKI: mpki}
 			rejected = 0
@@ -252,5 +168,5 @@ func HillClimb(e *Evaluator, rng *xrand.RNG, start ScoredSet, maxSteps, patience
 			progress(step, best.MPKI)
 		}
 	}
-	return best
+	return best, nil
 }

@@ -1,26 +1,14 @@
 package search
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"mpppb/internal/core"
-	"mpppb/internal/sim"
-	"mpppb/internal/workload"
 	"mpppb/internal/xrand"
 )
-
-// trainingSegs picks n segments spread across the suite (mirrors the
-// experiments package helper without importing it, which would cycle).
-func trainingSegs(n int) []workload.SegmentID {
-	all := workload.Segments()
-	stride := len(all) / n
-	out := make([]workload.SegmentID, 0, n)
-	for i := 0; i < len(all) && len(out) < n; i += stride {
-		out = append(out, all[i])
-	}
-	return out
-}
 
 func TestRandomFeatureAlwaysValid(t *testing.T) {
 	rng := xrand.New(1)
@@ -104,31 +92,23 @@ func TestMutateDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-// tinyEvaluator builds an evaluator over two short segments.
-func tinyEvaluator() *Evaluator {
-	cfg := sim.SingleThreadConfig()
-	cfg.Warmup = 30_000
-	cfg.Measure = 120_000
-	return NewEvaluator(cfg, trainingSegs(2))
-}
-
-func TestEvaluatorDeterministic(t *testing.T) {
-	ev := tinyEvaluator()
-	set := core.SingleThreadSetB()
-	a := ev.MPKI(set)
-	b := ev.MPKI(set)
-	if a != b {
-		t.Fatalf("evaluator not deterministic: %g vs %g", a, b)
+// score is a cheap deterministic stand-in for the simulator's training
+// MPKI: sets of low-associativity features of low kinds score best.
+func score(set []core.Feature) (float64, error) {
+	var m float64
+	for _, f := range set {
+		m += float64(f.A + int(f.Kind))
 	}
-	if a <= 0 {
-		t.Fatalf("MPKI %g", a)
-	}
+	return m, nil
 }
 
 func TestRandomSearchSortsBestFirst(t *testing.T) {
-	ev := tinyEvaluator()
-	rng := xrand.New(4)
-	scored, err := RandomSearch(ev, rng, 5, 4, nil)
+	calls := 0
+	counted := func(set []core.Feature) (float64, error) {
+		calls++
+		return score(set)
+	}
+	scored, err := RandomSearch(counted, xrand.New(4), 5, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,54 +117,54 @@ func TestRandomSearchSortsBestFirst(t *testing.T) {
 			t.Fatalf("not sorted at %d", i)
 		}
 	}
-	if ev.Evals != 5*len(ev.Training) {
-		t.Fatalf("evals = %d", ev.Evals)
+	if calls != 5 {
+		t.Fatalf("%d scores, want 5", calls)
 	}
 }
 
 func TestRandomSearchRejectsBadArgs(t *testing.T) {
-	ev := tinyEvaluator()
-	if _, err := RandomSearch(ev, xrand.New(1), 0, 16, nil); err == nil {
+	if _, err := RandomSearch(score, xrand.New(1), 0, 16, nil); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := RandomSearch(ev, xrand.New(1), 1, 0, nil); err == nil {
+	if _, err := RandomSearch(score, xrand.New(1), 1, 0, nil); err == nil {
 		t.Fatal("setSize=0 accepted")
 	}
 }
 
 func TestHillClimbNeverWorsens(t *testing.T) {
-	ev := tinyEvaluator()
 	rng := xrand.New(5)
 	start := ScoredSet{Features: RandomSet(rng, 4)}
-	start.MPKI = ev.MPKI(start.Features)
-	best := HillClimb(ev, rng, start, 10, 5, nil)
-	if best.MPKI > start.MPKI {
-		t.Fatalf("hill climb worsened: %.3f -> %.3f", start.MPKI, best.MPKI)
+	start.MPKI, _ = score(start.Features)
+	prev := start.MPKI
+	best, err := HillClimb(score, rng, start, 200, 200, func(_ int, b float64) {
+		if b > prev {
+			t.Fatalf("hill climb worsened: %.0f -> %.0f", prev, b)
+		}
+		prev = b
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.MPKI >= start.MPKI {
+		t.Fatalf("hill climb never improved on %.0f", start.MPKI)
+	}
+	if m, _ := score(best.Features); m != best.MPKI {
+		t.Fatalf("climbed set scores %.0f, reported %.0f", m, best.MPKI)
 	}
 }
 
 func TestHillClimbStopsOnPatience(t *testing.T) {
-	ev := tinyEvaluator()
-	rng := xrand.New(6)
-	start := ScoredSet{Features: core.SingleThreadSetB()}
-	start.MPKI = ev.MPKI(start.Features)
+	flat := func([]core.Feature) (float64, error) { return 1, nil }
+	start := ScoredSet{Features: core.SingleThreadSetB(), MPKI: 1}
 	steps := 0
-	HillClimb(ev, rng, start, 1000, 3, func(int, float64) { steps++ })
-	if steps == 1000 {
-		t.Fatal("patience did not stop the climb")
+	HillClimb(flat, xrand.New(6), start, 1000, 3, func(int, float64) { steps++ })
+	if steps != 3 {
+		t.Fatalf("%d proposals on a flat score, want the patience of 3", steps)
 	}
 }
 
-func TestThresholdEvaluatorAndRandomFeasible(t *testing.T) {
-	cfg := sim.SingleThreadConfig()
-	cfg.Warmup = 30_000
-	cfg.Measure = 100_000
-	ev := &ThresholdEvaluator{Cfg: cfg, Training: trainingSegs(2)}
+func TestRandomFeasible(t *testing.T) {
 	params := core.SingleThreadParams()
-	m := ev.MPKI(params)
-	if m <= 0 {
-		t.Fatalf("MPKI %g", m)
-	}
 	rng := xrand.New(7)
 	for i := 0; i < 200; i++ {
 		p := RandomFeasible(rng, params)
@@ -207,14 +187,34 @@ func TestThresholdEvaluatorAndRandomFeasible(t *testing.T) {
 }
 
 func TestSearchTau0FindsNoWorse(t *testing.T) {
-	cfg := sim.SingleThreadConfig()
-	cfg.Warmup = 30_000
-	cfg.Measure = 100_000
-	ev := &ThresholdEvaluator{Cfg: cfg, Training: trainingSegs(2)}
+	// Best at τ0 = 100; the 64-step sweep can reach 128 at best.
+	dist := func(p core.Params) (float64, error) { return math.Abs(float64(p.Tau0 - 100)), nil }
 	params := core.SingleThreadParams()
-	base := ev.MPKI(params)
-	_, best := ev.SearchTau0(params, 0, 255, 64, nil)
-	if best > base {
-		t.Fatalf("tau0 sweep worsened MPKI: %.3f -> %.3f", base, best)
+	base, _ := dist(params)
+	tau, best, err := SearchTau0(dist, params, 0, 255, 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best > base || tau != 128 || best != 28 {
+		t.Fatalf("tau0 sweep found %d at %.0f from a base of %.0f; want 128 at 28", tau, best, base)
+	}
+}
+
+// TestSearchReturnsScoreError: each algorithm stops at the score's first
+// error and returns it.
+func TestSearchReturnsScoreError(t *testing.T) {
+	boom := errors.New("boom")
+	failSet := func([]core.Feature) (float64, error) { return 0, boom }
+	failParams := func(core.Params) (float64, error) { return 0, boom }
+	params := core.SingleThreadParams()
+	_, errRandom := RandomSearch(failSet, xrand.New(1), 3, 4, nil)
+	_, errClimb := HillClimb(failSet, xrand.New(1), ScoredSet{Features: RandomSet(xrand.New(1), 4)}, 3, 3, nil)
+	_, _, errTau0 := SearchTau0(failParams, params, 0, 255, 64, nil)
+	_, _, errThresholds := SearchThresholds(failParams, xrand.New(1), params, 3, nil)
+	for name, err := range map[string]error{"RandomSearch": errRandom, "HillClimb": errClimb,
+		"SearchTau0": errTau0, "SearchThresholds": errThresholds} {
+		if !errors.Is(err, boom) {
+			t.Errorf("%s returned %v, want the score's error", name, err)
+		}
 	}
 }

@@ -1,18 +1,7 @@
 package search
 
 import (
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-
-	"mpppb/internal/cache"
 	"mpppb/internal/core"
-	"mpppb/internal/journal"
-	"mpppb/internal/parallel"
-	"mpppb/internal/sim"
-	"mpppb/internal/workload"
 	"mpppb/internal/xrand"
 )
 
@@ -22,77 +11,22 @@ import (
 // feasible combinations of these values and selecting the combination
 // yielding the minimum average MPKI."
 
-// ThresholdEvaluator measures average MPKI of an MPPPB parameterization
-// over training segments with the fast simulator. Ctx and Journal behave
-// as on Evaluator: cancellation panics with a wrapped context error, and
-// journaled parameterizations (keyed by ParamsKey) replay from disk.
-type ThresholdEvaluator struct {
-	Cfg      sim.Config
-	Training []workload.SegmentID
-	Ctx      context.Context
-	Journal  *journal.Journal
-	Evals    int
-}
-
-func (e *ThresholdEvaluator) ctx() context.Context {
-	if e.Ctx == nil {
-		return context.Background()
-	}
-	return e.Ctx
-}
-
-// ParamsKey is the journal key of a parameterization's training-MPKI
-// evaluation: a short hash of the params' JSON form.
-func ParamsKey(params core.Params) string {
-	b, err := json.Marshal(params)
-	if err != nil {
-		panic("search: unmarshalable params: " + err.Error())
-	}
-	sum := sha256.Sum256(b)
-	return "tune/" + hex.EncodeToString(sum[:8])
-}
-
-// MPKI evaluates one parameterization. Training segments fan across the
-// worker pool and sum in order (see Evaluator.MPKI).
-func (e *ThresholdEvaluator) MPKI(params core.Params) float64 {
-	e.Evals += len(e.Training)
-	key := ParamsKey(params)
-	var memo float64
-	if ok, err := e.Journal.Load(key, &memo); err != nil {
-		panic(fmt.Errorf("search: %w", err))
-	} else if ok {
-		return memo
-	}
-	mpkis, err := parallel.MapCtx(e.ctx(), 0, len(e.Training), func(_ context.Context, i int) (float64, error) {
-		gen := workload.NewGenerator(e.Training[i], workload.CoreBase(0))
-		res := sim.RunFastMPKI(e.Cfg, gen, func(sets, ways int) cache.ReplacementPolicy {
-			return core.NewMPPPB(sets, ways, params)
-		})
-		return res.MPKI, nil
-	})
-	if err != nil {
-		panic(fmt.Errorf("search: %w", err))
-	}
-	var sum float64
-	for _, m := range mpkis {
-		sum += m
-	}
-	avg := sum / float64(len(e.Training))
-	if err := e.Journal.Record(key, avg); err != nil {
-		panic(fmt.Errorf("search: %w", err))
-	}
-	return avg
-}
-
 // SearchTau0 exhaustively sweeps the bypass threshold over [lo, hi] with
 // the given step, holding the other parameters fixed, and returns the best
 // value and its MPKI.
-func (e *ThresholdEvaluator) SearchTau0(params core.Params, lo, hi, step int, progress func(tau0 int, mpki float64)) (int, float64) {
-	bestTau, bestMPKI := params.Tau0, e.MPKI(params)
+func SearchTau0(score func(core.Params) (float64, error), params core.Params, lo, hi, step int, progress func(tau0 int, mpki float64)) (int, float64, error) {
+	bestTau := params.Tau0
+	bestMPKI, err := score(params)
+	if err != nil {
+		return 0, 0, err
+	}
 	for t := lo; t <= hi; t += step {
 		p := params
 		p.Tau0 = t
-		m := e.MPKI(p)
+		m, err := score(p)
+		if err != nil {
+			return 0, 0, err
+		}
 		if progress != nil {
 			progress(t, m)
 		}
@@ -100,7 +34,7 @@ func (e *ThresholdEvaluator) SearchTau0(params core.Params, lo, hi, step int, pr
 			bestTau, bestMPKI = t, m
 		}
 	}
-	return bestTau, bestMPKI
+	return bestTau, bestMPKI, nil
 }
 
 // maxPosition returns the largest valid placement position for the default
@@ -137,11 +71,18 @@ func RandomFeasible(rng *xrand.RNG, params core.Params) core.Params {
 
 // SearchThresholds runs the random feasible-combination search and returns
 // the best parameterization found.
-func SearchThresholds(e *ThresholdEvaluator, rng *xrand.RNG, start core.Params, n int, progress func(i int, best float64)) (core.Params, float64) {
-	best, bestMPKI := start, e.MPKI(start)
+func SearchThresholds(score func(core.Params) (float64, error), rng *xrand.RNG, start core.Params, n int, progress func(i int, best float64)) (core.Params, float64, error) {
+	best := start
+	bestMPKI, err := score(start)
+	if err != nil {
+		return best, 0, err
+	}
 	for i := 0; i < n; i++ {
 		cand := RandomFeasible(rng, best)
-		m := e.MPKI(cand)
+		m, err := score(cand)
+		if err != nil {
+			return best, 0, err
+		}
 		if m < bestMPKI {
 			best, bestMPKI = cand, m
 		}
@@ -149,5 +90,5 @@ func SearchThresholds(e *ThresholdEvaluator, rng *xrand.RNG, start core.Params, 
 			progress(i, bestMPKI)
 		}
 	}
-	return best, bestMPKI
+	return best, bestMPKI, nil
 }
