@@ -18,11 +18,12 @@ test: vet
 	$(GO) test -shuffle=on ./...
 	$(GO) test -tags verify ./internal/cache ./internal/verify
 
-# Race-detector pass over the concurrent packages: the worker pool, the
-# single-flight caches, the experiment drivers that fan across them, the
-# observability layer their workers all update, the advice server's
-# concurrent client soak, and the core package whose adaptive-duel
-# gauges those concurrent workers now publish.
+# Race-detector pass over the concurrent packages (CI's race job runs
+# this target): the worker pool, the single-flight caches, the experiment
+# drivers that fan across them, the observability layer their workers all
+# update, the advice server's concurrent client soak, the fleet
+# coordinator/worker lease machinery, and the core package whose
+# adaptive-duel gauges those concurrent workers now publish.
 race:
 	$(GO) test -race ./internal/parallel ./internal/sim ./internal/experiments ./internal/obs ./internal/serve ./internal/fleet ./internal/core
 

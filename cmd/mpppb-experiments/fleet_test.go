@@ -18,13 +18,14 @@ import (
 	"mpppb/internal/experiments"
 	"mpppb/internal/fleet"
 	"mpppb/internal/journal"
+	"mpppb/internal/obs"
 	"mpppb/internal/sim"
 )
 
 // fleetSplit runs render twice at once: as the coordinator of a fresh
 // board journaling under fp, and as a worker leasing from it. computed,
-// when non-nil, sees the key of every cell the worker computes. render
-// must be goroutine-safe (no t.Fatal).
+// when non-nil, then sees the key of every cell the worker computed, as
+// its /status shows them. render must be goroutine-safe (no t.Fatal).
 func fleetSplit[T any](t *testing.T, fp journal.Fingerprint, computed func(key string), render func(dir string, opts *experiments.Run) (T, error)) (coord, worker T) {
 	t.Helper()
 	jrnl, err := journal.Create(filepath.Join(t.TempDir(), "run.journal"), fp)
@@ -39,15 +40,7 @@ func fleetSplit[T any](t *testing.T, fp journal.Fingerprint, computed func(key s
 	srv := httptest.NewServer(mux)
 	defer func() { srv.Close(); board.Close(); jrnl.Close() }()
 
-	cfg := fleet.WorkerConfig{URL: srv.URL, ID: "w0", Fingerprint: fp, Workers: 2, Poll: 5 * time.Millisecond}
-	if computed != nil {
-		cfg.Progress = func(key string, err error) {
-			if err == nil {
-				computed(key)
-			}
-		}
-	}
-	wk, err := fleet.NewWorker(cfg)
+	wk, err := fleet.NewWorker(fleet.WorkerConfig{URL: srv.URL, ID: "w0", Fingerprint: fp, Workers: 2, Poll: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +49,7 @@ func fleetSplit[T any](t *testing.T, fp journal.Fingerprint, computed func(key s
 	defer cancel()
 	var wg sync.WaitGroup
 	var coordErr, workerErr error
+	status := obs.NewRunStatus("worker")
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
@@ -63,7 +57,7 @@ func fleetSplit[T any](t *testing.T, fp journal.Fingerprint, computed func(key s
 	}()
 	go func() {
 		defer wg.Done()
-		worker, workerErr = render(t.TempDir(), &experiments.Run{Ctx: ctx, FleetWorker: wk})
+		worker, workerErr = render(t.TempDir(), &experiments.Run{Ctx: ctx, FleetWorker: wk, Status: status})
 	}()
 	wg.Wait()
 	if coordErr != nil {
@@ -71,6 +65,13 @@ func fleetSplit[T any](t *testing.T, fp journal.Fingerprint, computed func(key s
 	}
 	if workerErr != nil {
 		t.Fatalf("fleet worker: %v", workerErr)
+	}
+	if computed != nil {
+		for key, state := range status.Snapshot().Cells {
+			if state == obs.CellOK {
+				computed(key)
+			}
+		}
 	}
 	return coord, worker
 }

@@ -56,6 +56,9 @@ func TestCLIBadInput(t *testing.T) {
 	clitest.Refused(t, "table3-segments", "-id", "table3", "-table3-segments", "0")
 	// Parses, but τ1 < τ2 < τ3 breaks the descending-threshold invariant.
 	clitest.Refused(t, "duel", "-id", "figadapt", "-duel", "48,-98,-68,-38,122,15,13,11,13;0,-9,-38,-117,42,15,6,0,0")
+	// Workers treat a lease deadline under 100ms as 100ms.
+	clitest.Refused(t, "lease-ttl", "-id", "table1", "-coordinator", "-listen", "127.0.0.1:0", "-lease-ttl", "3ns")
+	clitest.Refused(t, "lease-ttl", "-id", "table1", "-coordinator", "-listen", "127.0.0.1:0", "-lease-ttl", "-5s")
 }
 
 // TestCLIFlags pins the flag surface: the parent's flags, less -task-timeout

@@ -35,6 +35,8 @@ func TestBadInput(t *testing.T) {
 	clitest.Refused(t, "coordinator", "-coordinator")
 	clitest.Refused(t, "coordinator", "-coordinator", "-worker", "127.0.0.1:1")
 	clitest.Refused(t, "worker", "-worker", "127.0.0.1:1", "-journal", "x")
+	clitest.Refused(t, "lease-ttl", "-coordinator", "-listen", "127.0.0.1:0", "-lease-ttl", "3ns")
+	clitest.Refused(t, "lease-ttl", "-coordinator", "-listen", "127.0.0.1:0", "-lease-ttl", "-5s")
 }
 
 // TestFlags pins the flag surface: the parent's flags, less -task-timeout

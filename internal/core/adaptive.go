@@ -128,14 +128,6 @@ func (p Params) Thresholds() ThresholdSet {
 	}
 }
 
-// WithThresholds returns a copy of the params with the decision thresholds
-// replaced by t.
-func (p Params) WithThresholds(t ThresholdSet) Params {
-	p.Tau0, p.Tau1, p.Tau2, p.Tau3, p.Tau4 = t.Tau0, t.Tau1, t.Tau2, t.Tau3, t.Tau4
-	p.Pi, p.PromotePos = t.Pi, t.PromotePos
-	return p
-}
-
 // DuelConfig configures adaptive threshold set-dueling on an Advisor (and
 // therefore on MPPPB and the serving layer, which both build on it). The
 // zero value selects defaults: DefaultDuelCandidates for the params'

@@ -24,15 +24,16 @@ import (
 	"mpppb/internal/workload"
 )
 
-// Cell-grid metrics: one observation per cell, fed by RunCells — the
-// single choke point every experiment driver funnels through.
+// Cell-grid metrics: one observation per cell, recorded by the ledger of
+// RunCells — the single choke point every experiment driver funnels
+// through.
 var (
 	mCellsDeclared = obs.Default().Gauge("mpppb_experiments_cells_total",
 		"grid cells declared by the experiment drivers this run")
 	mCellsComputed = obs.Default().Counter("mpppb_experiments_cells_computed_total",
 		"cells computed to completion (excludes journal hits)")
 	mCellsJournal = obs.Default().Counter("mpppb_experiments_cells_journal_total",
-		"cells served from the checkpoint journal instead of recomputed")
+		"cells served instead of computed: from the checkpoint journal, or on a fleet worker from the coordinator")
 	mCellsFailed = obs.Default().Counter("mpppb_experiments_cells_failed_total",
 		"cells that failed and render as NaN")
 	mCellSeconds = obs.Default().Histogram("mpppb_experiments_cell_seconds",
@@ -44,8 +45,8 @@ var (
 // Progress receives human-readable status lines; nil disables reporting.
 // The experiment drivers fan work across goroutines (see -j on the cmd
 // tools), so the callback must tolerate being invoked from any goroutine;
-// the drivers serialize calls through a tracker, so the callback itself
-// never runs concurrently with itself and completion counts it sees are
+// a grid's ledger serializes its calls, so the callback itself never runs
+// concurrently with itself and the completion counts it sees are
 // monotonic.
 type Progress func(format string, args ...any)
 
@@ -55,44 +56,20 @@ func (p Progress) log(format string, args ...any) {
 	}
 }
 
-// tracker adapts a Progress callback for use from pool workers: calls are
-// serialized under a mutex and each carries a completed/total counter that
-// increases monotonically regardless of the order workers finish in.
-type tracker struct {
-	mu    sync.Mutex
-	p     Progress
-	done  int
-	total int
-}
-
-// tracker wraps p for total units of concurrent work.
-func (p Progress) tracker(total int) *tracker {
-	return &tracker{p: p, total: total}
-}
-
-// step records one completed unit and logs it with the running count.
-func (t *tracker) step(format string, args ...any) {
-	if t.p == nil {
-		return
-	}
-	t.mu.Lock()
-	t.done++
-	t.p("%s (%d/%d done)", fmt.Sprintf(format, args...), t.done, t.total)
-	t.mu.Unlock()
-}
-
 // Run carries the execution policy for one experiment invocation:
 // cancellation, checkpointing, pool sizing, failure handling, duel
 // candidates and progress reporting. A nil *Run means "all defaults" —
-// background context, no journal, default pool, fail-fast, default duel,
-// silent.
+// background context, no journal, GOMAXPROCS workers, fail-fast, default
+// duel, silent.
 type Run struct {
 	// Ctx cancels the run: dispatch of new cells stops, in-flight cells
 	// finish (and are journaled), and the experiment returns Ctx's error.
 	Ctx context.Context
 	// Journal checkpoints completed cells; nil disables.
 	Journal *journal.Journal
-	// Workers overrides the pool width; 0 uses parallel.Default (-j).
+	// Workers is the pool width for cells computed in this process (the
+	// cmd tools' -j); 0 means runtime.GOMAXPROCS(0). A fleet worker's
+	// width is its WorkerConfig.Workers.
 	Workers int
 	// Duel, when non-nil, replaces the candidates the mpppb-adaptive
 	// policies duel (the -duel flag; see sim.PolicyWith).
@@ -110,7 +87,7 @@ type Run struct {
 	// Status, when non-nil, receives the live cell-grid manifest (the
 	// /status endpoint of the cmd tools' -listen flag): cells are declared
 	// as grids are built and transition pending → running → ok/journal/
-	// failed as workers report.
+	// failed as their outcomes reach the grid's ledger.
 	Status *obs.RunStatus
 	// Fleet, when non-nil, makes this process a campaign coordinator:
 	// cells are declared on the board and computed by remote workers
@@ -134,32 +111,11 @@ type CellFailure struct {
 	Err error
 }
 
-func (r *Run) ctx() context.Context {
-	if r == nil || r.Ctx == nil {
-		return context.Background()
-	}
-	return r.Ctx
-}
-
-func (r *Run) jrnl() *journal.Journal {
-	if r == nil {
-		return nil
-	}
-	return r.Journal
-}
-
 func (r *Run) prog() Progress {
 	if r == nil {
 		return nil
 	}
 	return r.Progress
-}
-
-func (r *Run) status() *obs.RunStatus {
-	if r == nil {
-		return nil
-	}
-	return r.Status
 }
 
 func (r *Run) keepGoing() bool { return r != nil && r.KeepGoing }
@@ -182,13 +138,6 @@ func (r *Run) geoMean(xs []float64) float64 {
 	return gm
 }
 
-func (r *Run) popts() parallel.RunOpts {
-	if r == nil {
-		return parallel.RunOpts{}
-	}
-	return parallel.RunOpts{Workers: r.Workers, KeepGoing: r.KeepGoing}
-}
-
 // mustPolicy resolves a policy name the caller has already validated,
 // with the run's duel candidates applied.
 func (r *Run) mustPolicy(name string) sim.PolicyFactory {
@@ -201,15 +150,6 @@ func (r *Run) mustPolicy(name string) sim.PolicyFactory {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	return pf
-}
-
-func (r *Run) addFailure(key string, err error) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.failures = append(r.failures, CellFailure{Key: key, Err: err})
-	r.mu.Unlock()
 }
 
 // Failures returns the cells that failed permanently during this Run, in
@@ -226,151 +166,152 @@ func (r *Run) Failures() []CellFailure {
 // RunCells executes one cell grid: for each key, either serve the cell
 // from the journal or compute and journal it, fanning across the pool per
 // the Run's options — or, under Run.Fleet or Run.FleetWorker, across a
-// fleet. It is the single choke point where checkpointing, live status
-// and failure accounting meet, so every experiment driver and batch tool
-// gets identical fault semantics. It returns each cell's value, each
-// cell's error (a failed cell under KeepGoing), and the run's error.
-// Cancellation errors are never recorded as cell failures — an
-// interrupted cell is simply absent and recomputes on resume.
+// fleet. The role decides only where each cell's outcome comes from; one
+// ledger records every outcome, so every experiment driver and batch tool
+// gets identical checkpointing, live status and failure accounting. It
+// returns each cell's value, each cell's error (a failed cell under
+// KeepGoing), and the run's error. Fleet values arrive as the JSON a
+// worker uploaded and decode into T exactly as a -resume run decodes its
+// journal, so fleet tables are byte-identical to local ones.
 func RunCells[T any](r *Run, keys []string, compute func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
-	if r != nil && r.Fleet != nil {
-		return runCellsCoordinator[T](r, keys)
+	if r == nil {
+		r = &Run{}
 	}
-	if r != nil && r.FleetWorker != nil {
-		return runCellsWorker(r, keys, compute)
+	ctx := r.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	trk := r.prog().tracker(len(keys))
-	st := r.status()
-	st.AddCells(keys...)
-	mCellsDeclared.Add(int64(len(keys)))
-	j := r.jrnl()
-	results, errs, err := parallel.MapErr(r.ctx(), r.popts(), len(keys), func(ctx context.Context, i int) (T, error) {
+	l := r.ledger(keys)
+	st, j := r.Status, r.Journal
+	record := func(key string, v T) error { return j.Record(key, v) }
+	if r.FleetWorker != nil {
+		// A worker keeps a value by uploading it, so a value that cannot
+		// be encoded fails here, as it would fail a journal.
+		record = func(_ string, v T) error {
+			_, err := json.Marshal(v)
+			return err
+		}
+	}
+	// cell computes (or serves) one cell in this process: in the local
+	// pool, or as a fleet worker's leased cell.
+	cell := func(ctx context.Context, i int) (T, error) {
 		var v T
 		st.CellRunning(keys[i])
-		if ok, lerr := j.Load(keys[i], &v); lerr != nil {
-			return v, lerr
-		} else if ok {
-			st.CellDone(keys[i], obs.CellJournal, 0)
-			mCellsJournal.Inc()
-			trk.step("%s (from journal)", keys[i])
-			return v, nil
+		if ok, err := j.Load(keys[i], &v); err != nil || ok {
+			if ok {
+				l.settle(i, obs.CellJournal, 0, nil)
+			}
+			return v, err
 		}
 		t0 := time.Now()
-		v, cerr := compute(ctx, i)
-		if cerr != nil {
-			// Failures are settled below, after MapErr returns.
-			return v, cerr
+		v, err := compute(ctx, i)
+		if err == nil {
+			err = record(keys[i], v)
 		}
-		if rerr := j.Record(keys[i], v); rerr != nil {
-			return v, rerr
+		if err == nil {
+			l.settle(i, obs.CellOK, time.Since(t0), nil)
 		}
-		elapsed := time.Since(t0)
-		st.CellDone(keys[i], obs.CellOK, elapsed)
-		mCellsComputed.Inc()
-		mCellSeconds.Observe(elapsed.Seconds())
-		trk.step("%s", keys[i])
-		return v, nil
-	})
+		return v, err
+	}
+
+	var results []T
+	var raws []json.RawMessage
+	var errs []error
+	var err error
+	switch {
+	case r.Fleet != nil:
+		raws, errs, err = fleet.Coordinate(ctx, r.Fleet, keys, l.settle)
+	case r.FleetWorker != nil:
+		raws, errs, err = r.FleetWorker.Run(ctx, keys, func(ctx context.Context, i int) (any, error) {
+			return cell(ctx, i)
+		})
+	default:
+		results, errs, err = parallel.MapErr(ctx, parallel.RunOpts{Workers: r.Workers, KeepGoing: r.KeepGoing}, len(keys), cell)
+	}
+	if raws != nil {
+		results = make([]T, len(keys))
+		for i, raw := range raws {
+			if raw == nil {
+				continue
+			}
+			if uerr := json.Unmarshal(raw, &results[i]); uerr != nil {
+				return results, errs, fmt.Errorf("fleet: decode %s: %w", keys[i], uerr)
+			}
+		}
+	}
+	// Settle what the role returned without settling: failed cells, and on
+	// a fleet worker the cells other workers computed.
 	for i, e := range errs {
-		if e == nil || errors.Is(e, context.Canceled) {
-			continue
+		if e != nil {
+			l.settle(i, obs.CellFailed, 0, e)
+		} else if raws != nil && raws[i] != nil {
+			l.settle(i, obs.CellJournal, 0, nil)
 		}
-		j.RecordFailure(keys[i], e)
-		r.addFailure(keys[i], e)
-		st.CellDone(keys[i], obs.CellFailed, 0)
-		mCellsFailed.Inc()
 	}
 	return results, errs, err
 }
 
-// runCellsCoordinator runs one grid in fleet-coordinator mode: declare the
-// cells on the board, serve journal hits, and wait for workers to lease
-// and complete the rest. Results arrive as the raw JSON the worker
-// uploaded (already merged into the journal by the board) and decode into
-// T exactly as a -resume run decodes its journal — the same losslessness
-// contract, so fleet tables are byte-identical to local ones.
-func runCellsCoordinator[T any](r *Run, keys []string) ([]T, []error, error) {
-	trk := r.prog().tracker(len(keys))
-	st := r.status()
-	st.AddCells(keys...)
-	mCellsDeclared.Add(int64(len(keys)))
-	raws, errs, runErr := fleet.Coordinate(r.ctx(), r.Fleet, keys, func(i int, key string, fromJournal bool, cellErr error) {
-		switch {
-		case cellErr != nil:
-		case fromJournal:
-			mCellsJournal.Inc()
-			trk.step("%s (from journal)", key)
-		default:
-			mCellsComputed.Inc()
-			trk.step("%s (fleet)", key)
-		}
-	})
-	results := make([]T, len(keys))
-	for i, raw := range raws {
-		if errs[i] != nil || raw == nil {
-			continue
-		}
-		if uerr := json.Unmarshal(raw, &results[i]); uerr != nil {
-			errs[i] = fmt.Errorf("fleet: decode %s: %w", keys[i], uerr)
-		}
-	}
-	settleFailures(r, keys, errs)
-	return results, errs, runErr
+// ledger records the outcomes of one RunCells grid.
+type ledger struct {
+	r       *Run
+	keys    []string
+	mu      sync.Mutex
+	settled []bool
+	done    int
 }
 
-// runCellsWorker runs one grid in fleet-worker mode: lease cells from the
-// coordinator, compute them locally, upload results, and — once the
-// coordinator reports the grid drained — fetch every cell so this process
-// can emit the same tables the coordinator does. No local journal is written; the coordinator owns it.
-func runCellsWorker[T any](r *Run, keys []string, compute func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
-	trk := r.prog().tracker(len(keys))
-	st := r.status()
-	st.AddCells(keys...)
+// ledger declares keys as one grid: on /status and in the cell metrics.
+func (r *Run) ledger(keys []string) *ledger {
+	r.Status.AddCells(keys...)
 	mCellsDeclared.Add(int64(len(keys)))
-	raws, errs, runErr := r.FleetWorker.Run(r.ctx(), keys, func(ctx context.Context, i int) (any, error) {
-		t0 := time.Now()
-		v, cerr := compute(ctx, i)
-		if cerr != nil {
-			return v, cerr
-		}
-		elapsed := time.Since(t0)
+	return &ledger{r: r, keys: keys, settled: make([]bool, len(keys))}
+}
+
+// settle records cell i's outcome, once: state obs.CellOK for a cell
+// computed for this grid (elapsed is its compute time), obs.CellJournal
+// for one served instead (from the journal, or on a fleet worker from the
+// coordinator's grid), or obs.CellFailed with the cell's error. It is the
+// only writer of a cell's terminal /status state and compute time, the
+// mpppb_experiments_cells_* counters and cell_seconds histogram, the
+// per-cell progress line, the journal's FAILED record and the run's
+// failure list. A later outcome for a settled cell is ignored, and so is
+// a cancellation: an interrupted cell is simply absent and recomputes on
+// resume.
+func (l *ledger) settle(i int, state obs.CellState, elapsed time.Duration, err error) {
+	if errors.Is(err, context.Canceled) {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.settled[i] {
+		return
+	}
+	l.settled[i] = true
+	l.done++
+	r, key, how := l.r, l.keys[i], ""
+	r.Status.CellDone(key, state, elapsed)
+	switch {
+	case state == obs.CellFailed:
+		mCellsFailed.Inc()
+		r.Journal.RecordFailure(key, err)
+		r.mu.Lock()
+		r.failures = append(r.failures, CellFailure{Key: key, Err: err})
+		r.mu.Unlock()
+		how = " FAILED"
+	case state == obs.CellJournal && r.FleetWorker != nil:
+		mCellsJournal.Inc()
+		how = " (from coordinator)"
+	case state == obs.CellJournal:
+		mCellsJournal.Inc()
+		how = " (from journal)"
+	default:
 		mCellsComputed.Inc()
 		mCellSeconds.Observe(elapsed.Seconds())
-		trk.step("%s", keys[i])
-		return v, nil
-	})
-	if runErr != nil && len(raws) == 0 {
-		return nil, nil, runErr
-	}
-	results := make([]T, len(keys))
-	for i, raw := range raws {
-		if errs[i] != nil || raw == nil {
-			continue
-		}
-		if uerr := json.Unmarshal(raw, &results[i]); uerr != nil {
-			errs[i] = fmt.Errorf("fleet: decode %s: %w", keys[i], uerr)
+		if r.Fleet != nil {
+			how = " (fleet)"
 		}
 	}
-	settleFailures(r, keys, errs)
-	return results, errs, runErr
-}
-
-// settleFailures records permanent cell failures after a fleet grid
-// resolves: the Run's failure list, the /status manifest, and the journal
-// (coordinator only; a worker's jrnl() is nil). Cancellations are not
-// failures — those cells recompute on resume.
-func settleFailures(r *Run, keys []string, errs []error) {
-	j := r.jrnl()
-	st := r.status()
-	for i, e := range errs {
-		if e == nil || errors.Is(e, context.Canceled) {
-			continue
-		}
-		j.RecordFailure(keys[i], e)
-		r.addFailure(keys[i], e)
-		st.CellDone(keys[i], obs.CellFailed, 0)
-		mCellsFailed.Inc()
-	}
+	r.Progress.log("%s%s (%d/%d done)", key, how, l.done, len(l.keys))
 }
 
 // DefaultSingleThreadPolicies are the realistic policies compared in the

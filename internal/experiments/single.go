@@ -54,7 +54,7 @@ type segCell struct {
 
 // SingleThread runs the single-thread evaluation: every benchmark segment
 // under LRU, MIN, and the given policies. Segments are independent, so
-// they fan across the worker pool (parallel.Default, the cmd tools' -j);
+// they fan across the worker pool (Run.Workers, the cmd tools' -j);
 // per-segment results merge back in suite order, making the table
 // byte-identical at any worker count — including runs that were
 // interrupted and resumed from r's journal.

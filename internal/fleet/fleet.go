@@ -18,6 +18,12 @@
 // completion arriving after its lease expired is still merged (first
 // completion wins; later duplicates are dropped idempotently), while a
 // malformed or truncated payload is refused outright.
+//
+// The board and the worker record no cell outcomes themselves. Coordinate
+// hands each outcome to its caller's settle function as it arrives, and a
+// worker's cells are recorded by the compute function it runs and the grid
+// it returns; experiments.RunCells keeps the one ledger of both. The board
+// itself shows only lease holders in /status (cell_leases).
 package fleet
 
 import (
@@ -35,6 +41,11 @@ import (
 // DefaultTTL is the lease heartbeat deadline when BoardConfig leaves it
 // zero. Workers renew at a third of it.
 const DefaultTTL = 15 * time.Second
+
+// MinTTL is the shortest lease deadline a worker honours: it treats any
+// shorter one as MinTTL, so a coordinator cannot make workers heartbeat
+// in a busy loop. The -lease-ttl flag refuses values below it.
+const MinTTL = 100 * time.Millisecond
 
 // ErrFingerprint is returned (and served as HTTP 409) when a worker's
 // fingerprint does not match the coordinator's: a worker built from a
@@ -84,6 +95,7 @@ type boardCell struct {
 	worker   string
 	granted  time.Time
 	deadline time.Time
+	elapsed  time.Duration // lease grant to accepted completion
 	value    json.RawMessage
 	errMsg   string
 	errFrom  string
@@ -98,8 +110,9 @@ type BoardConfig struct {
 	// campaign checkpoints and resumes exactly like a local one; nil
 	// disables persistence.
 	Journal *journal.Journal
-	// Status, when non-nil, mirrors cell lease/terminal state into the
-	// /status manifest.
+	// Status, when non-nil, shows which worker holds each leased cell
+	// (cell_leases in /status) and returns expired cells to pending. Cell
+	// outcomes reach it through the settle function Coordinate reports to.
 	Status *obs.RunStatus
 	// TTL is the lease heartbeat deadline; 0 means DefaultTTL.
 	TTL time.Duration
@@ -152,7 +165,7 @@ func (b *Board) Close() {
 // TTL returns the board's lease deadline.
 func (b *Board) TTL() time.Duration { return b.cfg.TTL }
 
-// broadcast wakes every Await/drain waiter. Callers hold b.mu.
+// broadcast wakes every Coordinate waiter. Callers hold b.mu.
 func (b *Board) broadcast() {
 	close(b.changed)
 	b.changed = make(chan struct{})
@@ -248,7 +261,7 @@ func (b *Board) Add(keys ...string) {
 // CompleteLocal records a terminal value the coordinator already has — a
 // journal hit on resume — so workers see the cell as done and fetch its
 // value like any other. It never re-journals.
-func (b *Board) CompleteLocal(key string, raw json.RawMessage, fromJournal bool) {
+func (b *Board) CompleteLocal(key string, raw json.RawMessage) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c, ok := b.cells[key]
@@ -256,17 +269,13 @@ func (b *Board) CompleteLocal(key string, raw json.RawMessage, fromJournal bool)
 		c = &boardCell{}
 		b.cells[key] = c
 		b.order = append(b.order, key)
+		b.settled = map[string]bool{}
 	}
 	if c.status == cellDone || c.status == cellFailed {
 		return
 	}
 	c.status = cellDone
 	c.value = raw
-	if fromJournal {
-		b.cfg.Status.CellDone(key, obs.CellJournal, 0)
-	} else {
-		b.cfg.Status.CellDone(key, obs.CellOK, 0)
-	}
 	b.broadcast()
 }
 
@@ -369,14 +378,12 @@ func (b *Board) Complete(worker, key string, leaseID uint64, raw json.RawMessage
 		mRefusedResults.Inc()
 		return err
 	}
-	elapsed := time.Duration(0)
 	if !c.granted.IsZero() {
-		elapsed = time.Since(c.granted)
+		c.elapsed = time.Since(c.granted)
 	}
 	c.status = cellDone
 	c.value = append(json.RawMessage(nil), raw...)
 	mCompletions.Inc()
-	b.cfg.Status.CellDone(key, obs.CellOK, elapsed)
 	b.broadcast()
 	return nil
 }
@@ -402,7 +409,6 @@ func (b *Board) Fail(worker, key string, leaseID uint64, msg string, fp journal.
 	c.errMsg = msg
 	c.errFrom = worker
 	mCellFailures.Inc()
-	b.cfg.Status.CellDone(key, obs.CellFailed, 0)
 	b.broadcast()
 	return nil
 }
@@ -486,69 +492,72 @@ func (b *Board) SettleWorkers(ctx context.Context, grace time.Duration) {
 	}
 }
 
-// Await blocks until key is terminal, returning its raw value or its
-// failure. The wait is passive — leasing and completion proceed entirely
-// in the HTTP handlers — so any number of Awaits cost nothing.
-func (b *Board) Await(ctx context.Context, key string) (json.RawMessage, error) {
-	for {
-		b.mu.Lock()
-		c, ok := b.cells[key]
-		if ok {
-			switch c.status {
-			case cellDone:
-				v := c.value
-				b.mu.Unlock()
-				return v, nil
-			case cellFailed:
-				e := &CellError{Key: key, Worker: c.errFrom, Msg: c.errMsg}
-				b.mu.Unlock()
-				return nil, e
-			}
-		}
-		ch := b.changed
-		b.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-ch:
-		}
-	}
-}
-
 // Coordinate runs one grid through the board: every key is declared
 // leasable, journal hits complete immediately (served exactly as -resume
-// serves them locally), and the rest wait for workers. It returns
-// MapErr-shaped results: per-key raw values, per-key errors for cells the
-// fleet failed permanently, and a run error only on cancellation.
-// progress, when non-nil, is called once per key as it resolves, with
-// fromJournal set for journal hits and err set for permanent failures.
-func Coordinate(ctx context.Context, b *Board, keys []string, progress func(i int, key string, fromJournal bool, err error)) ([]json.RawMessage, []error, error) {
-	b.Add(keys...)
+// serves them locally), and the rest wait for workers. settle receives
+// each cell's outcome once, as it arrives: its index in keys, its state
+// (obs.CellJournal for a journal hit, obs.CellOK for a worker's result,
+// obs.CellFailed for a failure a worker reported), the time from lease
+// grant to completion, and a failure's *CellError; nil settles nothing.
+// Coordinate returns MapErr-shaped results: per-key raw values, per-key
+// errors for cells the fleet failed permanently, and a run error only on
+// cancellation.
+func Coordinate(ctx context.Context, b *Board, keys []string, settle func(i int, state obs.CellState, elapsed time.Duration, err error)) ([]json.RawMessage, []error, error) {
+	// Journal hits go on the board first, so no worker can lease one.
 	served := make([]bool, len(keys))
 	for i, k := range keys {
 		if raw, ok := b.cfg.Journal.LoadRaw(k); ok {
-			b.CompleteLocal(k, raw, true)
+			b.CompleteLocal(k, raw)
 			served[i] = true
 		}
 	}
+	b.Add(keys...)
 	raws := make([]json.RawMessage, len(keys))
 	errs := make([]error, len(keys))
-	for i, k := range keys {
-		raw, err := b.Await(ctx, k)
-		if err != nil {
-			var ce *CellError
-			if errors.As(err, &ce) {
-				errs[i] = err
-				if progress != nil {
-					progress(i, k, false, err)
-				}
+	settled := make([]bool, len(keys))
+	type outcome struct {
+		i       int
+		state   obs.CellState
+		elapsed time.Duration
+	}
+	left := len(keys)
+	for left > 0 {
+		// Collect the cells that turned terminal since the last pass, then
+		// settle them outside the board's lock.
+		var ready []outcome
+		b.mu.Lock()
+		for i, k := range keys {
+			c := b.cells[k]
+			if settled[i] || (c.status != cellDone && c.status != cellFailed) {
 				continue
 			}
-			return raws, errs, err // cancellation
+			settled[i] = true
+			switch {
+			case c.status == cellDone && served[i]:
+				raws[i] = c.value
+				ready = append(ready, outcome{i, obs.CellJournal, 0})
+			case c.status == cellDone:
+				raws[i] = c.value
+				ready = append(ready, outcome{i, obs.CellOK, c.elapsed})
+			default:
+				errs[i] = &CellError{Key: k, Worker: c.errFrom, Msg: c.errMsg}
+				ready = append(ready, outcome{i, obs.CellFailed, 0})
+			}
 		}
-		raws[i] = raw
-		if progress != nil {
-			progress(i, k, served[i], nil)
+		changed := b.changed
+		b.mu.Unlock()
+		for _, o := range ready {
+			if settle != nil {
+				settle(o.i, o.state, o.elapsed, errs[o.i])
+			}
+		}
+		if left -= len(ready); left == 0 {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			return raws, errs, ctx.Err()
+		case <-changed:
 		}
 	}
 	return raws, errs, nil

@@ -150,8 +150,8 @@ func TestCoordinateServesJournal(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	fromJ := 0
-	raws, errs, err := Coordinate(ctx, b, keys, func(_ int, _ string, fromJournal bool, _ error) {
-		if fromJournal {
+	raws, errs, err := Coordinate(ctx, b, keys, func(_ int, state obs.CellState, _ time.Duration, _ error) {
+		if state == obs.CellJournal {
 			fromJ++
 		}
 	})
@@ -331,8 +331,8 @@ func TestWorkerDiesMidCampaign(t *testing.T) {
 }
 
 // TestFailRetryBudget: the board keeps no retry budget — a reported
-// failure is final, the cell is never leased again, and Await reports it
-// as a CellError naming the worker.
+// failure is final, the cell is never leased again, and Coordinate reports
+// it as a CellError naming the worker.
 func TestFailRetryBudget(t *testing.T) {
 	b, _, _ := newTestFleet(t, time.Second)
 	b.Add("x")
@@ -345,10 +345,10 @@ func TestFailRetryBudget(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	_, err := b.Await(ctx, "x")
+	_, errs, err := Coordinate(ctx, b, []string{"x"}, nil)
 	var ce *CellError
-	if !errors.As(err, &ce) || ce.Worker != "w" || ce.Msg != "broken" {
-		t.Fatalf("Await = %v, want the CellError from worker w", err)
+	if err != nil || !errors.As(errs[0], &ce) || ce.Worker != "w" || ce.Msg != "broken" {
+		t.Fatalf("Coordinate = %v, %v; want the CellError from worker w", errs, err)
 	}
 }
 
@@ -392,16 +392,13 @@ func TestWorkerReportsPermanentFailure(t *testing.T) {
 	}
 }
 
-// TestBoardStatusLeases: the /status manifest mirrors lease holders while
-// cells are out and clears them on completion.
+// TestBoardStatusLeases: the /status manifest shows lease holders while
+// cells are out, and Coordinate hands the completion to its settle
+// function as it arrives, which clears the lease. (No journal, so the
+// completion cannot reach Coordinate as a journal hit.)
 func TestBoardStatusLeases(t *testing.T) {
 	st := obs.NewRunStatus("test")
-	j, err := journal.Create(filepath.Join(t.TempDir(), "j"), testFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	b := NewBoard(BoardConfig{Fingerprint: testFP, Journal: j, Status: st, TTL: time.Second})
+	b := NewBoard(BoardConfig{Fingerprint: testFP, Status: st, TTL: time.Second})
 	defer b.Close()
 
 	st.AddCells("x")
@@ -414,15 +411,57 @@ func TestBoardStatusLeases(t *testing.T) {
 	if snap.Cells["x"] != obs.CellRunning {
 		t.Fatalf("cell state = %s, want running", snap.Cells["x"])
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	settled := make(chan struct{})
+	go func() {
+		defer close(settled)
+		Coordinate(ctx, b, []string{"x"}, func(_ int, state obs.CellState, elapsed time.Duration, _ error) {
+			st.CellDone("x", state, elapsed)
+		})
+	}()
 	if err := b.Complete("holder", "x", id, json.RawMessage(`{"n":1}`), testFP); err != nil {
 		t.Fatal(err)
 	}
+	<-settled
 	snap = st.Snapshot()
 	if len(snap.CellLeases) != 0 {
 		t.Fatalf("cell_leases after completion = %v, want empty", snap.CellLeases)
 	}
-	if snap.Cells["x"] != obs.CellOK {
-		t.Fatalf("cell state = %s, want ok", snap.Cells["x"])
+	if snap.Cells["x"] != obs.CellOK || snap.MeanCellSeconds <= 0 {
+		t.Fatalf("cell state = %s, mean %gs; want ok with its lease-to-completion time", snap.Cells["x"], snap.MeanCellSeconds)
+	}
+}
+
+// TestWorkerLanesAreNotTasks: a worker's lease loops are plain goroutines,
+// so the pool's task counter grows by one per cell it computes and by
+// nothing for its lanes.
+func TestWorkerLanesAreNotTasks(t *testing.T) {
+	b, _, srv := newTestFleet(t, time.Second)
+	keys := []string{"a", "b", "c", "d", "e"}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	started := obs.Default().Counter("mpppb_parallel_tasks_started_total", "")
+	before := started.Value()
+	coordDone := make(chan struct{})
+	go func() {
+		defer close(coordDone)
+		Coordinate(ctx, b, keys, nil)
+	}()
+	computed := 0
+	var mu sync.Mutex
+	w := newTestWorker(t, srv.URL, "w", 2)
+	if _, _, err := w.Run(ctx, keys, func(_ context.Context, i int) (any, error) {
+		mu.Lock()
+		computed++
+		mu.Unlock()
+		return cellVal{Key: keys[i], N: i}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-coordDone
+	if got := started.Value() - before; got != uint64(computed) || computed != len(keys) {
+		t.Fatalf("a 2-lane worker computing %d of %d cells started %d pool tasks, want %d", computed, len(keys), got, computed)
 	}
 }
 

@@ -246,13 +246,7 @@ func trimmed(b []byte) string {
 	return s
 }
 
-// ttlFromMillis converts the wire TTL back to a duration with a sane
-// floor, so a misconfigured coordinator cannot make workers heartbeat in a
-// busy loop.
+// ttlFromMillis converts the wire TTL back to a duration, at least MinTTL.
 func ttlFromMillis(ms int64) time.Duration {
-	d := time.Duration(ms) * time.Millisecond
-	if d < 100*time.Millisecond {
-		d = 100 * time.Millisecond
-	}
-	return d
+	return max(time.Duration(ms)*time.Millisecond, MinTTL)
 }

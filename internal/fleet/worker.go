@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
 
 	"mpppb/internal/journal"
-	"mpppb/internal/obs"
 	"mpppb/internal/parallel"
 )
 
@@ -34,15 +34,9 @@ type WorkerConfig struct {
 	// Fingerprint must match the coordinator's or every request is
 	// refused with 409.
 	Fingerprint journal.Fingerprint
-	// Workers is how many cells to compute concurrently; <= 0 uses
-	// parallel.Default().
+	// Workers is how many cells to compute concurrently (the worker
+	// process's -j): one lease loop each; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Status, when non-nil, mirrors this worker's cell activity into its
-	// local /status manifest.
-	Status *obs.RunStatus
-	// Progress, when non-nil, is called after each cell this worker
-	// resolves locally.
-	Progress func(key string, err error)
 	// Poll is the sleep between empty lease responses; 0 means
 	// DefaultPoll.
 	Poll time.Duration
@@ -89,7 +83,9 @@ func (w *Worker) ID() string { return w.cfg.ID }
 // keys). It then fetches every cell's terminal state and returns
 // MapErr-shaped results: per-key raw JSON values — including cells other
 // workers computed — per-key errors for permanently failed cells, and a
-// run error for cancellation or a dead/conflicting coordinator.
+// run error for cancellation or a dead/conflicting coordinator. Run
+// records no outcome itself: compute sees each cell this worker computes,
+// and the returned grid holds the rest.
 func (w *Worker) Run(ctx context.Context, keys []string, compute func(ctx context.Context, i int) (any, error)) ([]json.RawMessage, []error, error) {
 	index := make(map[string]int, len(keys))
 	for i, k := range keys {
@@ -97,7 +93,7 @@ func (w *Worker) Run(ctx context.Context, keys []string, compute func(ctx contex
 	}
 	workers := w.cfg.Workers
 	if workers <= 0 {
-		workers = parallel.Default()
+		workers = runtime.GOMAXPROCS(0)
 	}
 
 	// Each loop independently leases, computes, reports, repeats. A fatal
@@ -115,10 +111,15 @@ func (w *Worker) Run(ctx context.Context, keys []string, compute func(ctx contex
 		fatalMu.Unlock()
 		cancelLoops()
 	}
-	parallel.ForEach(workers, workers, func(int) error {
-		w.leaseLoop(loopCtx, keys, index, compute, fatal)
-		return nil
-	})
+	var lanes sync.WaitGroup
+	for range workers {
+		lanes.Add(1)
+		go func() {
+			defer lanes.Done()
+			w.leaseLoop(loopCtx, keys, index, compute, fatal)
+		}()
+	}
+	lanes.Wait()
 	fatalMu.Lock()
 	err := fatalErr
 	fatalMu.Unlock()
@@ -225,7 +226,6 @@ func (w *Worker) runLease(ctx context.Context, lease leaseResponse, index map[st
 		return
 	}
 	ttl := ttlFromMillis(lease.TTLMilli)
-	w.cfg.Status.CellRunning(key)
 
 	// Heartbeat: renew at a third of the TTL. A refused renewal means the
 	// lease expired and was reassigned — abandon the attempt (lost lease)
@@ -268,8 +268,8 @@ func (w *Worker) runLease(ctx context.Context, lease leaseResponse, index map[st
 		}
 	}()
 
-	// Local compute reuses the single-process pool — one item, with its
-	// panic capture and task metrics.
+	// The cell runs as one pool task, with the pool's panic capture and
+	// task metrics.
 	vals, errs, runErr := parallel.MapErr(computeCtx, parallel.RunOpts{
 		Workers: 1, KeepGoing: true,
 	}, 1, func(actx context.Context, _ int) (any, error) {
@@ -298,31 +298,21 @@ func (w *Worker) runLease(ctx context.Context, lease leaseResponse, index map[st
 		if err != nil {
 			cellErr = fmt.Errorf("marshal result: %w", err)
 		} else {
-			if err := w.report(ctx, "/complete", completeRequest{
+			if w.report(ctx, "/complete", completeRequest{
 				Worker: w.cfg.ID, Fingerprint: w.cfg.Fingerprint,
 				Key: key, LeaseID: lease.LeaseID, Value: raw,
-			}, fatal); err != nil {
-				return
-			}
-			mWorkerCompleted.Inc()
-			w.cfg.Status.CellDone(key, obs.CellOK, 0)
-			if w.cfg.Progress != nil {
-				w.cfg.Progress(key, nil)
+			}, fatal) == nil {
+				mWorkerCompleted.Inc()
 			}
 			return
 		}
 	}
-	if err := w.report(ctx, "/fail", failRequest{
+	if w.report(ctx, "/fail", failRequest{
 		Worker: w.cfg.ID, Fingerprint: w.cfg.Fingerprint,
 		Key: key, LeaseID: lease.LeaseID,
 		Error: cellErr.Error(),
-	}, fatal); err != nil {
-		return
-	}
-	mWorkerFailed.Inc()
-	w.cfg.Status.CellDone(key, obs.CellFailed, 0)
-	if w.cfg.Progress != nil {
-		w.cfg.Progress(key, cellErr)
+	}, fatal) == nil {
+		mWorkerFailed.Inc()
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -351,6 +352,27 @@ func TestStatusFullyResumedRunHasFiniteETA(t *testing.T) {
 	st2.CellDone("a", CellJournal, 0)
 	if s := st2.Snapshot(); s.MeanCellSeconds != 0 || s.ETASeconds != 0 {
 		t.Fatalf("mid-resume mean/eta = %g/%g, want 0/0", s.MeanCellSeconds, s.ETASeconds)
+	}
+}
+
+// TestStatusResumedRunETA: a resume's journal hits take no time, so the
+// ETA extrapolates the pace of computed cells only. After 90 hits and one
+// computed cell of at least 50ms, the 9 cells left are at least 450ms of
+// work.
+func TestStatusResumedRunETA(t *testing.T) {
+	st := NewRunStatus("resumed")
+	keys := make([]string, 100)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("cell/%d", i)
+	}
+	st.AddCells(keys...)
+	for _, k := range keys[:90] {
+		st.CellDone(k, CellJournal, 0)
+	}
+	time.Sleep(50 * time.Millisecond)
+	st.CellDone(keys[90], CellOK, 50*time.Millisecond)
+	if eta := st.Snapshot().ETASeconds; eta < 9*0.05 {
+		t.Fatalf("eta %gs for 9 cells after one computed 50ms cell, want at least 0.45s", eta)
 	}
 }
 

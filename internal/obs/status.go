@@ -176,8 +176,8 @@ type Snapshot struct {
 	RunningCells int               `json:"running_cells"`
 	FailedCells  int               `json:"failed_cells"`
 	// MeanCellSeconds is the moving mean wall time of computed (not
-	// journal-served) cells; ETASeconds extrapolates it over the remaining
-	// cells at the observed completion rate. Both 0 until a cell computes.
+	// journal-served) cells; ETASeconds extrapolates the remaining cells
+	// at the pace of the computed ones. Both 0 until a cell computes.
 	MeanCellSeconds float64 `json:"mean_cell_seconds"`
 	ETASeconds      float64 `json:"eta_seconds"`
 }
@@ -216,18 +216,19 @@ func (s *RunStatus) Snapshot() Snapshot {
 			snap.CellLeases[k] = w
 		}
 	}
-	// ETA needs at least one *computed* cell: journal hits are excluded
-	// from the per-cell mean, so a fully-resumed run (every done cell
-	// served from the journal) has no completion rate to extrapolate and
-	// both fields stay 0 — never a NaN/Inf, which json.Marshal refuses and
-	// which would blank the /status body.
+	// ETA needs at least one *computed* cell: journal hits take no time,
+	// so a fully-resumed run (every done cell served from the journal) has
+	// no pace to extrapolate and both fields stay 0 — never a NaN/Inf,
+	// which json.Marshal refuses and which would blank the /status body.
 	if s.computed > 0 {
 		snap.MeanCellSeconds = s.computeSum.Seconds() / float64(s.computed)
 		// Completion-rate ETA: remaining cells at the pace of the cells
-		// finished so far. The per-cell mean above is wall time inside one
-		// worker; the rate below folds pool width in for free.
-		if s.done > 0 && s.done < len(s.order) {
-			rate := time.Since(s.started).Seconds() / float64(s.done)
+		// computed so far, so a resume's journal hits do not make the
+		// remaining work look instant. The per-cell mean above is wall
+		// time inside one worker; the rate below folds pool width in for
+		// free.
+		if s.done < len(s.order) {
+			rate := time.Since(s.started).Seconds() / float64(s.computed)
 			snap.ETASeconds = rate * float64(len(s.order)-s.done)
 		}
 	}

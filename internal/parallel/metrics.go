@@ -2,12 +2,12 @@ package parallel
 
 import "mpppb/internal/obs"
 
-// Pool metrics: updated at task granularity (one task is typically a whole
-// simulated cell, milliseconds to minutes of work), so the per-access hot
-// path inside the tasks never sees them.
+// Pool metrics: updated at task granularity (one task is one grid cell,
+// milliseconds to minutes of work), so the per-access hot path inside the
+// tasks never sees them.
 var (
 	mTasksStarted = obs.Default().Counter("mpppb_parallel_tasks_started_total",
-		"tasks dispatched to the worker pool")
+		"tasks dispatched to the worker pool, one per grid cell")
 	mTasksCompleted = obs.Default().Counter("mpppb_parallel_tasks_completed_total",
 		"tasks that finished without error")
 	mTasksFailed = obs.Default().Counter("mpppb_parallel_tasks_failed_total",

@@ -1,21 +1,26 @@
-// Package parallel is the worker-pool engine behind the experiment
-// drivers: it fans independent runs across a bounded number of goroutines
-// while keeping results in input order, so a parallel sweep merges into
-// byte-identical tables to a serial one.
+// Package parallel is the worker pool behind RunCells, which runs every
+// cell grid of the experiment drivers and batch tools: MapErr fans
+// independent items across a bounded number of goroutines while keeping
+// results in input order, so a parallel sweep merges into byte-identical
+// tables to a serial one.
 //
 // The design constraints, in order of importance:
 //
-//   - Determinism. Map collects results indexed by input position, never by
-//     completion order, and with workers == 1 it degenerates to a plain
-//     serial loop on the calling goroutine. Callers that also keep their
-//     per-item arithmetic independent (as every simulator run in this
-//     repository does) therefore produce bit-identical output at any -j.
-//   - Liveness. A panicking worker is captured and surfaced as a
+//   - Determinism. MapErr collects results indexed by input position,
+//     never by completion order, and with one worker it degenerates to a
+//     plain serial loop on the calling goroutine. Callers that also keep
+//     their per-item arithmetic independent (as every simulator run in
+//     this repository does) therefore produce bit-identical output at any
+//     -j.
+//   - Liveness. A panicking item is captured and surfaced as a
 //     *PanicError rather than tearing down the process or deadlocking the
 //     dispatcher; cancellation stops dispatch of new items promptly.
-//   - Boundedness. At most `workers` items are in flight; the pool is
-//     sized by the -j flag of the cmd tools (SetDefault), defaulting to
-//     runtime.GOMAXPROCS(0).
+//   - Boundedness. At most RunOpts.Workers items are in flight. The width
+//     is explicit: the cmd tools' -j reaches it as experiments.Run.Workers,
+//     and 0 means runtime.GOMAXPROCS(0).
+//
+// Every item MapErr runs is one task in the mpppb_parallel_tasks_* metrics,
+// and nothing else is, so those count grid cells.
 package parallel
 
 import (
@@ -27,28 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// defaultWorkers holds the pool size used when Map is called with
-// workers <= 0; zero means "use GOMAXPROCS at call time".
-var defaultWorkers atomic.Int64
-
-// SetDefault sets the process-wide default worker count used when a Map
-// call does not specify one. n <= 0 restores the GOMAXPROCS default. The
-// cmd tools call this once from their -j flag before any experiment runs.
-func SetDefault(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int64(n))
-}
-
-// Default returns the current default worker count (at least 1).
-func Default() int {
-	if n := int(defaultWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // PanicError wraps a panic recovered from a worker so it can travel
 // through the ordinary error return instead of killing the process from a
@@ -64,39 +47,11 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: worker panicked: %v\n%s", e.Value, e.Stack)
 }
 
-// Map runs fn(i) for every i in [0, n) across a pool of workers and
-// returns the results in input order. workers <= 0 uses Default();
-// workers == 1 runs serially on the calling goroutine. The first error —
-// "first" by input index, not completion time, so the reported error is
-// deterministic — cancels dispatch of not-yet-started items and is
-// returned. A panic inside fn is returned as a *PanicError.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, n, func(_ context.Context, i int) (T, error) {
-		return fn(i)
-	})
-}
-
-// ForEach is Map for functions with no result value.
-func ForEach(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// MapCtx is Map with a context: when ctx is cancelled, no new items are
-// dispatched, in-flight items finish, and ctx's error is returned (unless
-// an item error with a smaller input index is already recorded).
-func MapCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	results, _, err := MapErr(ctx, RunOpts{Workers: workers}, n, fn)
-	return results, err
-}
-
-// RunOpts configures MapErr. The zero value reproduces MapCtx exactly:
-// default pool width, fail-fast.
+// RunOpts configures MapErr. The zero value is GOMAXPROCS workers,
+// fail-fast.
 type RunOpts struct {
-	// Workers is the pool width; <= 0 uses Default(), 1 runs serially on
-	// the calling goroutine.
+	// Workers is the pool width; <= 0 uses runtime.GOMAXPROCS(0), 1 runs
+	// serially on the calling goroutine.
 	Workers int
 	// KeepGoing runs every item even after failures, reporting them
 	// per-item instead of cancelling the pool — graceful degradation for
@@ -104,22 +59,25 @@ type RunOpts struct {
 	KeepGoing bool
 }
 
-// MapErr is the full-control variant of MapCtx: it returns per-item errors
-// alongside the results, and RunOpts adds keep-going failure handling.
+// MapErr runs fn(ctx, i) for every i in [0, n) across a pool of workers
+// and returns the results and per-item errors in input order. A panic
+// inside fn is returned as that item's *PanicError.
 //
 // The returned slices always have length n; items never dispatched (after
 // cancellation or a fail-fast error) keep zero values and nil errors. The
 // final error is the run-level verdict: ctx's error on cancellation, or —
-// without KeepGoing — the first item error by input index (deterministic,
-// like MapCtx). With KeepGoing, item failures are reported only per-item
-// and the final error is nil unless ctx was cancelled.
+// without KeepGoing — the first item error by input index, not completion
+// time, so the reported error is deterministic; that first error also
+// stops dispatch of not-yet-started items. With KeepGoing, item failures
+// are reported only per item and the final error is nil unless ctx was
+// cancelled.
 func MapErr[T any](ctx context.Context, o RunOpts, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
 	if n <= 0 {
 		return nil, nil, ctx.Err()
 	}
 	workers := o.Workers
 	if workers <= 0 {
-		workers = Default()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n

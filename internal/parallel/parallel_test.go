@@ -11,11 +11,19 @@ import (
 	"time"
 )
 
+// mapN runs fn over [0, n) on workers goroutines, fail-fast, under ctx.
+func mapN(ctx context.Context, workers, n int, fn func(i int) (int, error)) ([]int, error) {
+	out, _, err := MapErr(ctx, RunOpts{Workers: workers}, n, func(_ context.Context, i int) (int, error) {
+		return fn(i)
+	})
+	return out, err
+}
+
 // TestMapOrdering: results must land in input order even when later items
 // finish first (earlier items sleep longer).
 func TestMapOrdering(t *testing.T) {
 	const n = 64
-	out, err := Map(8, n, func(i int) (int, error) {
+	out, err := mapN(context.Background(), 8, n, func(i int) (int, error) {
 		time.Sleep(time.Duration(n-i) * 100 * time.Microsecond)
 		return i * i, nil
 	})
@@ -34,7 +42,7 @@ func TestMapOrdering(t *testing.T) {
 func TestMapSerialDegenerate(t *testing.T) {
 	caller := goroutineID()
 	var order []int
-	_, err := Map(1, 10, func(i int) (int, error) {
+	_, err := mapN(context.Background(), 1, 10, func(i int) (int, error) {
 		if goroutineID() != caller {
 			t.Error("workers=1 ran on a different goroutine")
 		}
@@ -52,10 +60,10 @@ func TestMapSerialDegenerate(t *testing.T) {
 }
 
 // TestMapPanicSurfacesAsError: a panic in one worker must come back as a
-// *PanicError from Map, not deadlock the pool or kill the process.
+// *PanicError from MapErr, not deadlock the pool or kill the process.
 func TestMapPanicSurfacesAsError(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		_, err := Map(workers, 32, func(i int) (int, error) {
+		_, err := mapN(context.Background(), workers, 32, func(i int) (int, error) {
 			if i == 5 {
 				panic("boom")
 			}
@@ -71,13 +79,13 @@ func TestMapPanicSurfacesAsError(t *testing.T) {
 	}
 }
 
-// TestMapErrorDeterministic: when several items fail, Map must report the
-// error of the smallest input index, regardless of completion order.
+// TestMapErrorDeterministic: when several items fail, MapErr must report
+// the error of the smallest input index, regardless of completion order.
 func TestMapErrorDeterministic(t *testing.T) {
 	err2 := errors.New("err2")
 	err5 := errors.New("err5")
 	for trial := 0; trial < 20; trial++ {
-		_, err := Map(4, 8, func(i int) (int, error) {
+		_, err := mapN(context.Background(), 4, 8, func(i int) (int, error) {
 			switch i {
 			case 2:
 				time.Sleep(2 * time.Millisecond) // finishes after index 5's error
@@ -98,7 +106,7 @@ func TestMapErrorDeterministic(t *testing.T) {
 func TestMapErrorCancelsDispatch(t *testing.T) {
 	var started atomic.Int64
 	boom := errors.New("boom")
-	_, err := Map(2, 1000, func(i int) (int, error) {
+	_, err := mapN(context.Background(), 2, 1000, func(i int) (int, error) {
 		started.Add(1)
 		if i == 0 {
 			return 0, boom
@@ -119,7 +127,7 @@ func TestMapErrorCancelsDispatch(t *testing.T) {
 func TestMapCtxCancelMidBatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64
-	_, err := MapCtx(ctx, 4, 1000, func(ctx context.Context, i int) (int, error) {
+	_, err := mapN(ctx, 4, 1000, func(i int) (int, error) {
 		if started.Add(1) == 10 {
 			cancel()
 		}
@@ -134,24 +142,28 @@ func TestMapCtxCancelMidBatch(t *testing.T) {
 	}
 }
 
-// TestMapEmptyAndDefaults: n <= 0 is a no-op; workers <= 0 picks the
-// process default.
+// TestMapEmptyAndDefaults: n <= 0 is a no-op; workers <= 0 runs up to
+// GOMAXPROCS items at once, and never more.
 func TestMapEmptyAndDefaults(t *testing.T) {
-	out, err := Map(4, 0, func(i int) (int, error) { return 0, nil })
+	out, err := mapN(context.Background(), 4, 0, func(i int) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
-		t.Fatalf("empty Map: out=%v err=%v", out, err)
+		t.Fatalf("empty MapErr: out=%v err=%v", out, err)
 	}
-	SetDefault(3)
-	if Default() != 3 {
-		t.Fatalf("Default() = %d after SetDefault(3)", Default())
+	width := runtime.GOMAXPROCS(0)
+	var inflight, peak atomic.Int64
+	out, err = mapN(context.Background(), 0, 4*width, func(i int) (int, error) {
+		n := inflight.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(time.Millisecond)
+		inflight.Add(-1)
+		return i, nil
+	})
+	if err != nil || len(out) != 4*width {
+		t.Fatalf("default-width MapErr: %d results, err=%v", len(out), err)
 	}
-	SetDefault(0)
-	if Default() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Default() = %d, want GOMAXPROCS", Default())
-	}
-	out, err = Map(0, 5, func(i int) (int, error) { return i, nil })
-	if err != nil || len(out) != 5 {
-		t.Fatalf("default-workers Map: out=%v err=%v", out, err)
+	if p := peak.Load(); p > int64(width) {
+		t.Fatalf("%d items in flight at width 0, want at most GOMAXPROCS (%d)", p, width)
 	}
 }
 

@@ -42,7 +42,6 @@ import (
 	"mpppb/internal/fleet"
 	"mpppb/internal/journal"
 	"mpppb/internal/obs"
-	"mpppb/internal/parallel"
 	"mpppb/internal/prof"
 	"mpppb/internal/sim"
 	"mpppb/internal/workload"
@@ -219,11 +218,11 @@ func (s *Spec) duel() ([]core.ThresholdSet, error) {
 }
 
 // Start validates the spec and starts the run it describes: profiling,
-// the pool width, the journal, the run status and its -listen server
-// (with the work-lease API under -coordinator), the fleet worker under
-// -worker, and the SIGINT context. The returned Run carries all of it,
-// plus the -duel candidates, into experiments.RunCells and the drivers.
-// A failure exits 1.
+// the journal, the run status and its -listen server (with the
+// work-lease API under -coordinator), the fleet worker under -worker,
+// and the SIGINT context. The returned Run carries all of it, plus the
+// -j width and the -duel candidates, into experiments.RunCells and the
+// drivers. A failure exits 1.
 func (s *Spec) Start() *experiments.Run {
 	if err := s.start(); err != nil {
 		s.Exit(err)
@@ -244,9 +243,10 @@ func (s *Spec) start() error {
 		return errors.New("-coordinator needs -listen to serve the work-lease API")
 	case s.Worker != "" && s.Journal.Path != "":
 		return errors.New("-worker does not journal locally (the coordinator owns the journal); drop -journal")
+	case s.Coordinator && s.LeaseTTL < fleet.MinTTL:
+		return fmt.Errorf("-lease-ttl: %v; want at least %v", s.LeaseTTL, fleet.MinTTL)
 	}
 	s.teardown = append(s.teardown, prof.Start(s.CPUProfile, s.MemProfile))
-	parallel.SetDefault(s.Workers)
 	fp := s.Fingerprint()
 	jrnl, err := s.Journal.Open(fp)
 	if err != nil {
@@ -257,7 +257,7 @@ func (s *Spec) start() error {
 	status.SetMeta(fp.Config, s.Journal.Path)
 	// KeepGoing: a failed cell renders NaN or NA and the tool exits 3
 	// after listing the failures.
-	run := &experiments.Run{Journal: jrnl, Duel: cands, KeepGoing: true, Status: status}
+	run := &experiments.Run{Journal: jrnl, Workers: s.Workers, Duel: cands, KeepGoing: true, Status: status}
 	var routes []obs.Route
 	if s.Coordinator {
 		run.Fleet = fleet.NewBoard(fleet.BoardConfig{Fingerprint: fp, Journal: jrnl, Status: status, TTL: s.LeaseTTL})
@@ -270,7 +270,7 @@ func (s *Spec) start() error {
 	}
 	s.teardown = append(s.teardown, stop)
 	if s.Worker != "" {
-		if run.FleetWorker, err = fleet.NewWorker(fleet.WorkerConfig{URL: s.Worker, Fingerprint: fp, Workers: s.Workers, Status: status}); err != nil {
+		if run.FleetWorker, err = fleet.NewWorker(fleet.WorkerConfig{URL: s.Worker, Fingerprint: fp, Workers: s.Workers}); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "%s: fleet worker %s leasing from %s\n", s.Tool, run.FleetWorker.ID(), s.Worker)

@@ -163,6 +163,28 @@ func TestServeHandshake(t *testing.T) {
 	c.Close()
 }
 
+// TestServeShardsAreNotTasks: shard loops are plain goroutines, so
+// running a server adds nothing to the pool's task counter, which counts
+// grid cells only.
+func TestServeShardsAreNotTasks(t *testing.T) {
+	started := obs.Default().Counter("mpppb_parallel_tasks_started_total", "")
+	before := started.Value()
+	srv, err := Start(Config{
+		Addr: "127.0.0.1:0", Sets: 64, Params: testParams(),
+		Shards: 3, Metrics: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Close waits for every shard loop to start and finish.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := started.Value() - before; got != 0 {
+		t.Fatalf("a 3-shard server started %d pool tasks, want 0", got)
+	}
+}
+
 // TestServeProtocolErrors drives malformed streams at a live server and
 // requires error frames (not hangs or panics) back.
 func TestServeProtocolErrors(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"mpppb/internal/cache"
 	"mpppb/internal/core"
 	"mpppb/internal/obs"
-	"mpppb/internal/parallel"
 	"mpppb/internal/trace"
 	"mpppb/internal/verify"
 )
@@ -141,19 +140,16 @@ func Start(cfg Config) (*Server, error) {
 		conns:    map[*servedConn]struct{}{},
 		stopDone: make(chan struct{}),
 	}
+	// One goroutine per shard drains its own job channel until Shutdown
+	// closes it.
 	for i := range s.jobs {
 		s.jobs[i] = make(chan *job, 1)
+		s.shardWG.Add(1)
+		go func(jobs <-chan *job) {
+			defer s.shardWG.Done()
+			s.shardLoop(jobs)
+		}(s.jobs[i])
 	}
-	s.shardWG.Add(1)
-	go func() {
-		defer s.shardWG.Done()
-		// Shard workers ride the repository's parallel runner; each loop
-		// drains its own job channel until Shutdown closes it.
-		parallel.ForEach(cfg.Shards, cfg.Shards, func(i int) error {
-			s.shardLoop(s.jobs[i])
-			return nil
-		})
-	}()
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
 	return s, nil

@@ -6,9 +6,12 @@ package sim_test
 // steers), and preserve the -j determinism guarantee.
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"testing"
 
+	"mpppb/internal/experiments"
 	"mpppb/internal/sim"
 	"mpppb/internal/workload"
 )
@@ -101,19 +104,22 @@ func TestCheckedDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	segs := workload.Segments()[:3]
-
-	render := func() string {
-		out := ""
-		for _, id := range segs {
-			r := sim.RunSingle(cfg, workload.NewGenerator(id, 0), pf).Deterministic()
-			out += fmt.Sprintf("%s %d %d %d %d\n", r.Segment, r.Instructions, r.Cycles, r.LLCMisses, r.Bypasses)
-		}
-		return out
+	keys := make([]string, len(segs))
+	for i, id := range segs {
+		keys[i] = id.String()
 	}
-	var serial, par string
-	withWorkers(1, func() { serial = render() })
-	withWorkers(8, func() { par = render() })
-	if serial != par {
+
+	render := func(workers int) string {
+		rows, _, err := experiments.RunCells(&experiments.Run{Workers: workers}, keys, func(_ context.Context, i int) (string, error) {
+			r := sim.RunSingle(cfg, workload.NewGenerator(segs[i], 0), pf).Deterministic()
+			return fmt.Sprintf("%s %d %d %d %d\n", r.Segment, r.Instructions, r.Cycles, r.LLCMisses, r.Bypasses), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(rows, "")
+	}
+	if serial, par := render(1), render(8); serial != par {
 		t.Fatalf("checked results differ between -j1 and -j8:\n--- serial ---\n%s--- parallel ---\n%s", serial, par)
 	}
 }

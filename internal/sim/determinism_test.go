@@ -73,7 +73,7 @@ func TestHybridPolicyEndToEnd(t *testing.T) {
 	}
 	gen := workload.NewGenerator(seg("sphinx3_like", 0), 0)
 	res := RunSingle(cfg, gen, pf)
-	lru := RunSingle(cfg, gen, lruFactory)
+	lru := RunSingle(cfg, gen, newLRU)
 	if res.IPC <= 0 {
 		t.Fatal("hybrid produced no result")
 	}
@@ -92,7 +92,7 @@ func TestSHiPPolicyEndToEnd(t *testing.T) {
 	}
 	gen := workload.NewGenerator(seg("sphinx3_like", 0), 0)
 	res := RunSingle(cfg, gen, pf)
-	lru := RunSingle(cfg, gen, lruFactory)
+	lru := RunSingle(cfg, gen, newLRU)
 	if res.MPKI > lru.MPKI {
 		t.Fatalf("SHiP MPKI %.2f above LRU %.2f on thrash loop", res.MPKI, lru.MPKI)
 	}
@@ -110,7 +110,7 @@ func TestMPPPBNeverFarBelowLRU(t *testing.T) {
 		"h264ref_like", "povray_like", "data_caching_like", "sjeng_like",
 	} {
 		gen := workload.NewGenerator(seg(bench, 0), 0)
-		lru := RunSingle(cfg, gen, lruFactory)
+		lru := RunSingle(cfg, gen, newLRU)
 		mp := RunSingle(cfg, gen, pf)
 		if mp.IPC < 0.93*lru.IPC {
 			t.Errorf("%s: MPPPB IPC %.3f below 93%% of LRU %.3f", bench, mp.IPC, lru.IPC)

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"mpppb/internal/experiments"
-	"mpppb/internal/parallel"
 	"mpppb/internal/sim"
 	"mpppb/internal/workload"
 )
@@ -60,31 +59,20 @@ func renderMulti(t *experiments.MultiCoreTable) string {
 	return b.String()
 }
 
-// withWorkers runs fn with the process-wide pool width pinned to n,
-// restoring the GOMAXPROCS default afterward.
-func withWorkers(n int, fn func()) {
-	parallel.SetDefault(n)
-	defer parallel.SetDefault(0)
-	fn()
-}
-
 func TestSingleThreadTableSerialParallelIdentical(t *testing.T) {
 	cfg := sim.SingleThreadConfig()
 	cfg.Warmup, cfg.Measure = 20_000, 60_000
 	benches := workload.Benchmarks()[:2]
 	policies := []string{"sdbp", "mpppb"}
 
-	single := func() string {
-		tab, err := experiments.SingleThread(cfg, policies, benches, nil)
+	single := func(workers int) string {
+		tab, err := experiments.SingleThread(cfg, policies, benches, &experiments.Run{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return renderSingle(tab)
 	}
-	var serial, par string
-	withWorkers(1, func() { serial = single() })
-	withWorkers(8, func() { par = single() })
-	if serial != par {
+	if serial, par := single(1), single(8); serial != par {
 		t.Fatalf("single-thread table differs between -j1 and -j8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, par)
 	}
 }
@@ -95,17 +83,14 @@ func TestMultiCoreTableSerialParallelIdentical(t *testing.T) {
 	mixes := workload.Mixes(3, workload.DefaultMixSeed)
 	policies := []string{"srrip", "mpppb-srrip"}
 
-	multi := func() string {
-		tab, err := experiments.MultiCore(cfg, policies, mixes, nil)
+	multi := func(workers int) string {
+		tab, err := experiments.MultiCore(cfg, policies, mixes, &experiments.Run{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return renderMulti(tab)
 	}
-	var serial, par string
-	withWorkers(1, func() { serial = multi() })
-	withWorkers(8, func() { par = multi() })
-	if serial != par {
+	if serial, par := multi(1), multi(8); serial != par {
 		t.Fatalf("multi-core table differs between -j1 and -j8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, par)
 	}
 }

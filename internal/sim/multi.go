@@ -8,10 +8,6 @@ import (
 	"mpppb/internal/workload"
 )
 
-// lruFactory is assigned in registry.go; declared here so sim.go can use
-// it without an import cycle on the policy package.
-var lruFactory PolicyFactory
-
 // MultiResult summarizes one 4-core multi-programmed run.
 type MultiResult struct {
 	Mix workload.Mix
@@ -147,20 +143,6 @@ func RunMulti(cfg Config, mix workload.Mix, pf PolicyFactory) MultiResult {
 	return res
 }
 
-// SingleIPCs computes the standalone IPC of each segment in a mix: the
-// segment alone with the full (multi-core-sized) LLC under LRU, the
-// denominator of the paper's weighted speedup. Results should be cached by
-// callers sweeping many mixes (see SingleIPCCache).
-func SingleIPCs(cfg Config, mix workload.Mix) [4]float64 {
-	var out [4]float64
-	for i := 0; i < 4; i++ {
-		gen := workload.NewGenerator(mix[i], workload.CoreBase(i))
-		r := RunSingle(cfg, gen, lruFactory)
-		out[i] = r.IPC
-	}
-	return out
-}
-
 // SingleIPCCache memoizes standalone IPCs per segment. It is safe for
 // concurrent use: mixes fanned across workers share one cache, and
 // single-flight semantics guarantee each segment's baseline run executes
@@ -189,6 +171,6 @@ func (c *SingleIPCCache) For(mix workload.Mix) [4]float64 {
 func (c *SingleIPCCache) ipc(id workload.SegmentID) float64 {
 	return c.m.Do(id, func() float64 {
 		gen := workload.NewGenerator(id, workload.CoreBase(0))
-		return RunSingle(c.cfg, gen, lruFactory).IPC
+		return RunSingle(c.cfg, gen, newLRU).IPC
 	})
 }

@@ -10,11 +10,9 @@ import (
 	"mpppb/internal/predictor"
 )
 
-func init() {
-	lruFactory = func(sets, ways int) cache.ReplacementPolicy {
-		return policy.NewLRU(sets, ways)
-	}
-}
+// newLRU is LRU as a PolicyFactory: the lru policy and the policy of the
+// standalone-IPC baselines.
+func newLRU(sets, ways int) cache.ReplacementPolicy { return policy.NewLRU(sets, ways) }
 
 // registry maps policy names to factories.
 var registry = map[string]PolicyFactory{}
@@ -48,7 +46,7 @@ func PolicyNames() []string {
 }
 
 func init() {
-	Register("lru", func(sets, ways int) cache.ReplacementPolicy { return policy.NewLRU(sets, ways) })
+	Register("lru", newLRU)
 	Register("plru", func(sets, ways int) cache.ReplacementPolicy { return policy.NewTreePLRU(sets, ways) })
 	Register("srrip", func(sets, ways int) cache.ReplacementPolicy { return policy.NewSRRIP(sets, ways) })
 	Register("drrip", func(sets, ways int) cache.ReplacementPolicy { return policy.NewDRRIP(sets, ways, 1) })

@@ -13,6 +13,7 @@ import (
 
 	"mpppb/internal/cache"
 	"mpppb/internal/cpu"
+	"mpppb/internal/policy"
 	"mpppb/internal/prefetch"
 	"mpppb/internal/stats"
 	"mpppb/internal/trace"
@@ -385,5 +386,5 @@ func RunFastMPKI(cfg Config, gen trace.Generator, pf PolicyFactory) Result {
 // of the upper levels).
 func newLRUFor(size, ways int) cache.ReplacementPolicy {
 	sets := size / trace.BlockSize / ways
-	return lruFactory(sets, ways)
+	return policy.NewLRU(sets, ways)
 }

@@ -290,7 +290,7 @@ func TestROCProbeDoesNotSteerCache(t *testing.T) {
 	// apply the optimization").
 	cfg := shortCfg()
 	gen := workload.NewGenerator(seg("gcc_like", 1), 0)
-	lruRes := RunFastMPKI(cfg, gen, lruFactory)
+	lruRes := RunFastMPKI(cfg, gen, newLRU)
 
 	cf, _ := Confidence("perceptron")
 	probeRes := RunFastMPKI(cfg, gen, func(sets, ways int) cacheReplacementPolicy {

@@ -1,12 +1,5 @@
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-)
-
 // Column-major trace storage. A []Record stores one 24-byte struct per
 // memory instruction; scanning it touches every field of every record even
 // when the consumer streams them in order. Columns keeps each field in its
@@ -68,66 +61,6 @@ func (c *Columns) Records() []Record {
 		out[i] = c.Record(i)
 	}
 	return out
-}
-
-// ReadAllColumns decodes an entire binary trace directly into column-major
-// form: the delta decoding runs once at load and writes straight into the
-// columns, with no intermediate []Record. The decoded stream is
-// byte-for-byte the one ReadAll produces (both run decodeTrace).
-func ReadAllColumns(r io.Reader) (*Columns, error) {
-	c := &Columns{}
-	err := decodeTrace(r, func(pc, addr uint64, isWrite bool, nonMem uint16) {
-		c.append(pc, addr, isWrite, nonMem)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// decodeTrace parses a binary trace, calling emit once per record in
-// stream order. It is the single decoder behind ReadAll and
-// ReadAllColumns, so the two in-memory forms cannot drift.
-func decodeTrace(r io.Reader, emit func(pc, addr uint64, isWrite bool, nonMem uint16)) error {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head := make([]byte, len(fileMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return fmt.Errorf("%w: missing header", ErrBadTrace)
-	}
-	if string(head) != fileMagic {
-		return fmt.Errorf("%w: bad magic %q", ErrBadTrace, head)
-	}
-	var lastPC, lastA int64
-	for {
-		flags, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadTrace, err)
-		}
-		dpc, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("%w: truncated record", ErrBadTrace)
-		}
-		da, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("%w: truncated record", ErrBadTrace)
-		}
-		nm := (flags >> 1) & nonMemEscape
-		if nm == nonMemEscape {
-			nm, err = binary.ReadUvarint(br)
-			if err != nil {
-				return fmt.Errorf("%w: truncated nonmem", ErrBadTrace)
-			}
-			if nm > 65535 {
-				return fmt.Errorf("%w: nonmem %d out of range", ErrBadTrace, nm)
-			}
-		}
-		lastPC += unzigzag(dpc)
-		lastA += unzigzag(da)
-		emit(uint64(lastPC), uint64(lastA), flags&1 == 1, uint16(nm))
-	}
 }
 
 // ColumnBatcher is the columnar extension of Generator: sources that hold

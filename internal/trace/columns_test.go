@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -32,47 +31,6 @@ func TestColumnsRoundTrip(t *testing.T) {
 		if back[i] != recs[i] {
 			t.Fatalf("record %d: %+v != %+v", i, back[i], recs[i])
 		}
-	}
-}
-
-func TestReadAllColumnsMatchesReadAll(t *testing.T) {
-	recs := randRecords(t, 500, 2)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := w.Add(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	rows, err := ReadAll(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols, err := ReadAllColumns(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != cols.Len() || len(rows) != len(recs) {
-		t.Fatalf("lengths: rows %d cols %d want %d", len(rows), cols.Len(), len(recs))
-	}
-	for i := range rows {
-		if cols.Record(i) != rows[i] {
-			t.Fatalf("record %d: columnar %+v != row %+v", i, cols.Record(i), rows[i])
-		}
-	}
-}
-
-func TestReadAllColumnsRejectsBadMagic(t *testing.T) {
-	if _, err := ReadAllColumns(bytes.NewReader([]byte("BOGUS123"))); err == nil {
-		t.Fatal("bad magic accepted")
 	}
 }
 

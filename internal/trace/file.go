@@ -86,18 +86,48 @@ func (t *Writer) Flush() error { return t.w.Flush() }
 // ErrBadTrace reports a malformed trace file.
 var ErrBadTrace = errors.New("trace: malformed trace file")
 
-// ReadAll decodes an entire trace into memory in row-major form. For a
-// column-major decode without the intermediate []Record, see
-// ReadAllColumns; both run the same decoder (decodeTrace).
+// ReadAll decodes an entire trace into memory.
 func ReadAll(r io.Reader) ([]Record, error) {
-	var out []Record
-	err := decodeTrace(r, func(pc, addr uint64, isWrite bool, nonMem uint16) {
-		out = append(out, Record{PC: pc, Addr: addr, IsWrite: isWrite, NonMem: nonMem})
-	})
-	if err != nil {
-		return nil, err
+	br := bufio.NewReaderSize(r, 1<<16)
+	head := make([]byte, len(fileMagic))
+	if _, err := io.ReadFull(br, head); err != nil {
+		return nil, fmt.Errorf("%w: missing header", ErrBadTrace)
 	}
-	return out, nil
+	if string(head) != fileMagic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, head)
+	}
+	var out []Record
+	var lastPC, lastA int64
+	for {
+		flags, err := binary.ReadUvarint(br)
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
+		}
+		dpc, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("%w: truncated record", ErrBadTrace)
+		}
+		da, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("%w: truncated record", ErrBadTrace)
+		}
+		nm := (flags >> 1) & nonMemEscape
+		if nm == nonMemEscape {
+			nm, err = binary.ReadUvarint(br)
+			if err != nil {
+				return nil, fmt.Errorf("%w: truncated nonmem", ErrBadTrace)
+			}
+			if nm > 65535 {
+				return nil, fmt.Errorf("%w: nonmem %d out of range", ErrBadTrace, nm)
+			}
+		}
+		lastPC += unzigzag(dpc)
+		lastA += unzigzag(da)
+		out = append(out, Record{PC: uint64(lastPC), Addr: uint64(lastA), IsWrite: flags&1 == 1, NonMem: uint16(nm)})
+	}
 }
 
 // Capture materializes n records from a generator.
