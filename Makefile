@@ -34,12 +34,13 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x .
 
-# Hot-path microbenchmarks: predictor confidence, one LLC access, the set
-# probe and victim scan, one Hierarchy.Demand, generator batching, the
+# Hot-path microbenchmarks: predictor confidence, the per-feature-kind and
+# per-feature-set predictor gather, one LLC access, the set probe and
+# victim scan, one Hierarchy.Demand, generator batching, the
 # advice-serving round trip, and the end-to-end fig6 segment. See
 # docs/PERFORMANCE.md.
 bench-hotpath:
-	$(GO) test -run NONE -bench 'BenchmarkPredictorConfidence|BenchmarkLLCAccess' -benchmem -benchtime 2s ./internal/core
+	$(GO) test -run NONE -bench 'BenchmarkPredictorConfidence|BenchmarkPredict$$|BenchmarkLLCAccess' -benchmem -benchtime 2s ./internal/core
 	$(GO) test -run NONE -bench 'BenchmarkCacheLookup|BenchmarkVictimScan|BenchmarkHierarchyDemand' -benchmem -benchtime 2s ./internal/cache
 	$(GO) test -run NONE -bench BenchmarkGeneratorBatch -benchmem -benchtime 2s ./internal/workload
 	$(GO) test -run NONE -bench 'BenchmarkServeAdvice|BenchmarkApplyInline' -benchmem -benchtime 2s ./internal/serve

@@ -111,8 +111,7 @@ func (v *Advisor) Predict(a cache.Access, set int, insert bool) int {
 
 // train performs the sampler access that updates the weight tables, using
 // the index vector left in the predictor by its last prediction for this
-// same access. Only this reads the index vector, so predictions ask for it
-// only on sampled sets.
+// same access.
 func (v *Advisor) train(a cache.Access, set, conf int) {
 	if ss := v.sampler.sampledSet(set); ss >= 0 {
 		v.sampler.access(v.pred, ss, a.Block(), conf, v.pred.idx)
@@ -129,7 +128,7 @@ func (v *Advisor) AdviseHit(a cache.Access, set int) Advice {
 	if a.Type == trace.Writeback {
 		return Advice{}
 	}
-	conf := v.pred.predict(a, set, false, v.sampler.sampledSet(set) >= 0)
+	conf := v.pred.predict(a, set, false)
 	v.train(a, set, conf)
 	ts := v.thresholdsFor(set)
 	adv := Advice{Conf: int16(conf)}
@@ -171,7 +170,7 @@ func (v *Advisor) AdviseMiss(a cache.Access, set int, mayBypass bool) Advice {
 // threshold read — and predicts it.
 func (v *Advisor) predictMiss(a cache.Access, set int) int {
 	v.duelVote(set)
-	return v.pred.predict(a, set, true, v.sampler.sampledSet(set) >= 0)
+	return v.pred.predict(a, set, true)
 }
 
 // bypasses reports whether a miss with confidence conf is dead enough to

@@ -67,9 +67,8 @@ const (
 	// OffsetBits is the width of the block offset (64-byte blocks).
 	OffsetBits = trace.BlockBits
 	// MaxFeatures is the largest feature set a predictor accepts: the
-	// sampler's per-position masks hold one bit per feature in a uint64,
-	// and the confidence sum stages one byte per feature (kernel.go). The
-	// paper's sets have 16 (DefaultFeatureCount).
+	// sampler's per-position masks hold one bit per feature in a uint64.
+	// The paper's sets have 16 (DefaultFeatureCount).
 	MaxFeatures = 64
 )
 

@@ -4,11 +4,13 @@ import (
 	"testing"
 
 	"mpppb/internal/cache"
+	"mpppb/internal/xrand"
 )
 
 // Hot-path microbenchmarks for the per-access predictor work. These are the
-// numbers docs/PERFORMANCE.md tracks; scripts/bench.sh runs them and emits
-// a BENCH_<n>.json trajectory point.
+// numbers docs/PERFORMANCE.md tracks; scripts/bench.sh runs
+// BenchmarkPredictorConfidence and BenchmarkLLCAccess and emits a
+// BENCH_<n>.json trajectory point.
 
 // benchAccess produces a deterministic but irregular access stream: a few
 // static PCs walking several address regions, which exercises the pc,
@@ -35,6 +37,70 @@ func BenchmarkPredictorConfidence(b *testing.B) {
 	}
 	if sum == 1<<62 {
 		b.Fatal("impossible") // keep sum live
+	}
+}
+
+// kindBenchSet returns DefaultFeatureCount features of one kind, with the
+// X parameter as given. The pc and address features widen their bit range
+// from 8 to 38 bits, so all but the first fold, and the pc features read
+// sixteen distinct history depths; the offset features cover every
+// in-range start bit, some with E past the block offset.
+func kindBenchSet(kind Kind, x bool) []Feature {
+	fs := make([]Feature, DefaultFeatureCount)
+	for i := range fs {
+		f := Feature{Kind: kind, A: 1 + i, X: x}
+		switch kind {
+		case KindPC:
+			f.B, f.E, f.W = i, 3*i+7, i
+		case KindAddress:
+			f.B, f.E = i, 3*i+7
+		case KindOffset:
+			f.B = i % OffsetBits
+			f.E = f.B + i%4
+		}
+		fs[i] = f
+	}
+	return fs
+}
+
+// BenchmarkPredict measures one prediction plus observe, per feature kind
+// (sixteen features of the kind, X off and on) and per shipped feature
+// set, over a fixed access stream on a 2048-set predictor with scrambled
+// weights and history. One op is one prediction.
+func BenchmarkPredict(b *testing.B) {
+	type benchSet struct {
+		name string
+		set  []Feature
+	}
+	var sets []benchSet
+	for kind := KindPC; kind <= KindOffset; kind++ {
+		sets = append(sets,
+			benchSet{kind.String() + "-x0", kindBenchSet(kind, false)},
+			benchSet{kind.String() + "-x1", kindBenchSet(kind, true)})
+	}
+	sets = append(sets,
+		benchSet{"set-1a", SingleThreadSetA()},
+		benchSet{"set-1b", SingleThreadSetB()},
+		benchSet{"set-2", MultiProgrammedSet()},
+		benchSet{"set-suite", SuiteSearchedSet()})
+	for _, s := range sets {
+		b.Run(s.name, func(b *testing.B) {
+			p := NewPredictor(s.set, 2048, 1)
+			scrambleState(p, xrand.New(5))
+			b.ReportAllocs()
+			b.ResetTimer()
+			sum := 0
+			for i := 0; i < b.N; i++ {
+				a := benchAccess(i)
+				set := int(a.Block() & 2047)
+				insert := i%3 == 0
+				sum += p.predict(a, set, insert)
+				p.observe(a, set, insert, true)
+			}
+			if sum == 1<<62 {
+				b.Fatal("impossible") // keep sum live
+			}
+		})
 	}
 }
 

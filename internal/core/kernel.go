@@ -1,10 +1,12 @@
 package core
 
+import "slices"
+
 // Compiled feature kernels. Feature.Index is the readable reference
 // implementation: on every access it re-derives the table width, re-clamps
 // the offset bit range, and switches on the feature kind. None of that
 // depends on the access, so NewPredictor compiles each feature once into a
-// fastKernel — operands resolved, offset range clamped, fold width fixed,
+// fastKernel — operands resolved, offset range clamped, fold decided,
 // and the feature's weight table located by offset into one contiguous
 // array — and the per-access path just executes it. The kernel tests pin
 // the compiled indices and confidence to Feature.Index and a plain sum.
@@ -40,41 +42,35 @@ func fold8(v uint64) uint32 {
 // in a branch-light form: every feature is the same straight-line
 // expression
 //
-//	raw = (srcs[src] >> shift) & wmask; raw ^= pcMix & xmask
+//	raw = (srcs[src] >> shift) & wmask
+//	ix  = fold8(raw) if fold, else raw
+//	ix ^= mix[mix]
 //
 // over a per-prediction source vector: slot 0 is the constant 0 (bias),
 // then the PC, the address (offset features read it with a pre-clamped
 // shift/mask, which is equivalent because offsetRange keeps the bit range
 // inside the block offset), the three boolean raws, and one slot per
 // DISTINCT pc-history depth used by the feature set, materialized from the
-// ring once per prediction instead of once per feature. The xor-mix is a
-// mask select (xmask is all-ones when the feature's X parameter is set),
-// so the loop body carries no data-dependent branches except the shared
-// fold test.
+// ring once per prediction instead of once per feature.
+//
+// The X parameter's PC mix is folded once per prediction, not per kernel.
+// Xor-folding is linear, foldTo(r^m, n) == foldTo(r, n) ^ foldTo(m, n), so
+// predict folds PC>>2 once per distinct index width into the mix vector,
+// and a mixed
+// kernel xors in the entry for its own width (its IndexBits). Unmixed
+// kernels read slot 0, which stays 0. What is left to fold per kernel is
+// the raw bit range, and that only when it is wider than the index: a
+// pc or address range wider than 8 bits, which fold8 folds with a fixed
+// three shifts. Every other range already fits its table, so the index
+// needs no mask.
 type fastKernel struct {
 	src   uint8  // source-vector slot
 	shift uint8  // bit-range start
-	bits  uint8  // fold width, == Feature.IndexBits()
-	fold  uint8  // fold dispatch: foldNone, fold88, or foldGen
-	wmask uint64 // bit-range width mask applied after the shift
-	xmask uint64 // all-ones to mix in PC>>2 (the X parameter), else 0
-	mask  uint32 // table index mask, TableSize-1
+	mix   uint8  // mix-vector slot: IndexBits when X is set, else 0
+	fold  bool   // the range is wider than the 8-bit index: fold8 it
 	base  uint32 // table offset in the predictor's flat weight array
+	wmask uint64 // bit-range width mask applied after the shift
 }
-
-// fold dispatch codes. The hot loop's fold branch tests k.fold, which is
-// fixed per kernel, so the branch pattern repeats identically on every
-// prediction and predicts perfectly — unlike testing raw>>bits, whose
-// outcome varies with the access. foldNone kernels prove statically that
-// the raw value fits the table (range width <= index bits and no PC mix);
-// fold88 kernels run the three-shift fold8 unconditionally, which is an
-// identity when the value already fits; foldGen kernels keep the
-// data-dependent foldTo as a last resort.
-const (
-	foldNone uint8 = iota
-	fold88
-	foldGen
-)
 
 // Fixed source-vector slots; history depths follow from srcHist up.
 const (
@@ -87,22 +83,38 @@ const (
 	srcHist     = 6 // first history slot
 )
 
+// The source and mix vectors are fixed power-of-two arrays, and kernels
+// index them through these masks, so the loads need no bounds check. The
+// source vector holds the fixed slots plus one per distinct history depth
+// (at most MaxW); the mix vector one entry per index width, 0..8.
+const (
+	srcLen  = 32
+	srcMask = srcLen - 1
+	mixLen  = 16
+	mixMask = mixLen - 1
+)
+
+// A mask must never wrap a slot: this fails to compile if MaxW history
+// depths no longer fit after the fixed slots.
+const _ = uint(srcLen - srcHist - MaxW)
+
 // compileFastKernels builds the compiled form of a feature set: the
-// per-feature fastKernels (bases matching the flat weight array layout)
-// and the distinct history ring offsets (W-1 for each depth used) backing
-// source slots srcHist+j.
-func compileFastKernels(features []Feature) (ks []fastKernel, histOffs []uint32) {
+// per-feature fastKernels (bases matching the flat weight array layout),
+// the distinct history ring offsets (W-1 for each depth used) backing
+// source slots srcHist+j, and the distinct index widths of the mixed
+// kernels, for which predict folds the PC mix.
+func compileFastKernels(features []Feature) (ks []fastKernel, histOffs []uint32, mixBits []uint8) {
 	ks = make([]fastKernel, len(features))
 	depthSlot := make(map[uint32]uint8)
 	base := 0
 	for i, f := range features {
-		k := fastKernel{
-			bits: uint8(f.IndexBits()),
-			mask: uint32(f.TableSize() - 1),
-			base: uint32(base),
-		}
+		bits := uint8(f.IndexBits())
+		k := fastKernel{base: uint32(base)}
 		if f.X {
-			k.xmask = ^uint64(0)
+			k.mix = bits
+			if !slices.Contains(mixBits, bits) {
+				mixBits = append(mixBits, bits)
+			}
 		}
 		switch f.Kind {
 		case KindPC:
@@ -136,55 +148,11 @@ func compileFastKernels(features []Feature) (ks []fastKernel, histOffs []uint32)
 		case KindLastMiss:
 			k.src, k.wmask = srcLastMiss, 1
 		}
-		switch {
-		case k.xmask == 0 && k.wmask>>k.bits == 0:
-			k.fold = foldNone
-		case k.bits == 8:
-			k.fold = fold88
-		default:
-			k.fold = foldGen
-		}
+		// Only pc and address ranges can be wider than their index, and
+		// their index is 8 bits.
+		k.fold = k.wmask>>bits != 0
 		ks[i] = k
 		base += f.TableSize()
 	}
-	return ks, histOffs
-}
-
-// Bit-parallel (SWAR) confidence summation. A plain loop would accumulate
-// the per-feature int8 weights through a loop-carried scalar add — each
-// `sum += int(weights[...])` waiting on the previous one. The hot path
-// instead gathers the weights into a staging vector of uint64 lane words,
-// eight biased bytes per word, and reduces the whole vector with a handful
-// of word-wide adds at the end, so the gathers are independent loads and
-// the dependent chain is O(words) instead of O(features).
-//
-// Sign handling: a lane byte holds the weight OFFSET BY +128
-// (uint8(w)^0x80 == w+128 for any int8 w), so bytes are non-negative and
-// plain binary addition inside a word cannot borrow across lane
-// boundaries. The true signed sum is the byte sum minus 128*numFeatures.
-// Unused bytes in the last word stay zero and are cancelled by biasing
-// only the features actually gathered.
-
-// laneWords is the staging-vector capacity in uint64 words: one byte lane
-// per feature, for the largest feature set NewPredictor accepts.
-const laneWords = MaxFeatures / 8
-
-// weightBias is the per-byte offset that maps int8 weights onto
-// non-negative lane bytes.
-const weightBias = 128
-
-// sumLanes adds every byte of the staging vector's first `words` words.
-// Each word's eight bytes are first widened pairwise into four 16-bit
-// lanes (two bytes each, max 2*255 — no overflow), the 16-bit lanes are
-// accumulated across words (max 8 words * 510 = 4080 per lane), and the
-// final fold collapses 4x16 bits to one integer.
-func sumLanes(lanes *[laneWords]uint64, words int) int {
-	const lo8 = 0x00FF00FF00FF00FF
-	const lo16 = 0x0000FFFF0000FFFF
-	var acc uint64 // four 16-bit sub-sums
-	for _, v := range lanes[:words] {
-		acc += (v & lo8) + ((v >> 8) & lo8)
-	}
-	acc = (acc & lo16) + ((acc >> 16) & lo16) // two 32-bit sub-sums
-	return int((acc + (acc >> 32)) & 0xFFFFFFFF)
+	return ks, histOffs, mixBits
 }

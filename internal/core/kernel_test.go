@@ -46,11 +46,11 @@ func refConf(p *Predictor, in *Input) (int, []uint16) {
 }
 
 // gatherMismatch runs the compiled kernels on an arbitrary Input through
-// the source vector — so it reaches inputs predict never builds, such as
-// a burst that is also an insert — and compares both gathers' confidence
-// and the index vector against refConf. It returns nil when they agree.
+// the source and mix vectors — so it reaches inputs predict never builds,
+// such as a burst that is also an insert — and compares the confidence and
+// the index vector against refConf. It returns nil when they agree.
 func gatherMismatch(p *Predictor, in *Input) error {
-	srcs := p.srcs
+	srcs := &p.srcs
 	srcs[srcPC] = in.PC
 	srcs[srcAddr] = in.Addr
 	srcs[srcBurst] = b2u(in.Burst)
@@ -59,11 +59,9 @@ func gatherMismatch(p *Predictor, in *Input) error {
 	for j, off := range p.histOffs {
 		srcs[srcHist+j] = in.History[off+1]
 	}
+	p.mixPC(in.PC)
 	want, wantIdx := refConf(p, in)
-	if got := p.gatherConf(in.PC >> 2); got != want {
-		return fmt.Errorf("gatherConf confidence %d, reference %d (in=%+v)", got, want, *in)
-	}
-	if got := p.gather(in.PC >> 2); got != want {
+	if got := p.gather(); got != want {
 		return fmt.Errorf("gather confidence %d, reference %d (in=%+v)", got, want, *in)
 	}
 	for i, ix := range wantIdx {
@@ -107,7 +105,7 @@ func TestKernelMatchesReferenceIndex(t *testing.T) {
 }
 
 // TestKernelMatchesReferenceOnPaperSets runs the same equivalence over the
-// published feature sets with a fixed input, so a regression names the
+// shipped feature sets with a fixed input, so a regression names the
 // exact feature.
 func TestKernelMatchesReferenceOnPaperSets(t *testing.T) {
 	in := Input{PC: 0x402468, Addr: 0xdeadbeef, Insert: true, LastMiss: true}
@@ -117,9 +115,10 @@ func TestKernelMatchesReferenceOnPaperSets(t *testing.T) {
 	}
 	rng := xrand.New(3)
 	for name, set := range map[string][]Feature{
-		"1a": SingleThreadSetA(),
-		"1b": SingleThreadSetB(),
-		"2":  MultiProgrammedSet(),
+		"1a":    SingleThreadSetA(),
+		"1b":    SingleThreadSetB(),
+		"2":     MultiProgrammedSet(),
+		"suite": SuiteSearchedSet(),
 	} {
 		p := NewPredictor(set, 1, 1)
 		scrambleState(p, rng)
@@ -131,7 +130,7 @@ func TestKernelMatchesReferenceOnPaperSets(t *testing.T) {
 
 // TestNewPredictorRejectsOversizedSet pins the MaxFeatures limit at
 // construction: one feature past it panics instead of overrunning the
-// staging vector and the sampler's per-position masks.
+// sampler's per-position masks.
 func TestNewPredictorRejectsOversizedSet(t *testing.T) {
 	feats := make([]Feature, MaxFeatures+1)
 	for i := range feats {
@@ -162,26 +161,48 @@ func TestFold8MatchesFoldTo(t *testing.T) {
 
 // TestSteadyStateAccessDoesNotAllocate guards the zero-allocation property
 // of the MPPPB LLC hot path: once the structures are built, simulating an
-// access must not touch the heap.
+// access must not touch the heap. It covers every shipped
+// parameterisation: single-thread on a 2048-set LLC, multi-core on an
+// 8192-set LLC with the requesting core cycling through four, and each of
+// the two with the adaptive threshold duel.
 func TestSteadyStateAccessDoesNotAllocate(t *testing.T) {
-	m := NewMPPPB(2048, 16, SingleThreadParams())
-	c := cache.New("llc", 2048, 16, m)
-	step := func(i int) {
-		c.Access(cache.Access{
-			PC:   0x400000 + uint64(i%13)*4,
-			Addr: uint64(i)*88 + uint64(i%7)<<14,
-			Type: trace.Load,
+	adaptive := func(p Params) Params {
+		p.Duel = &DuelConfig{}
+		return p
+	}
+	for _, c := range []struct {
+		name   string
+		sets   int
+		cores  int
+		params Params
+	}{
+		{"single-thread", 2048, 1, SingleThreadParams()},
+		{"multi-core", 8192, 4, MultiCoreParams()},
+		{"single-thread-adaptive", 2048, 1, adaptive(SingleThreadParams())},
+		{"multi-core-adaptive", 8192, 4, adaptive(MultiCoreParams())},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewMPPPB(c.sets, 16, c.params)
+			llc := cache.New("llc", c.sets, 16, m)
+			step := func(i int) {
+				llc.Access(cache.Access{
+					PC:   0x400000 + uint64(i%13)*4,
+					Addr: uint64(i)*88 + uint64(i%7)<<14,
+					Type: trace.Load,
+					Core: i % c.cores,
+				})
+			}
+			for i := 0; i < 50000; i++ {
+				step(i)
+			}
+			n := 50000
+			if avg := testing.AllocsPerRun(2000, func() {
+				step(n)
+				n++
+			}); avg != 0 {
+				t.Fatalf("steady-state LLC access allocates %v times per access", avg)
+			}
 		})
-	}
-	for i := 0; i < 50000; i++ {
-		step(i)
-	}
-	n := 50000
-	if avg := testing.AllocsPerRun(2000, func() {
-		step(n)
-		n++
-	}); avg != 0 {
-		t.Fatalf("steady-state LLC access allocates %v times per access", avg)
 	}
 }
 

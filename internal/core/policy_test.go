@@ -198,7 +198,7 @@ func TestPredictorHistoryPerCore(t *testing.T) {
 		core int
 		last uint64
 	}{{0, 0x1000}, {1, 0x2000}, {7, 0x1000}} {
-		p.predict(cache.Access{PC: 9, Core: c.core}, 0, false, true)
+		p.predict(cache.Access{PC: 9, Core: c.core}, 0, false)
 		in := Input{PC: 9}
 		in.History[0], in.History[1] = 9, c.last
 		if got, want := uint32(p.idx[0]), f.Index(&in); got != want {
@@ -211,7 +211,7 @@ func TestPredictorHistoryPerCore(t *testing.T) {
 // exactly burst then lastmiss, and returns the two raw inputs the compiled
 // kernels read.
 func burstLastMiss(p *Predictor, a cache.Access, set int, insert bool) (burst, lastMiss bool) {
-	p.predict(a, set, insert, true)
+	p.predict(a, set, insert)
 	return p.idx[0] == 1, p.idx[1] == 1
 }
 

@@ -48,6 +48,7 @@ type Predictor struct {
 	features []Feature
 	fast     []fastKernel // compiled features, in feature order
 	histOffs []uint32     // distinct history ring offsets backing srcs[srcHist+j]
+	mixBits  []uint8      // distinct index widths of the X-mixed features
 	weights  []int8       // all weight tables, concatenated in feature order
 	tables   [][]int8     // per-feature views into weights (training, introspection)
 
@@ -62,17 +63,17 @@ type Predictor struct {
 	// have-block bit, and the last block address together on every call).
 	setMeta []setMeta
 
-	// scratch reused across calls: the per-feature index vector, the SWAR
-	// weight-staging vector, and the per-prediction source vector.
+	// scratch reused across calls: the per-feature index vector, and the
+	// per-prediction source and mix vectors (kernel.go).
 	//
-	// lanes holds the gathered (biased) weight bytes of the most recent
-	// prediction, eight per word. Like idx, it survives between calls,
-	// which is what lets MPPPB's Victim→Fill memo reuse the whole gathered
-	// state of a prediction — confidence, index vector, and lane vector —
-	// without recomputing any of it on the Fill side.
-	idx   []uint16
-	lanes [laneWords]uint64
-	srcs  []uint64
+	// idx holds the table indices of the most recent prediction. It
+	// survives between calls, which is what lets sampler training read it
+	// after the prediction, and MPPPB's Victim→Fill memo reuse the whole
+	// prediction, confidence and index vector, without recomputing it on
+	// the Fill side.
+	idx  []uint16
+	srcs [srcLen]uint64
+	mix  [mixLen]uint32
 }
 
 // NewPredictor builds predictor state for an LLC with the given number of
@@ -109,8 +110,7 @@ func NewPredictor(features []Feature, llcSets, cores int) *Predictor {
 		p.tables[i] = p.weights[base : base+sz : base+sz]
 		base += sz
 	}
-	p.fast, p.histOffs = compileFastKernels(features)
-	p.srcs = make([]uint64, srcHist+len(p.histOffs))
+	p.fast, p.histOffs, p.mixBits = compileFastKernels(features)
 	return p
 }
 
@@ -138,127 +138,57 @@ func (p *Predictor) ring(core int) int {
 	return core
 }
 
-// predict computes an access's confidence: it fills the source vector
-// from the access, the requesting core's history ring, and the set's
-// metadata, then runs the compiled gather. insert marks misses; set is
-// the LLC set index.
-//
-// needIdx selects whether the per-feature index vector is left in p.idx.
-// Only sampler training reads it, and callers know before predicting
-// whether the set is sampled, so the vast majority of predictions (every
-// access to an unsampled set) skip the per-feature store entirely.
-// Callers that predict with needIdx=false MUST NOT train from p.idx
-// afterwards. The confidence is identical either way
-// (TestComputeIndicesMatchesScalarSum checks both variants).
-func (p *Predictor) predict(a cache.Access, set int, insert bool, needIdx bool) int {
+// predict computes an access's confidence and leaves its index vector in
+// p.idx: it fills the source vector from the access, the requesting core's
+// history ring, and the set's metadata, folds the PC mix, then runs the
+// compiled gather. insert marks misses; set is the LLC set index.
+func (p *Predictor) predict(a cache.Access, set int, insert bool) int {
 	core := p.ring(a.Core)
 	hist, head := &p.hist[core], p.heads[core]
 	pc := accessPC(a)
 	m := &p.setMeta[set]
-	srcs := p.srcs
+	srcs := &p.srcs
 	srcs[srcPC] = pc
 	srcs[srcAddr] = a.Addr
 	srcs[srcBurst] = b2u(!insert && m.flags&setHaveBlock != 0 && m.lastBlock == a.Block())
 	srcs[srcInsert] = b2u(insert)
 	srcs[srcLastMiss] = b2u(m.flags&setLastMiss != 0)
 	for j, off := range p.histOffs {
-		srcs[srcHist+j] = hist[(head+off)&histRingMask]
+		srcs[(srcHist+j)&srcMask] = hist[(head+off)&histRingMask]
 	}
-	if needIdx {
-		return p.gather(pc >> 2)
-	}
-	return p.gatherConf(pc >> 2)
+	p.mixPC(pc)
+	return p.gather()
 }
 
-// gather runs the compiled index/weight walk over the already-filled source
-// vector: per feature, the fastKernel select/shift/mask/fold, the idx store,
-// and the biased weight byte ORed into its staging lane; then the SWAR
-// reduction.
-func (p *Predictor) gather(pcMix uint64) int {
-	nf := len(p.fast)
-	kernels := p.fast
-	idx := p.idx
-	weights := p.weights
-	srcs := p.srcs
-
-	words := (nf + 7) / 8
-	i := 0
-	for w := 0; w < words; w++ {
-		// One lane word gathers up to eight features; the word accumulates
-		// in a register and is stored once.
-		var lane uint64
-		end := i + 8
-		if end > nf {
-			end = nf
-		}
-		for sh := uint(0); i < end; i, sh = i+1, sh+8 {
-			k := &kernels[i]
-			raw := (srcs[k.src] >> k.shift) & k.wmask
-			raw ^= pcMix & k.xmask
-			var ix uint32
-			switch k.fold {
-			case foldNone:
-				ix = uint32(raw)
-			case fold88:
-				ix = fold8(raw)
-			default:
-				if raw>>k.bits == 0 {
-					ix = uint32(raw)
-				} else {
-					ix = foldTo(raw, int(k.bits))
-				}
-			}
-			ix &= k.mask
-			idx[i] = uint16(ix)
-			lane |= uint64(uint8(weights[k.base+ix])^weightBias) << sh
-		}
-		p.lanes[w] = lane
+// mixPC folds the X parameter's mix, PC>>2, to each index width a mixed
+// kernel uses, once per prediction (see fastKernel).
+func (p *Predictor) mixPC(pc uint64) {
+	for _, n := range p.mixBits {
+		p.mix[n&mixMask] = foldTo(pc>>2, int(n))
 	}
-	return clampConf(sumLanes(&p.lanes, words) - weightBias*nf)
 }
 
-// gatherConf is gather without the idx store, for predictions on unsampled
-// sets, where no training will read the index vector. They are ~97% of all
-// predictions, and dropping the store measured faster in most interleaved
-// rounds (docs/PERFORMANCE.md). The loop body is otherwise identical — any
-// change here must be mirrored in gather (the kernel tests cover both).
-func (p *Predictor) gatherConf(pcMix uint64) int {
-	nf := len(p.fast)
+// gather runs the compiled kernels over the filled source and mix vectors:
+// per feature, the shift/mask, the fold of a wide range, the PC mix, the
+// idx store, and the weight added to the sum.
+func (p *Predictor) gather() int {
 	kernels := p.fast
+	idx := p.idx[:len(kernels)] // same length; lets the compiler drop the store's bounds check
 	weights := p.weights
-	srcs := p.srcs
-
-	words := (nf + 7) / 8
-	i := 0
-	for w := 0; w < words; w++ {
-		var lane uint64
-		end := i + 8
-		if end > nf {
-			end = nf
+	sum := 0
+	for i := range kernels {
+		k := &kernels[i]
+		// shift <= MaxBit; the &63 spares Go's guard for shifts past 63.
+		raw := (p.srcs[k.src&srcMask] >> (k.shift & 63)) & k.wmask
+		ix := uint32(raw)
+		if k.fold {
+			ix = fold8(raw)
 		}
-		for sh := uint(0); i < end; i, sh = i+1, sh+8 {
-			k := &kernels[i]
-			raw := (srcs[k.src] >> k.shift) & k.wmask
-			raw ^= pcMix & k.xmask
-			var ix uint32
-			switch k.fold {
-			case foldNone:
-				ix = uint32(raw)
-			case fold88:
-				ix = fold8(raw)
-			default:
-				if raw>>k.bits == 0 {
-					ix = uint32(raw)
-				} else {
-					ix = foldTo(raw, int(k.bits))
-				}
-			}
-			ix &= k.mask
-			lane |= uint64(uint8(weights[k.base+ix])^weightBias) << sh
-		}
-		p.lanes[w] = lane
+		ix ^= p.mix[k.mix&mixMask]
+		idx[i] = uint16(ix)
+		sum += int(weights[k.base+ix])
 	}
-	return clampConf(sumLanes(&p.lanes, words) - weightBias*nf)
+	return clampConf(sum)
 }
 
 // b2u converts a bool to its 0/1 raw feature value.
@@ -272,7 +202,7 @@ func b2u(b bool) uint64 {
 // Confidence computes the prediction for an access without updating any
 // state. Higher values mean the block is more confidently predicted dead.
 func (p *Predictor) Confidence(a cache.Access, set int, insert bool) int {
-	return p.predict(a, set, insert, true)
+	return p.predict(a, set, insert)
 }
 
 // observe updates per-set and per-core state after an access has been

@@ -5,7 +5,7 @@
 # divergence in hit/miss, victim choice, or frame state aborts with the
 # access index and a set-level dump. Three passes:
 #   kernels     the hot rewrites: the always-run lru baseline and mpppb
-#               stream the SoA tag lane, mpppb runs the SWAR confidence
+#               stream the SoA tag lane, mpppb runs the scalar confidence
 #               gather, and mdpp exercises the precomputed tree-PLRU touch
 #               tables;
 #   st-duelers  the single-thread set-dueling policies drrip, dip,
