@@ -78,10 +78,10 @@ watch-smoke:
 serve-smoke:
 	scripts/serve_smoke.sh
 
-# Differential-oracle smoke: small fig6 and fig4 campaigns, every
-# set-dueling policy included, with the lockstep verification layer armed
-# (-check); divergence aborts with the access index and a set-level dump
-# (see scripts/check_smoke.sh).
+# Differential-oracle smoke: small fig6, fig4 and fig8 campaigns, every
+# set-dueling policy and the measurement-only ROC run included, with the
+# lockstep verification layer armed (-check); divergence aborts with the
+# access index and a set-level dump (see scripts/check_smoke.sh).
 check-smoke:
 	scripts/check_smoke.sh
 

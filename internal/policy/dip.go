@@ -49,24 +49,16 @@ var _ cache.ReplacementPolicy = (*BIP)(nil)
 // DIP is dynamic insertion policy (Qureshi et al., ISCA 2007): set-dueling
 // between LRU insertion and BIP, the mechanism the paper's DRRIP also uses
 // (citation [23]). Included as a further baseline: DIP defeats thrashing
-// without any prediction structures at all.
+// without any prediction structures at all. Hits, victims and bimodal
+// fills are the embedded BIP's.
 type DIP struct {
-	lru     *LRU
-	ways    int
-	epsilon int
-	rng     *xrand.RNG
-	duel    *Duel // candidate 0 inserts at MRU (LRU), candidate 1 bimodally (BIP)
+	*BIP
+	duel *Duel // candidate 0 inserts at MRU (LRU), candidate 1 bimodally (BIP)
 }
 
 // NewDIP constructs DIP with DRRIP's duel (newTwoWayDuel).
 func NewDIP(sets, ways int, seed uint64) *DIP {
-	return &DIP{
-		lru:     NewLRU(sets, ways),
-		ways:    ways,
-		epsilon: 32,
-		rng:     xrand.New(seed),
-		duel:    newTwoWayDuel(sets),
-	}
+	return &DIP{BIP: NewBIP(sets, ways, seed), duel: newTwoWayDuel(sets)}
 }
 
 // Duel exposes the LRU-versus-BIP duel for the verification layer.
@@ -75,24 +67,16 @@ func (d *DIP) Duel() *Duel { return d.duel }
 // Name implements cache.ReplacementPolicy.
 func (d *DIP) Name() string { return "dip" }
 
-// Hit implements cache.ReplacementPolicy.
-func (d *DIP) Hit(set, way int, a cache.Access) { d.lru.Hit(set, way, a) }
-
-// Victim implements cache.ReplacementPolicy.
-func (d *DIP) Victim(set int, a cache.Access) (int, bool) { return d.lru.Victim(set, a) }
-
 // Fill implements cache.ReplacementPolicy: every fill is a miss and votes;
-// leaders insert by their own policy, followers by the winner's.
+// leaders insert by their own policy, followers by the winner's. Only a
+// bimodal fill draws from the RNG.
 func (d *DIP) Fill(set, way int, a cache.Access) {
 	d.duel.Miss(set)
-	if d.duel.Pick(set) == 0 || d.rng.Intn(d.epsilon) == 0 {
+	if d.duel.Pick(set) == 0 {
 		d.lru.touch(set, way, 0)
 	} else {
-		d.lru.touch(set, way, d.ways-1)
+		d.BIP.Fill(set, way, a)
 	}
 }
-
-// Evict implements cache.ReplacementPolicy.
-func (d *DIP) Evict(int, int, uint64) {}
 
 var _ cache.ReplacementPolicy = (*DIP)(nil)

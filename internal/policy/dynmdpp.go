@@ -12,7 +12,7 @@ import (
 // enhanced promotion policy"); the dynamic variant ships here as an extra
 // baseline and as the natural ablation of that choice.
 type DynMDPP struct {
-	tree *TreePLRU
+	mdpp *MDPP // the tree and its position masks; its static positions go unused
 	// candidates are (place, promote) position pairs under duel.
 	candidates [][2]int
 	// duel picks a pair per set: up to 64 leader groups of one set per
@@ -33,7 +33,7 @@ func NewDynMDPP(sets, ways int) *DynMDPP {
 		{ways / 2, ways / 4}, // guarded insertion and promotion
 	}
 	return &DynMDPP{
-		tree:       NewTreePLRU(sets, ways),
+		mdpp:       NewMDPP(sets, ways),
 		candidates: candidates,
 		duel:       NewDuel(sets, len(candidates), Layout{Grouped: true, Leaders: 64}, Rule{Kind: Decay, Period: 8192}),
 	}
@@ -45,38 +45,23 @@ func (d *DynMDPP) Duel() *Duel { return d.duel }
 // positionsFor picks the active (place, promote) pair for a set.
 func (d *DynMDPP) positionsFor(set int) [2]int { return d.candidates[d.duel.Pick(set)] }
 
-// maskFor mirrors MDPP's position-to-level-mask mapping.
-func (d *DynMDPP) maskFor(pos int) uint32 {
-	levels := d.tree.levels
-	inv := uint32(^pos) & ((1 << uint(levels)) - 1)
-	var mask uint32
-	for l := 0; l < levels; l++ {
-		if inv&(1<<uint(levels-1-l)) != 0 {
-			mask |= 1 << uint(l)
-		}
-	}
-	return mask
-}
-
 // Name implements cache.ReplacementPolicy.
 func (d *DynMDPP) Name() string { return "dyn-mdpp" }
 
 // Hit implements cache.ReplacementPolicy.
 func (d *DynMDPP) Hit(set, way int, _ cache.Access) {
-	pos := d.positionsFor(set)[1]
-	d.tree.TouchMasked(set, way, d.maskFor(pos))
+	d.mdpp.PlaceAt(set, way, d.positionsFor(set)[1])
 }
 
 // Victim implements cache.ReplacementPolicy.
 func (d *DynMDPP) Victim(set int, _ cache.Access) (int, bool) {
-	return d.tree.VictimWay(set), false
+	return d.mdpp.VictimWay(set), false
 }
 
 // Fill implements cache.ReplacementPolicy: every fill is a miss and votes.
 func (d *DynMDPP) Fill(set, way int, _ cache.Access) {
 	d.duel.Miss(set)
-	pos := d.positionsFor(set)[0]
-	d.tree.TouchMasked(set, way, d.maskFor(pos))
+	d.mdpp.PlaceAt(set, way, d.positionsFor(set)[0])
 }
 
 // Evict implements cache.ReplacementPolicy.

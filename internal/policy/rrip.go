@@ -85,26 +85,17 @@ var _ cache.ReplacementPolicy = (*SRRIP)(nil)
 // DRRIP is dynamic RRIP: set-dueling (Qureshi et al.) between SRRIP
 // insertion and bimodal insertion (BRRIP, which inserts at "distant" except
 // for 1/32 of fills). Leader sets vote through a saturating policy-select
-// counter; follower sets use the winning insertion policy.
+// counter; follower sets use the winning insertion policy. Hits, victims
+// and the RRPV array are the embedded SRRIP's; only insertion duels.
 type DRRIP struct {
-	ways int
-	rrpv []uint8
+	*SRRIP
 	duel *Duel // candidate 0 inserts as SRRIP, candidate 1 as BRRIP
 	rng  *xrand.RNG
 }
 
 // NewDRRIP constructs DRRIP state.
 func NewDRRIP(sets, ways int, seed uint64) *DRRIP {
-	d := &DRRIP{
-		ways: ways,
-		rrpv: make([]uint8, sets*ways),
-		duel: newTwoWayDuel(sets),
-		rng:  xrand.New(seed),
-	}
-	for i := range d.rrpv {
-		d.rrpv[i] = RRPVMax
-	}
-	return d
+	return &DRRIP{SRRIP: NewSRRIP(sets, ways), duel: newTwoWayDuel(sets), rng: xrand.New(seed)}
 }
 
 // newTwoWayDuel is DRRIP's duel, which DIP shares: 32 leader sets per
@@ -119,24 +110,6 @@ func (d *DRRIP) Duel() *Duel { return d.duel }
 // Name implements cache.ReplacementPolicy.
 func (d *DRRIP) Name() string { return "drrip" }
 
-// Hit implements cache.ReplacementPolicy.
-func (d *DRRIP) Hit(set, way int, _ cache.Access) { d.rrpv[set*d.ways+way] = RRPVImmediate }
-
-// Victim implements cache.ReplacementPolicy.
-func (d *DRRIP) Victim(set int, _ cache.Access) (int, bool) {
-	base := set * d.ways
-	for {
-		for w := 0; w < d.ways; w++ {
-			if d.rrpv[base+w] == RRPVMax {
-				return w, false
-			}
-		}
-		for w := 0; w < d.ways; w++ {
-			d.rrpv[base+w]++
-		}
-	}
-}
-
 // Fill implements cache.ReplacementPolicy: every fill is a miss and votes
 // (a miss in a leader set is a point against its policy); leaders insert
 // by their own policy, followers by the winner's.
@@ -147,10 +120,7 @@ func (d *DRRIP) Fill(set, way int, _ cache.Access) {
 	if d.duel.Pick(set) == 1 && d.rng.Intn(32) != 0 {
 		v = RRPVMax
 	}
-	d.rrpv[set*d.ways+way] = v
+	d.SetRRPV(set, way, v)
 }
-
-// Evict implements cache.ReplacementPolicy.
-func (d *DRRIP) Evict(int, int, uint64) {}
 
 var _ cache.ReplacementPolicy = (*DRRIP)(nil)

@@ -17,10 +17,9 @@ const (
 	// Counters are 5-bit saturating, initialized weakly friendly: the
 	// extra hysteresis over smaller counters keeps predictions stable
 	// under the noisier reuse intervals of shared-cache workloads.
-	hawkCtrMax      = 31
-	hawkCtrInit     = 17
-	hawkTableSize   = 8192
-	hawkSamplerSets = 64
+	hawkCtrMax    = 31
+	hawkCtrInit   = 17
+	hawkTableSize = 8192
 	// hawkSamplerCap and hawkWindow size the sampled OPTgen. The window
 	// must cover reuse intervals as seen by a *shared* LLC set, where a
 	// block's own accesses are interleaved with other cores' traffic;
@@ -45,11 +44,11 @@ type hawkSet struct {
 
 // Hawkeye is the ISCA 2016 policy.
 type Hawkeye struct {
+	setSampler
 	sets, ways  int
 	ctr         []uint8 // PC counters
 	rrpv        []uint8
 	framePC     []uint64 // PC that last touched each frame (for detraining)
-	spacing     int
 	sampled     []hawkSet
 	detrainTick uint64
 }
@@ -57,13 +56,13 @@ type Hawkeye struct {
 // NewHawkeye constructs Hawkeye for an LLC geometry.
 func NewHawkeye(sets, ways int) *Hawkeye {
 	h := &Hawkeye{
-		sets:    sets,
-		ways:    ways,
-		ctr:     make([]uint8, hawkTableSize),
-		rrpv:    make([]uint8, sets*ways),
-		framePC: make([]uint64, sets*ways),
-		spacing: max(1, sets/hawkSamplerSets),
-		sampled: make([]hawkSet, hawkSamplerSets),
+		sets:       sets,
+		ways:       ways,
+		ctr:        make([]uint8, hawkTableSize),
+		rrpv:       make([]uint8, sets*ways),
+		framePC:    make([]uint64, sets*ways),
+		setSampler: newSetSampler(sets),
+		sampled:    make([]hawkSet, samplerSets),
 	}
 	for i := range h.ctr {
 		h.ctr[i] = hawkCtrInit
@@ -91,17 +90,6 @@ func (h *Hawkeye) train(pc uint64, friendly bool) {
 	} else if *c > 0 {
 		*c--
 	}
-}
-
-func (h *Hawkeye) sampledSet(set int) int {
-	if set%h.spacing != 0 {
-		return -1
-	}
-	ss := set / h.spacing
-	if ss >= hawkSamplerSets {
-		return -1
-	}
-	return ss
 }
 
 // optgen simulates OPT's decision for the reuse interval ending at the

@@ -19,7 +19,6 @@ const (
 	percTableSize   = 256
 	percWeightMin   = -32
 	percWeightMax   = 31
-	percSamplerSets = 64
 	percSamplerWays = 16
 	percHistory     = 3
 	// Training threshold and decision thresholds (tuned on this
@@ -41,11 +40,11 @@ type percEntry struct {
 // Perceptron is the MICRO 2016 perceptron reuse predictor driving bypass
 // and replacement over LRU.
 type Perceptron struct {
+	setSampler
 	ways    int
 	tables  [percFeatures][]int8
 	hist    [percMaxCores][percHistory]uint64
 	sampler []percEntry
-	spacing int
 	lru     *policy.LRU
 	dead    []bool
 
@@ -55,11 +54,11 @@ type Perceptron struct {
 // NewPerceptron constructs the predictor for an LLC geometry.
 func NewPerceptron(sets, ways int) *Perceptron {
 	p := &Perceptron{
-		ways:    ways,
-		sampler: make([]percEntry, percSamplerSets*percSamplerWays),
-		spacing: max(1, sets/percSamplerSets),
-		lru:     policy.NewLRU(sets, ways),
-		dead:    make([]bool, sets*ways),
+		ways:       ways,
+		sampler:    make([]percEntry, samplerSets*percSamplerWays),
+		setSampler: newSetSampler(sets),
+		lru:        policy.NewLRU(sets, ways),
+		dead:       make([]bool, sets*ways),
 	}
 	for i := range p.tables {
 		p.tables[i] = make([]int8, percTableSize)
@@ -120,18 +119,6 @@ func (p *Perceptron) bump(f int, ix uint8, up bool) {
 	} else if *w > percWeightMin {
 		*w--
 	}
-}
-
-// sampledSet maps an LLC set to a sampler set or -1.
-func (p *Perceptron) sampledSet(set int) int {
-	if set%p.spacing != 0 {
-		return -1
-	}
-	ss := set / p.spacing
-	if ss >= percSamplerSets {
-		return -1
-	}
-	return ss
 }
 
 // samplerAccess trains weights by perceptron learning: reuse decrements the
@@ -259,10 +246,3 @@ func (p *Perceptron) Evict(set, way int, blockAddr uint64) {
 }
 
 var _ cache.ReplacementPolicy = (*Perceptron)(nil)
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -24,9 +24,29 @@ const (
 	sdbpTagBits    = 16
 	// sdbpThreshold classifies a block dead when the counter sum meets it.
 	sdbpThreshold = 8
-	// sdbpSamplerSets is the number of sampled sets.
-	sdbpSamplerSets = 64
 )
+
+// samplerSets is how many LLC sets SDBP, Perceptron and Hawkeye sample.
+const samplerSets = 64
+
+// setSampler picks the sampled sets of SDBP, Perceptron and Hawkeye: every
+// max(1, sets/samplerSets)-th LLC set, the first samplerSets only. Its
+// value is that spacing.
+type setSampler int
+
+func newSetSampler(sets int) setSampler { return setSampler(max(1, sets/samplerSets)) }
+
+// sampledSet maps an LLC set to a sampler set or -1.
+func (sp setSampler) sampledSet(set int) int {
+	if set%int(sp) != 0 {
+		return -1
+	}
+	ss := set / int(sp)
+	if ss >= samplerSets {
+		return -1
+	}
+	return ss
+}
 
 type sdbpEntry struct {
 	valid  bool
@@ -39,10 +59,10 @@ type sdbpEntry struct {
 // bypass: blocks whose last-touch PC pattern predicts death are evicted
 // first (or never cached).
 type SDBP struct {
+	setSampler
 	ways    int
 	tables  [sdbpTables][]uint8
-	sampler []sdbpEntry // sdbpSamplerSets * sdbpSamplerWay
-	spacing int
+	sampler []sdbpEntry // samplerSets * sdbpSamplerWay
 	lru     *policy.LRU
 	dead    []bool // per-frame dead prediction, refreshed on each access
 }
@@ -50,11 +70,11 @@ type SDBP struct {
 // NewSDBP constructs SDBP for an LLC geometry.
 func NewSDBP(sets, ways int) *SDBP {
 	s := &SDBP{
-		ways:    ways,
-		sampler: make([]sdbpEntry, sdbpSamplerSets*sdbpSamplerWay),
-		spacing: max(1, sets/sdbpSamplerSets),
-		lru:     policy.NewLRU(sets, ways),
-		dead:    make([]bool, sets*ways),
+		ways:       ways,
+		sampler:    make([]sdbpEntry, samplerSets*sdbpSamplerWay),
+		setSampler: newSetSampler(sets),
+		lru:        policy.NewLRU(sets, ways),
+		dead:       make([]bool, sets*ways),
 	}
 	for i := range s.tables {
 		s.tables[i] = make([]uint8, sdbpTableSize)
@@ -94,18 +114,6 @@ func (s *SDBP) train(pc uint64, dead bool) {
 			*c--
 		}
 	}
-}
-
-// sampledSet maps an LLC set to a sampler set or -1.
-func (s *SDBP) sampledSet(set int) int {
-	if set%s.spacing != 0 {
-		return -1
-	}
-	ss := set / s.spacing
-	if ss >= sdbpSamplerSets {
-		return -1
-	}
-	return ss
 }
 
 // samplerAccess simulates the reduced-associativity LRU sampler and trains

@@ -2,17 +2,19 @@ package sim_test
 
 // Tests of the -check verification layer at the simulation level: checked
 // runs must complete real workload segments with zero divergences, produce
-// byte-identical results to unchecked runs (the layer observes, never
-// steers), and preserve the -j determinism guarantee.
+// byte-identical results to unchecked runs on every driver (the layer
+// observes, never steers), and preserve the -j determinism guarantee.
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"mpppb/internal/experiments"
 	"mpppb/internal/sim"
+	"mpppb/internal/stats"
 	"mpppb/internal/workload"
 )
 
@@ -63,7 +65,8 @@ func TestCheckedRunCleanMulti(t *testing.T) {
 
 // TestCheckedMatchesUnchecked verifies the observation layer never steers
 // the simulation: deterministic results of checked and unchecked runs are
-// identical for both the timed and fast drivers.
+// identical for every driver — the timed and fast single-core drivers, a
+// 4-core mix, and the ROC samples.
 func TestCheckedMatchesUnchecked(t *testing.T) {
 	for _, name := range []string{"lru", "mpppb"} {
 		t.Run(name, func(t *testing.T) {
@@ -87,6 +90,45 @@ func TestCheckedMatchesUnchecked(t *testing.T) {
 			}
 			if fastOn != fastOff {
 				t.Errorf("RunFastMPKI: checked %+v != unchecked %+v", fastOn, fastOff)
+			}
+		})
+	}
+	t.Run("RunMulti/mpppb-srrip", func(t *testing.T) {
+		pf, err := sim.Policy("mpppb-srrip")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix := workload.Mixes(1, workload.DefaultMixSeed)[0]
+		run := func(check bool) sim.MultiResult {
+			cfg := sim.MultiCoreConfig()
+			cfg.Warmup, cfg.Measure = checkWarmup, checkMeasure
+			cfg.Check = check
+			return sim.RunMulti(cfg, mix, pf)
+		}
+		if on, off := run(true), run(false); on != off {
+			t.Errorf("RunMulti: checked %+v != unchecked %+v", on, off)
+		}
+	})
+	for _, name := range []string{"mpppb", "sdbp"} {
+		t.Run("RunROC/"+name, func(t *testing.T) {
+			cf, err := sim.Confidence(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg := workload.SegmentID{Bench: "mcf_like"}
+			run := func(check bool) []stats.ROCSample {
+				// Long enough for the LLC to resolve predictions.
+				cfg := sim.SingleThreadConfig()
+				cfg.Warmup, cfg.Measure = 100_000, 400_000
+				cfg.Check = check
+				return sim.RunROC(cfg, workload.NewGenerator(seg, 0), cf)
+			}
+			on, off := run(true), run(false)
+			if len(off) == 0 {
+				t.Fatal("unchecked run collected no samples")
+			}
+			if !slices.Equal(on, off) {
+				t.Errorf("RunROC: checked run's %d samples differ from the unchecked run's %d", len(on), len(off))
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"mpppb/internal/trace"
 	"mpppb/internal/workload"
 )
 
@@ -32,16 +31,10 @@ func TestLLCStreamPolicyInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			llc := NewLLC(cfg, pf)
-			h := buildHierarchy(cfg, 0, llc)
 			gen.Reset()
-			var rec trace.Record
-			var instr uint64
-			for instr < cfg.Warmup+cfg.Measure {
-				gen.Next(&rec)
-				h.Demand(rec.PC, rec.Addr, rec.IsWrite, instr)
-				instr += rec.Instructions()
-			}
+			m := newMachine(cfg, pf, false, gen)
+			m.untimedPhase(cfg.Warmup + cfg.Measure)
+			llc, h := m.llc, m.nodes[0].h
 			snaps = append(snaps, snapshot{
 				l1Acc: h.L1.Stats.Accesses, l1Miss: h.L1.Stats.Misses,
 				l2Acc: h.L2.Stats.Accesses, l2Miss: h.L2.Stats.Misses,

@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"mpppb/internal/trace"
+	"mpppb/internal/workload"
+)
 
 // allocSink keeps the test's deliberate allocations observable.
 var allocSink []byte
@@ -46,5 +51,46 @@ func TestAllocsPerAccessGatedToSerialMeasurements(t *testing.T) {
 	b(&rb)
 	if ra.AllocsPerAccess < 0 || rb.AllocsPerAccess < 0 {
 		t.Errorf("sequential windows report (%g, %g), want both >= 0", ra.AllocsPerAccess, rb.AllocsPerAccess)
+	}
+
+	// Every driver measures through startMeasure, so a window open around
+	// any of them sees the overlap rather than taking in its allocations
+	// unflagged, and each driver's window feeds the measured-access
+	// counter and the access-rate gauge.
+	cfg := shortCfg()
+	cfg.Warmup, cfg.Measure = 10_000, 20_000
+	mcfg := MultiCoreConfig()
+	mcfg.Warmup, mcfg.Measure = 10_000, 20_000
+	mix := workload.Mixes(1, workload.DefaultMixSeed)[0]
+	cf, err := Confidence("sdbp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := func() trace.Generator { return workload.NewGenerator(seg("gcc_like", 0), 0) }
+	for _, d := range []struct {
+		name string
+		run  func()
+	}{
+		{"RunSingle", func() { RunSingle(cfg, gen(), newLRU) }},
+		{"RunFastMPKI", func() { RunFastMPKI(cfg, gen(), newLRU) }},
+		{"RunMulti", func() { RunMulti(mcfg, mix, newLRU) }},
+		{"RunROC", func() { RunROC(cfg, gen(), cf) }},
+	} {
+		acc0 := mMeasuredAccesses.Value()
+		mAccessRate.Set(0)
+		outer := startMeasure()
+		d.run()
+		added, rate := mMeasuredAccesses.Value()-acc0, mAccessRate.Value()
+		r := Result{LLCAccesses: 1}
+		outer(&r)
+		if r.AllocsPerAccess != -1 {
+			t.Errorf("window around %s: AllocsPerAccess = %g, want -1", d.name, r.AllocsPerAccess)
+		}
+		if added == 0 {
+			t.Errorf("%s added no measured LLC accesses to mpppb_sim_llc_accesses_total", d.name)
+		}
+		if rate <= 0 {
+			t.Errorf("%s left the access-rate gauge unset", d.name)
+		}
 	}
 }

@@ -24,10 +24,9 @@ var (
 )
 
 // startPhase times one driver phase; the returned function records the
-// transition and its wall time. Used directly for phases without a Result
-// to fill (warmup everywhere, RunMulti's and RunROC's windows) — timed
-// measurement phases go through startMeasure, which also feeds these
-// metrics.
+// transition and its wall time. Used directly for the warmup phase, which
+// has no Result to fill; every driver's measurement window goes through
+// startMeasure, which also feeds these metrics.
 func startPhase(kind *obs.Counter) func() {
 	t0 := time.Now()
 	return func() {

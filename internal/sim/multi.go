@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"mpppb/internal/cache"
 	"mpppb/internal/cpu"
 	"mpppb/internal/parallel"
 	"mpppb/internal/stats"
+	"mpppb/internal/trace"
 	"mpppb/internal/workload"
 )
 
@@ -34,112 +34,26 @@ func (r MultiResult) WeightedSpeedup(singleIPC [4]float64) float64 {
 
 // RunMulti simulates a 4-segment mix sharing the LLC. Scheduling follows
 // the sample-balanced idea of FIESTA: the core with the smallest elapsed
-// cycle count issues next, so all cores stay active and aligned in time;
-// warmup runs until the configured instruction total across cores, then
-// measurement runs until every core has executed cfg.Measure instructions
-// (restarting its region as needed, which the infinite generators model
-// implicitly).
+// cycle count issues next, so all cores stay active and aligned in time.
+// Warmup runs until every core has executed cfg.Warmup instructions, so
+// each core's measurement window starts at the same program phase as its
+// standalone reference run; measurement then runs until every core has
+// executed cfg.Measure instructions (restarting its region as needed,
+// which the infinite generators model implicitly).
 func RunMulti(cfg Config, mix workload.Mix, pf PolicyFactory) MultiResult {
-	llc := NewLLC(cfg, pf)
-
-	var rds [4]*batchReader
-	var hs [4]*cache.Hierarchy
-	var cores [4]*cpu.Core
-	for i := 0; i < 4; i++ {
-		rds[i] = newBatchReader(workload.NewGenerator(mix[i], workload.CoreBase(i)))
-		hs[i] = buildHierarchy(cfg, i, llc)
-		cores[i] = cpu.New(cfg.CPU)
+	var gens [4]trace.Generator
+	for i, id := range mix {
+		gens[i] = workload.NewGenerator(id, workload.CoreBase(i))
 	}
-	checks := attachChecks(cfg, llc, hs[:]...)
-
-	// Each core reads its own generator through its own batch cursor, so
-	// the per-core record streams — and pickNext's interleaving of them —
-	// are identical to the per-record path.
-	step := func(i int) uint64 {
-		rec := rds[i].next()
-		if rec.NonMem > 0 {
-			cores[i].NonMem(int(rec.NonMem))
-		}
-		lat := hs[i].Demand(rec.PC, rec.Addr, rec.IsWrite, cores[i].Now())
-		cores[i].Mem(lat)
-		return rec.Instructions()
-	}
-
-	// pickNext returns the core with the smallest absolute clock.
-	pickNext := func() int {
-		best := 0
-		bc := cores[0].Now()
-		for i := 1; i < 4; i++ {
-			if c := cores[i].Now(); c < bc {
-				best, bc = i, c
-			}
-		}
-		return best
-	}
-
-	// Warmup: run until every core has executed cfg.Warmup instructions,
-	// so each core's measurement window starts at the same program phase
-	// as its standalone reference run.
-	warmed := func() bool {
-		for i := 0; i < 4; i++ {
-			if cores[i].Instructions() < cfg.Warmup {
-				return false
-			}
-		}
-		return true
-	}
-	endWarmup := startPhase(mWarmupPhases)
-	for !warmed() {
-		step(pickNext())
-	}
-	endWarmup()
-	for i := 0; i < 4; i++ {
-		cores[i].ResetStats()
-		hs[i].ResetStats()
-	}
-	llc.ResetStats()
-	endMeasure := startPhase(mMeasurePhases)
-
-	// Measure until every core has executed cfg.Measure instructions. All
-	// cores keep running so contention persists for the laggards, but each
-	// core's statistics are snapshotted the moment it completes its quota,
+	// Each core's statistics are snapshotted the moment it completes its
+	// quota (it keeps running, so contention persists for the laggards),
 	// keeping measurement windows comparable to the standalone reference
 	// runs used for weighted speedup.
 	res := MultiResult{Mix: mix}
-	var snapped [4]bool
-	snap := func(i int) {
-		res.IPC[i] = cores[i].IPC()
-		res.Instructions[i] = cores[i].Instructions()
-		res.Cycles[i] = cores[i].Cycles()
-		snapped[i] = true
-	}
-	for {
-		done := true
-		for i := 0; i < 4; i++ {
-			if !snapped[i] {
-				if cores[i].Instructions() >= cfg.Measure {
-					snap(i)
-				} else {
-					done = false
-				}
-			}
-		}
-		if done {
-			break
-		}
-		step(pickNext())
-	}
-
-	endMeasure()
-	var totalInstr uint64
-	for i := 0; i < 4; i++ {
-		totalInstr += res.Instructions[i]
-	}
-	res.LLCMisses = llc.Stats.DemandMisses + llc.Stats.PrefetchMisses
-	res.LLCAccesses = llc.Stats.DemandAccesses + llc.Stats.PrefetchAccesses
-	mMeasuredAccesses.Add(res.LLCAccesses)
-	res.MPKI = stats.MPKI(llc.Stats.DemandMisses+llc.Stats.PrefetchMisses, totalInstr)
-	finishChecks(checks)
+	r := newMachine(cfg, pf, true, gens[:]...).run(nil, func(i int, c *cpu.Core) {
+		res.IPC[i], res.Instructions[i], res.Cycles[i] = c.IPC(), c.Instructions(), c.Cycles()
+	})
+	res.LLCMisses, res.LLCAccesses, res.MPKI = r.LLCMisses, r.LLCAccesses, r.MPKI
 	return res
 }
 

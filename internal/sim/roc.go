@@ -115,19 +115,7 @@ func RunROC(cfg Config, gen trace.Generator, cf ConfidenceFactory) []stats.ROCSa
 		probe = newROCProbe(sets, ways, cf(sets, ways))
 		return probe
 	}
-	llc := NewLLC(cfg, pf)
-	h := buildHierarchy(cfg, 0, llc)
-	checks := attachChecks(cfg, llc, h)
-
 	gen.Reset()
-	rd := newBatchReader(gen)
-	endWarmup := startPhase(mWarmupPhases)
-	now, _ := runUntimed(rd, h, 0, cfg.Warmup)
-	endWarmup()
-	probe.samples = probe.samples[:0]
-	endMeasure := startPhase(mMeasurePhases)
-	runUntimed(rd, h, now, cfg.Measure)
-	endMeasure()
-	finishChecks(checks)
+	newMachine(cfg, pf, false, gen).run(func() { probe.samples = probe.samples[:0] }, nil)
 	return probe.samples
 }

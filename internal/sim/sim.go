@@ -2,7 +2,7 @@
 // timing model, multi-programmed 4-core runs with a shared LLC, a fast
 // MPKI-only mode for feature search, and a measurement-only mode that
 // extracts predictor ROC samples without letting predictions steer the
-// cache (Section 6.3).
+// cache (Section 6.3). All four run one simulated machine (machine.go).
 package sim
 
 import (
@@ -13,11 +13,7 @@ import (
 
 	"mpppb/internal/cache"
 	"mpppb/internal/cpu"
-	"mpppb/internal/policy"
-	"mpppb/internal/prefetch"
-	"mpppb/internal/stats"
 	"mpppb/internal/trace"
-	"mpppb/internal/verify"
 )
 
 // Config describes one simulated machine, following Section 4.1 of the
@@ -238,116 +234,15 @@ func (r *batchReader) next() *trace.Record {
 	return rec
 }
 
-// buildHierarchy wires one core's caches. llc may be shared between cores.
-func buildHierarchy(cfg Config, core int, llc *cache.Cache) *cache.Hierarchy {
-	h := &cache.Hierarchy{
-		Core: core,
-		L1: cache.NewBySize("l1d", cfg.L1Size, cfg.L1Ways,
-			newLRUFor(cfg.L1Size, cfg.L1Ways)),
-		L2: cache.NewBySize("l2", cfg.L2Size, cfg.L2Ways,
-			newLRUFor(cfg.L2Size, cfg.L2Ways)),
-		LLC: llc,
-		Lat: cfg.Lat,
-	}
-	if cfg.Prefetch {
-		h.Pf = prefetch.NewStream()
-	}
-	return h
-}
-
-// NewLLC builds the shared LLC for a config and policy factory.
-func NewLLC(cfg Config, pf PolicyFactory) *cache.Cache {
-	sets := cfg.LLCSize / trace.BlockSize / cfg.LLCWays
-	return cache.New("llc", sets, cfg.LLCWays, pf(sets, cfg.LLCWays))
-}
-
-// attachChecks interposes the verification layer on a run's caches when
-// cfg.Check is set. It must run before the first access. The returned
-// checkers need finishChecks at the end of the run so periodically-swept
-// state (weight tables, sampler contents) gets a final comparison.
-func attachChecks(cfg Config, llc *cache.Cache, hs ...*cache.Hierarchy) []*verify.Checker {
-	if !cfg.Check {
-		return nil
-	}
-	ks := []*verify.Checker{verify.Attach(llc)}
-	for _, h := range hs {
-		ks = append(ks, verify.Attach(h.L1), verify.Attach(h.L2))
-	}
-	return ks
-}
-
-// finishChecks runs each checker's final full-state sweep.
-func finishChecks(ks []*verify.Checker) {
-	for _, k := range ks {
-		k.Finish()
-	}
-}
-
 // RunSingle simulates one trace segment on the single-thread machine with
 // the given LLC policy and returns measured statistics.
 func RunSingle(cfg Config, gen trace.Generator, pf PolicyFactory) Result {
-	llc := NewLLC(cfg, pf)
-	h := buildHierarchy(cfg, 0, llc)
-	checks := attachChecks(cfg, llc, h)
-	core := cpu.New(cfg.CPU)
-
 	gen.Reset()
-	rd := newBatchReader(gen)
-	runPhase := func(limit uint64) {
-		var done uint64
-		for done < limit {
-			rec := rd.next()
-			if rec.NonMem > 0 {
-				core.NonMem(int(rec.NonMem))
-			}
-			lat := h.Demand(rec.PC, rec.Addr, rec.IsWrite, core.Now())
-			core.Mem(lat)
-			done += rec.Instructions()
-		}
-	}
-
-	endWarmup := startPhase(mWarmupPhases)
-	runPhase(cfg.Warmup)
-	endWarmup()
-	core.ResetStats()
-	h.ResetStats()
-	llc.ResetStats()
-	measure := startMeasure()
-	runPhase(cfg.Measure)
-
-	instr := core.Instructions()
-	res := Result{
-		Segment:      gen.Name(),
-		Instructions: instr,
-		Cycles:       core.Cycles(),
-		IPC:          core.IPC(),
-		LLCAccesses:  llc.Stats.DemandAccesses + llc.Stats.PrefetchAccesses,
-		LLCMisses:    llc.Stats.DemandMisses + llc.Stats.PrefetchMisses,
-		MPKI:         stats.MPKI(llc.Stats.DemandMisses+llc.Stats.PrefetchMisses, instr),
-		Bypasses:     llc.Stats.Bypasses,
-	}
-	measure(&res)
-	finishChecks(checks)
+	m := newMachine(cfg, pf, true, gen)
+	res := m.run(nil, nil)
+	c := m.nodes[0].cpu
+	res.Segment, res.Cycles, res.IPC = gen.Name(), c.Cycles(), c.IPC()
 	return res
-}
-
-// runUntimed is one phase of an untimed run: it feeds records to the
-// hierarchy until n instructions have retired, using the instruction clock
-// as each access's time, and returns the advanced clock and the phase's
-// instruction count. The caller carries the clock across the
-// warmup→measure boundary, so it stays monotonic — resetting it would jump
-// "now" backward and confuse timestamp-ordered state (the prefetcher's
-// stream LRU, the sampler) — while the phase count bounds each loop.
-func runUntimed(rd *batchReader, h *cache.Hierarchy, now, n uint64) (uint64, uint64) {
-	var instr uint64
-	for instr < n {
-		rec := rd.next()
-		h.Demand(rec.PC, rec.Addr, rec.IsWrite, now)
-		k := rec.Instructions()
-		now += k
-		instr += k
-	}
-	return now, instr
 }
 
 // RunFastMPKI simulates a segment without the timing model, measuring only
@@ -356,35 +251,8 @@ func runUntimed(rd *batchReader, h *cache.Hierarchy, now, n uint64) (uint64, uin
 // measures average MPKI" used for the feature search (Section 5.1); it is
 // several times faster than RunSingle.
 func RunFastMPKI(cfg Config, gen trace.Generator, pf PolicyFactory) Result {
-	llc := NewLLC(cfg, pf)
-	h := buildHierarchy(cfg, 0, llc)
-	checks := attachChecks(cfg, llc, h)
-
 	gen.Reset()
-	rd := newBatchReader(gen)
-	endWarmup := startPhase(mWarmupPhases)
-	now, _ := runUntimed(rd, h, 0, cfg.Warmup)
-	endWarmup()
-	h.ResetStats()
-	llc.ResetStats()
-	measure := startMeasure()
-	_, instr := runUntimed(rd, h, now, cfg.Measure)
-	res := Result{
-		Segment:      gen.Name(),
-		Instructions: instr,
-		LLCAccesses:  llc.Stats.DemandAccesses + llc.Stats.PrefetchAccesses,
-		LLCMisses:    llc.Stats.DemandMisses + llc.Stats.PrefetchMisses,
-		MPKI:         stats.MPKI(llc.Stats.DemandMisses+llc.Stats.PrefetchMisses, instr),
-		Bypasses:     llc.Stats.Bypasses,
-	}
-	measure(&res)
-	finishChecks(checks)
+	res := newMachine(cfg, pf, false, gen).run(nil, nil)
+	res.Segment = gen.Name()
 	return res
-}
-
-// newLRUFor builds LRU state for a cache size/ways pair (the fixed policy
-// of the upper levels).
-func newLRUFor(size, ways int) cache.ReplacementPolicy {
-	sets := size / trace.BlockSize / ways
-	return policy.NewLRU(sets, ways)
 }

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"mpppb/internal/stats"
 	"mpppb/internal/trace"
 	"mpppb/internal/xrand"
 )
@@ -22,7 +21,7 @@ import (
 
 // Script is one component of a weighted mix.
 type Script struct {
-	// Name labels the script in latency summaries, e.g. "kv_point".
+	// Name labels the script, e.g. "kv_point".
 	Name string
 	// Weight is the script's relative draw weight; must be positive.
 	Weight int
@@ -103,10 +102,6 @@ func (s *Scripts) Weights() []int {
 	return ws
 }
 
-// latencyWindow bounds the per-script latency sample reservoirs: summaries
-// cover the most recent transactions of an infinite stream.
-const latencyWindow = 1024
-
 // MixGen is the weighted-mix generator. It satisfies trace.BatchGenerator
 // through the embedded Gen chassis.
 type MixGen struct {
@@ -119,9 +114,7 @@ type MixGen struct {
 
 	counts   []uint64 // transactions drawn per script
 	arrivals uint64
-	instr    uint64      // instructions emitted so far (incl. pacing pads)
-	lat      [][]float64 // per-script ring of recent service latencies
-	latPos   []int
+	instr    uint64 // instructions emitted so far (incl. pacing pads)
 }
 
 // NewMix builds a weighted-mix generator. Each script's kernel gets a
@@ -140,8 +133,6 @@ func NewMix(name string, seed, base uint64, interval int, scripts Scripts) *MixG
 		parts:    make([]*Gen, len(scripts.list)),
 		rng:      xrand.New(seed),
 		counts:   make([]uint64, len(scripts.list)),
-		lat:      make([][]float64, len(scripts.list)),
-		latPos:   make([]int, len(scripts.list)),
 	}
 	for i, sc := range scripts.list {
 		// Sub-regions are 64GB apart inside the caller's 1TB core region.
@@ -161,11 +152,9 @@ func (m *MixGen) step() {
 	sc := m.scripts.list[i]
 	start := len(m.Gen.buf)
 	var rec trace.Record
-	var service uint64
 	for k := 0; k < sc.Tx; k++ {
 		m.parts[i].Next(&rec)
 		m.Gen.buf = append(m.Gen.buf, rec)
-		service += rec.Instructions()
 	}
 	// Open-loop pacing: this arrival is scheduled at arrivals*interval
 	// instructions; if the stream is ahead of the schedule, pad the gap
@@ -181,14 +170,6 @@ func (m *MixGen) step() {
 	m.arrivals++
 	for k := start; k < len(m.Gen.buf); k++ {
 		m.instr += m.Gen.buf[k].Instructions()
-	}
-	// Service latency sample: the transaction's own instruction span,
-	// excluding pacing pads.
-	if len(m.lat[i]) < latencyWindow {
-		m.lat[i] = append(m.lat[i], float64(service))
-	} else {
-		m.lat[i][m.latPos[i]] = float64(service)
-		m.latPos[i] = (m.latPos[i] + 1) % latencyWindow
 	}
 }
 
@@ -206,8 +187,6 @@ func (m *MixGen) resetState() {
 	for i, p := range m.parts {
 		p.Reset()
 		m.counts[i] = 0
-		m.lat[i] = m.lat[i][:0]
-		m.latPos[i] = 0
 	}
 	m.arrivals = 0
 	m.instr = 0
@@ -221,28 +200,6 @@ func (m *MixGen) Scripts() *Scripts { return &m.scripts }
 func (m *MixGen) ScriptCounts() []uint64 {
 	out := make([]uint64, len(m.counts))
 	copy(out, m.counts)
-	return out
-}
-
-// LatencyQuantile returns the q-quantile of script i's recent service
-// latencies (instructions per transaction, excluding pacing pads), or 0
-// when the script has not run yet.
-func (m *MixGen) LatencyQuantile(i int, q float64) float64 {
-	if len(m.lat[i]) == 0 {
-		return 0
-	}
-	return stats.Quantile(m.lat[i], q)
-}
-
-// LatencySummary formats per-script p50/p90/p99 service latencies, one
-// line per script, for rate reports.
-func (m *MixGen) LatencySummary() string {
-	out := ""
-	for i, sc := range m.scripts.list {
-		out += fmt.Sprintf("%s: %d tx, latency p50=%.0f p90=%.0f p99=%.0f instr\n",
-			sc.Name, m.counts[i],
-			m.LatencyQuantile(i, 0.50), m.LatencyQuantile(i, 0.90), m.LatencyQuantile(i, 0.99))
-	}
 	return out
 }
 

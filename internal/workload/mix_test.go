@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"strings"
 	"testing"
 
 	"mpppb/internal/trace"
@@ -138,26 +137,5 @@ func TestMixOpenLoopPacing(t *testing.T) {
 	// service time.
 	if perTx < 395 || perTx > 600 {
 		t.Fatalf("mean instructions per transaction = %.1f, want ~400 (open-loop pacing broken)", perTx)
-	}
-}
-
-func TestMixLatencySummary(t *testing.T) {
-	g := NewGenerator(SegmentID{Bench: "mix_frontend", Seg: 1}, CoreBase(0)).(*MixGen)
-	var rec trace.Record
-	for i := 0; i < 50000; i++ {
-		g.Next(&rec)
-	}
-	sum := g.LatencySummary()
-	for _, name := range g.Scripts().Names() {
-		if !strings.Contains(sum, name) {
-			t.Fatalf("latency summary missing script %q:\n%s", name, sum)
-		}
-	}
-	for i := range g.Scripts().Names() {
-		p50 := g.LatencyQuantile(i, 0.50)
-		p99 := g.LatencyQuantile(i, 0.99)
-		if p50 <= 0 || p99 < p50 {
-			t.Fatalf("script %d: implausible latency quantiles p50=%g p99=%g", i, p50, p99)
-		}
 	}
 }

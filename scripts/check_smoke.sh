@@ -1,16 +1,20 @@
 #!/bin/sh
-# Differential-oracle smoke: small fig6 and fig4 campaigns with -check,
-# which arms the lockstep verification layer (internal/verify) on every
-# cache — each access is replayed through a naive reference model, and any
-# divergence in hit/miss, victim choice, or frame state aborts with the
-# access index and a set-level dump. Three passes:
+# Differential-oracle smoke: small fig6, fig4 and fig8 campaigns with
+# -check, which arms the lockstep verification layer (internal/verify) on
+# every cache — each access is replayed through a naive reference model,
+# and any divergence in hit/miss, victim choice, or frame state aborts
+# with the access index and a set-level dump. Four passes, one for each
+# way the simulated machine runs but the fast-MPKI search (the adaptive
+# smoke's -check run covers that one):
 #   kernels     the hot rewrites: the always-run lru baseline and mpppb
 #               stream the SoA tag lane, mpppb runs the scalar confidence
 #               gather, and mdpp exercises the precomputed tree-PLRU touch
 #               tables;
 #   st-duelers  the single-thread set-dueling policies drrip, dip,
 #               dyn-mdpp and hybrid;
-#   mc-duelers  hybrid-srrip and mpppb-adaptive-srrip on one 4-core mix.
+#   mc-duelers  hybrid-srrip and mpppb-adaptive-srrip on one 4-core mix;
+#   roc         the measurement-only ROC run (sdbp, perceptron and mpppb
+#               predict and train while LRU manages the LLC).
 #
 # Each checked run's TSV must also be byte-identical to a plain run: the
 # oracle is observe-only and must not perturb results.
@@ -42,3 +46,4 @@ pass st-duelers fig6 -benches mcf_like -st-policies drrip,dip,dyn-mdpp,hybrid \
     -warmup 100000 -measure 400000
 pass mc-duelers fig4 -mixes 1 -mc-policies hybrid-srrip,mpppb-adaptive-srrip \
     -warmup 50000 -measure 200000
+pass roc fig8 -roc-segments 3 -warmup 100000 -measure 400000
