@@ -36,12 +36,13 @@ bench:
 
 # Hot-path microbenchmarks: predictor confidence, the per-feature-kind and
 # per-feature-set predictor gather, one LLC access, the set probe and
-# victim scan, one Hierarchy.Demand, generator batching, the
-# advice-serving round trip, and the end-to-end fig6 segment. See
-# docs/PERFORMANCE.md.
+# victim scan, one Hierarchy.Demand, the core timing model's share of one
+# trace record, generator batching, the advice-serving round trip, and
+# the end-to-end fig6 segment. See docs/PERFORMANCE.md.
 bench-hotpath:
 	$(GO) test -run NONE -bench 'BenchmarkPredictorConfidence|BenchmarkPredict$$|BenchmarkLLCAccess' -benchmem -benchtime 2s ./internal/core
 	$(GO) test -run NONE -bench 'BenchmarkCacheLookup|BenchmarkVictimScan|BenchmarkHierarchyDemand' -benchmem -benchtime 2s ./internal/cache
+	$(GO) test -run NONE -bench BenchmarkCoreRecord -benchmem -benchtime 2s ./internal/cpu
 	$(GO) test -run NONE -bench BenchmarkGeneratorBatch -benchmem -benchtime 2s ./internal/workload
 	$(GO) test -run NONE -bench 'BenchmarkServeAdvice|BenchmarkApplyInline' -benchmem -benchtime 2s ./internal/serve
 	$(GO) test -run NONE -bench BenchmarkEndToEndFig6Segment -benchmem -benchtime 1x .
@@ -121,6 +122,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run NONE -fuzz FuzzIngestTrace -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run NONE -fuzz FuzzServeProtocol -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run NONE -fuzz FuzzCoreMatchesReference -fuzztime $(FUZZTIME) ./internal/cpu
 
 clean:
 	rm -rf results

@@ -31,8 +31,10 @@ type Core struct {
 	cfg Config
 
 	retireSlot []int64 // ring buffer: retire slot of the last Window instructions
+	pos        int     // ring cursor: count % Window
 	count      int64   // instructions processed (absolute)
 	lastRetire int64   // retire slot of the most recent instruction (absolute)
+	now        uint64  // Now, refreshed at the end of every NonMem and Mem
 	memOps     int64
 
 	// Measurement window marks, set by ResetStats. The pipeline clock is
@@ -52,42 +54,49 @@ func New(cfg Config) *Core {
 	return c
 }
 
-// step advances the model by one instruction with the given completion
-// latency in cycles (1 for non-memory instructions).
-func (c *Core) step(latencyCycles int) {
-	w := int64(c.cfg.Window)
-	fetch := c.count // slot at which the instruction can be fetched
-	alloc := fetch
-	if c.count >= w {
-		// Window full until the instruction Window slots ahead retires.
-		if prev := c.retireSlot[c.count%w]; prev > alloc {
+// advance retires n instructions that each complete latencyCycles after
+// they enter the window. Fetch delivers instruction i in slot i. It enters
+// the window once the instruction Window places ahead of it has retired
+// (the ring slot it reuses; a slot never written holds 0, which never
+// delays), and completes in the last slot of cycle (alloc/Width +
+// latency), hence the -1. It retires no earlier than that and strictly
+// after its predecessor. The ring cursor, count and last retire slot stay
+// in locals for the loop; the clock is divided out once, at the end.
+func (c *Core) advance(n, latencyCycles int) {
+	if n <= 0 {
+		return
+	}
+	ring, pos := c.retireSlot, c.pos
+	count, last := c.count, c.lastRetire
+	span := int64(latencyCycles)*int64(c.cfg.Width) - 1
+	for ; n > 0; n-- {
+		alloc := count
+		if prev := ring[pos]; prev > alloc {
 			alloc = prev
 		}
+		retire := alloc + span
+		if retire <= last {
+			retire = last + 1
+		}
+		ring[pos] = retire
+		last = retire
+		count++
+		if pos++; pos == len(ring) {
+			pos = 0
+		}
 	}
-	// An instruction allocated in slot s with latency L retires no earlier
-	// than the last slot of cycle (s/Width + L), hence the -1.
-	complete := alloc + int64(latencyCycles)*int64(c.cfg.Width) - 1
-	retire := complete
-	if r := c.lastRetire + 1; r > retire {
-		retire = r
-	}
-	c.retireSlot[c.count%w] = retire
-	c.lastRetire = retire
-	c.count++
+	c.pos, c.count, c.lastRetire = pos, count, last
+	c.now = uint64(last)/uint64(c.cfg.Width) + 1
 }
 
 // NonMem advances the model by n single-cycle non-memory instructions.
-func (c *Core) NonMem(n int) {
-	for i := 0; i < n; i++ {
-		c.step(1)
-	}
-}
+func (c *Core) NonMem(n int) { c.advance(n, 1) }
 
 // Mem advances the model by one memory instruction whose access took the
 // given latency in cycles.
 func (c *Core) Mem(latencyCycles int) {
 	c.memOps++
-	c.step(latencyCycles)
+	c.advance(1, latencyCycles)
 }
 
 // Instructions returns the number of instructions retired in the current
@@ -97,14 +106,11 @@ func (c *Core) Instructions() uint64 { return uint64(c.count - c.baseInstr) }
 // MemOps returns the number of memory instructions retired in the window.
 func (c *Core) MemOps() uint64 { return uint64(c.memOps - c.baseMemOps) }
 
-// Now returns the absolute elapsed cycles since the core was constructed.
-// Use Now for timestamps handed to the memory hierarchy; it never rebases.
-func (c *Core) Now() uint64 {
-	if c.lastRetire < 0 {
-		return 0
-	}
-	return uint64(c.lastRetire)/uint64(c.cfg.Width) + 1
-}
+// Now returns the absolute elapsed cycles since the core was constructed:
+// 0 before the first instruction, else the cycle after the one holding
+// the last retire slot. Use Now for timestamps handed to the memory
+// hierarchy; it never rebases.
+func (c *Core) Now() uint64 { return c.now }
 
 // Cycles returns the cycles elapsed in the current measurement window.
 func (c *Core) Cycles() uint64 { return c.Now() - c.baseCycles }

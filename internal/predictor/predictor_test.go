@@ -3,8 +3,10 @@ package predictor
 import (
 	"testing"
 
+	"mpppb/internal/belady"
 	"mpppb/internal/cache"
 	"mpppb/internal/trace"
+	"mpppb/internal/xrand"
 )
 
 func load(pc, block uint64) cache.Access {
@@ -185,6 +187,73 @@ func TestHawkeyeOptgenWindowLimit(t *testing.T) {
 	s := &h.sampled[0]
 	if h.optgen(s, 0, hawkWindow) {
 		t.Fatal("interval spanning the whole window accepted")
+	}
+}
+
+// TestHawkeyeOptgenEqualsMIN: within its limits, Hawkeye's sampled OPTgen
+// is exact. On a single-set stream shorter than the OPTgen window, with
+// no more distinct blocks than the sampler holds and no two sharing a
+// 16-bit sampler tag, the reuses OPTgen labels hits are exactly the hits
+// of Bélády's MIN with bypass in a one-set cache of the same
+// associativity. The labels are read off the training counter of the
+// stream's one PC, set to its initial value before every access: a
+// reuse moves it up (OPTgen hit) or down (miss), a first touch leaves it.
+func TestHawkeyeOptgenEqualsMIN(t *testing.T) {
+	trials := 2000
+	if testing.Short() {
+		trials = 200
+	}
+	const pc = 0x400
+	rng := xrand.New(2016)
+	hawks := make(map[int]*Hawkeye)
+	for trial := 0; trial < trials; trial++ {
+		ways := 1 + rng.Intn(16)
+		distinct := 1 + rng.Intn(hawkSamplerCap)
+		blocks := make([]uint64, 0, distinct)
+		tags := make(map[uint16]bool, distinct)
+		for len(blocks) < distinct {
+			b := rng.Uint64() >> 8
+			if tag := uint16((b * 0x9e3779b97f4a7c15) >> 48); !tags[tag] {
+				tags[tag] = true
+				blocks = append(blocks, b)
+			}
+		}
+		// Half the draws come from a hot subset about the set's size, so
+		// reuses both fit and overflow the associativity.
+		hot := min(distinct, 1+rng.Intn(2*ways))
+		refs := make([]uint64, 1+rng.Intn(hawkWindow-1))
+		for i := range refs {
+			if rng.Bool() {
+				refs[i] = blocks[rng.Intn(hot)]
+			} else {
+				refs[i] = blocks[rng.Intn(distinct)]
+			}
+		}
+
+		h := hawks[ways]
+		if h == nil {
+			h = NewHawkeye(1, ways)
+			hawks[ways] = h
+		}
+		h.sampled[0] = hawkSet{}
+		ctr := &h.ctr[hawkHash(pc)]
+		var optHits uint64
+		for _, b := range refs {
+			*ctr = hawkCtrInit
+			h.samplerAccess(0, b, pc)
+			if *ctr > hawkCtrInit {
+				optHits++
+			}
+		}
+
+		c := cache.New("min", 1, ways, belady.NewMIN(1, ways, refs))
+		for _, b := range refs {
+			c.Access(load(pc, b))
+		}
+		if c.Stats.DemandHits != optHits {
+			t.Fatalf("trial %d (%d ways, %d accesses, %d blocks): OPTgen %d hits, MIN with bypass %d",
+				trial, ways, len(refs), distinct, optHits, c.Stats.DemandHits)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"testing"
 
 	"mpppb/internal/core"
@@ -27,5 +29,63 @@ func TestAdviseLoopDoesNotAllocate(t *testing.T) {
 		i++
 	}); avg != 0 {
 		t.Fatalf("serve advise loop allocates %v times per event", avg)
+	}
+}
+
+// TestFrameRoundTripDoesNotAllocate covers the batch layer the advise
+// loop guard leaves out: one events frame written and read back, its
+// events parsed and advised, the advice encoded, framed, read back and
+// parsed. Once the first batch has sized every buffer, a round trip must
+// not touch the heap, at the benchmark's 256-event batch and at 2048
+// events, whose frames outgrow a 4 KiB read buffer.
+func TestFrameRoundTripDoesNotAllocate(t *testing.T) {
+	const sets, ways = 2048, 16
+	params := core.SingleThreadParams()
+	for _, batch := range []int{256, 2048} {
+		events := Annotate(newTestGen(7), batch, sets, ways, params)
+		adv := core.NewAdvisor(sets, params)
+		var wire bytes.Buffer
+		bw := bufio.NewWriter(&wire)
+		var (
+			frame, srvBuf, out, cliBuf []byte
+			parsed                     []Event
+			advice, got                []core.Advice
+		)
+		send := func(typ byte, payload []byte, buf *[]byte) []byte {
+			if err := WriteFrame(bw, typ, payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := bw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			rtyp, p, err := ReadFrame(&wire, *buf)
+			if err != nil || rtyp != typ {
+				t.Fatalf("read frame %q: %v", rtyp, err)
+			}
+			*buf = p
+			return p
+		}
+		roundTrip := func() {
+			frame = AppendEvents(frame[:0], events)
+			var err error
+			if parsed, err = ParseEvents(send(FrameEvents, frame, &srvBuf), parsed); err != nil {
+				t.Fatal(err)
+			}
+			advice = advice[:0]
+			for _, ev := range parsed {
+				advice = append(advice, Apply(adv, ev))
+			}
+			out = AppendAdviceBatch(out[:0], advice)
+			if got, err = ParseAdvice(send(FrameAdvice, out, &cliBuf), got); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != batch {
+				t.Fatalf("%d advice records for %d events", len(got), batch)
+			}
+		}
+		roundTrip()
+		if avg := testing.AllocsPerRun(20, roundTrip); avg != 0 {
+			t.Errorf("%d-event frame round trip allocates %v times", batch, avg)
+		}
 	}
 }

@@ -15,7 +15,7 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-	buf  []byte
+	buf  []byte // read buffer, grown to the largest frame seen
 	out  []byte
 
 	// Sets, Shards, and Check echo the server's HelloAck.
@@ -50,6 +50,7 @@ func Dial(addr string, clientID uint64) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
+	c.buf = payload
 	switch typ {
 	case FrameHelloAck:
 	case FrameError:
@@ -85,6 +86,7 @@ func (c *Client) Advise(events []Event, dst []core.Advice) ([]core.Advice, error
 	if err != nil {
 		return dst, err
 	}
+	c.buf = payload
 	switch typ {
 	case FrameAdvice:
 	case FrameError:

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 
@@ -82,7 +83,11 @@ func FuzzServeProtocol(f *testing.F) {
 func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 	var buf bytes.Buffer
 	buf.Write(dst)
-	if err := WriteFrame(&buf, typ, payload); err != nil {
+	bw := bufio.NewWriter(&buf)
+	if err := WriteFrame(bw, typ, payload); err != nil {
+		panic(err)
+	}
+	if err := bw.Flush(); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()

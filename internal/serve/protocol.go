@@ -9,6 +9,7 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -78,25 +79,37 @@ const (
 	adviceUnusedFlags = 0xf0
 )
 
-// WriteFrame writes one frame. The payload must not exceed MaxFrame.
-func WriteFrame(w io.Writer, typ byte, payload []byte) error {
+// WriteFrame writes one frame into w's buffer; the caller flushes. The
+// payload must not exceed MaxFrame. The header goes in byte by byte: a
+// header array handed to an io.Writer would escape to the heap on every
+// frame.
+func WriteFrame(w *bufio.Writer, typ byte, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("serve: frame %q payload %d bytes exceeds limit %d", typ, len(payload), MaxFrame)
 	}
 	var hdr [frameHeaderSize]byte
 	hdr[0] = typ
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	for _, b := range hdr {
+		if err := w.WriteByte(b); err != nil {
+			return err
+		}
 	}
 	_, err := w.Write(payload)
 	return err
 }
 
-// ReadFrame reads one frame, reusing buf for the payload when it is large
-// enough. It returns io.EOF only on a clean boundary (no partial frame).
+// ReadFrame reads one frame into buf's storage, or into a new slice when
+// the frame does not fit. A caller reading a stream passes each returned
+// payload back as the next buf, so its buffer grows to the largest frame
+// seen and later reads do not allocate. The header is read into buf too,
+// for the reason WriteFrame writes it byte by byte. It returns io.EOF
+// only on a clean boundary (no partial frame).
 func ReadFrame(r io.Reader, buf []byte) (typ byte, payload []byte, err error) {
-	var hdr [frameHeaderSize]byte
+	if cap(buf) < frameHeaderSize {
+		buf = make([]byte, frameHeaderSize)
+	}
+	hdr := buf[:frameHeaderSize]
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return 0, nil, err // clean EOF stays io.EOF
 	}

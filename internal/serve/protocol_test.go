@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
 	payloads := map[byte][]byte{
 		FrameHello:    AppendHello(nil, 0xdeadbeef),
 		FrameHelloAck: AppendHelloAck(nil, 2048, 4, true),
@@ -20,9 +22,12 @@ func TestFrameRoundTrip(t *testing.T) {
 		FrameError:    []byte("boom"),
 	}
 	for typ, p := range payloads {
-		if err := WriteFrame(&buf, typ, p); err != nil {
+		if err := WriteFrame(bw, typ, p); err != nil {
 			t.Fatalf("write %q: %v", typ, err)
 		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	scratch := make([]byte, 8)
 	seen := 0
@@ -66,7 +71,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 	if _, _, err := ReadFrame(bytes.NewReader(nil), nil); err != io.EOF {
 		t.Fatalf("empty stream: %v, want io.EOF", err)
 	}
-	if err := WriteFrame(io.Discard, FrameError, make([]byte, MaxFrame+1)); err == nil {
+	if err := WriteFrame(bufio.NewWriter(io.Discard), FrameError, make([]byte, MaxFrame+1)); err == nil {
 		t.Fatal("oversized write accepted")
 	}
 }

@@ -271,7 +271,7 @@ func (s *Server) handle(conn *servedConn) {
 
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
-	buf := make([]byte, 4096)
+	buf := make([]byte, 4096) // grows to the largest frame seen
 
 	typ, payload, err := ReadFrame(br, buf)
 	if err != nil || typ != FrameHello {
@@ -320,6 +320,7 @@ func (s *Server) handle(conn *servedConn) {
 			}
 			break
 		}
+		buf = payload
 		if typ != FrameEvents {
 			s.m.protoErrors.Inc()
 			s.failConn(bw, fmt.Errorf("serve: expected events, got frame %q", typ))

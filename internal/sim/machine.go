@@ -27,10 +27,11 @@ type machine struct {
 // and prefetcher, and its timing model when the run is timed. The timed
 // phase loads all of it once per step.
 type node struct {
-	cpu  *cpu.Core // nil in an untimed run
-	rd   *batchReader
-	h    *cache.Hierarchy
-	done bool // met the current phase's quota
+	cpu   *cpu.Core // nil in an untimed run
+	clock uint64    // cpu.Now() as of the core's last step
+	rd    *batchReader
+	h     *cache.Hierarchy
+	done  bool // met the current phase's quota
 }
 
 // newMachine builds the LLC under pf and, per generator, one core: its
@@ -128,14 +129,17 @@ func (m *machine) phase(limit uint64, reached func(int, *cpu.Core)) uint64 {
 
 // timedPhase steps the core with the smallest clock next, ties going to
 // the lowest index: the sample-balanced scheduling of Section 4.5, which
-// keeps the cores aligned in time. A core that has met its quota keeps
-// running, so contention persists for the laggards; reached sees it at
-// that moment. Every core is checked before the first step (a zero quota
-// is met at once); after that only the core just stepped can meet it.
+// keeps the cores aligned in time. The pick compares the clocks cached in
+// the nodes; only the core just stepped moves its clock, so only its
+// cache is refreshed. A core that has met its quota keeps running, so
+// contention persists for the laggards; reached sees it at that moment.
+// Every core is checked before the first step (a zero quota is met at
+// once); after that only the core just stepped can meet it.
 func (m *machine) timedPhase(limit uint64, reached func(int, *cpu.Core)) uint64 {
 	ns := m.nodes
 	for i := range ns {
 		ns[i].done = false
+		ns[i].clock = ns[i].cpu.Now()
 	}
 	var instr uint64
 	left := len(ns)
@@ -153,13 +157,10 @@ func (m *machine) timedPhase(limit uint64, reached func(int, *cpu.Core)) uint64 
 		if left == 0 {
 			return instr
 		}
-		i := 0
-		if len(ns) > 1 { // a lone core needs no clock comparison
-			best := ns[0].cpu.Now()
-			for j := 1; j < len(ns); j++ {
-				if c := ns[j].cpu.Now(); c < best {
-					i, best = j, c
-				}
+		i, best := 0, ns[0].clock
+		for j := 1; j < len(ns); j++ {
+			if ns[j].clock < best {
+				i, best = j, ns[j].clock
 			}
 		}
 		n := &ns[i]
@@ -168,6 +169,7 @@ func (m *machine) timedPhase(limit uint64, reached func(int, *cpu.Core)) uint64 
 			n.cpu.NonMem(int(rec.NonMem))
 		}
 		n.cpu.Mem(n.h.Demand(rec.PC, rec.Addr, rec.IsWrite, n.cpu.Now()))
+		n.clock = n.cpu.Now()
 		lo, hi = i, i+1
 	}
 }

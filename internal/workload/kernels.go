@@ -134,7 +134,6 @@ func zipfObjectKernel(name string, seed, base uint64, objects int, objSize uint6
 	}
 	g.reset = func() {
 		rng.Seed(seed)
-		z = xrand.NewZipf(rng, hotObjects, zipfS)
 		iter = 0
 	}
 	return g
@@ -166,7 +165,7 @@ func hashTableKernel(name string, seed, base uint64, buckets int, chainMax int, 
 			g.emit(pcb+12, bAddr+32, true)
 		}
 	}
-	g.reset = func() { rng.Seed(seed); z = xrand.NewZipf(rng, buckets, zipfS) }
+	g.reset = func() { rng.Seed(seed) }
 	return g
 }
 
@@ -216,7 +215,7 @@ func matrixKernel(name string, seed, base uint64, rowBlocks uint64, items int, i
 		}
 		pos++
 	}
-	g.reset = func() { pos = 0; rng.Seed(seed); z = xrand.NewZipf(rng, items, zipfS) }
+	g.reset = func() { pos = 0; rng.Seed(seed) }
 	return g
 }
 

@@ -85,6 +85,23 @@ func TestGeneratorsDeterministicAndResettable(t *testing.T) {
 	}
 }
 
+// TestGeneratorResetDoesNotAllocate: a kernel's tables depend only on its
+// parameters, so Reset re-seeds the kernel in place and keeps them. Every
+// driver resets the generator it is handed, so a rebuild here is paid by
+// every cell on the segment.
+func TestGeneratorResetDoesNotAllocate(t *testing.T) {
+	for _, id := range Segments() {
+		g := NewGenerator(id, CoreBase(0))
+		var r trace.Record
+		for i := 0; i < 1000; i++ {
+			g.Next(&r)
+		}
+		if avg := testing.AllocsPerRun(3, g.Reset); avg != 0 {
+			t.Errorf("%s: Reset allocates %v times", id, avg)
+		}
+	}
+}
+
 // TestSeededGenerator pins the seed-axis contract: salt 0 is the
 // canonical stream byte-for-byte (every golden depends on this), each
 // other salt draws a distinct but deterministic stream, and family
