@@ -19,10 +19,10 @@ test: vet
 	$(GO) test -tags verify ./internal/cache ./internal/verify
 
 # Race-detector pass over the concurrent packages (CI's race job runs
-# this target): the worker pool, the single-flight caches, the experiment
-# drivers that fan across them, the observability layer their workers all
-# update, the advice server's concurrent client soak, the fleet
-# coordinator/worker lease machinery, and the core package whose
+# this target): the worker pool, the experiment drivers that fan across
+# it and share cells through the journal, the observability layer their
+# workers all update, the advice server's concurrent client soak, the
+# fleet coordinator/worker lease machinery, and the core package whose
 # adaptive-duel gauges those concurrent workers now publish.
 race:
 	$(GO) test -race ./internal/parallel ./internal/sim ./internal/experiments ./internal/obs ./internal/serve ./internal/fleet ./internal/core
@@ -62,7 +62,9 @@ results:
 	$(GO) run ./cmd/mpppb-experiments -id all -out results
 
 # End-to-end crash recovery: interrupt a journaled campaign with SIGINT,
-# resume it, and require byte-identical TSVs (see scripts/resume_smoke.sh).
+# resume it, and require byte-identical TSVs; then resume fig4's journal
+# into fig9, which must read its shared multi-core cells from it (see
+# scripts/resume_smoke.sh).
 resume-smoke:
 	scripts/resume_smoke.sh
 

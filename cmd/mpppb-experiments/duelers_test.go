@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpppb/internal/experiments"
 	"mpppb/internal/sim"
 )
 
@@ -35,7 +36,7 @@ func TestDuelerGoldenTSV(t *testing.T) {
 		stBenches:  []string{"mcf_like"},
 		mcPolicies: []string{"hybrid-srrip", "mpppb-adaptive-srrip"},
 	}
-	stTable, err := r.singleTable()
+	stTable, err := experiments.SingleThread(r.stCfg, r.stPolicies, r.stBenches, r.opts)
 	if err != nil {
 		t.Fatal(err)
 	}

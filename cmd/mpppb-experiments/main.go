@@ -13,15 +13,19 @@
 //
 // Independent runs fan across a worker pool sized by -j (default
 // GOMAXPROCS; -j 1 forces the serial path). Results are merged in input
-// order and shared baselines are single-flight, so the TSV output is
-// byte-identical at every -j — parallelism only changes wall-clock time.
+// order, so the TSV output is byte-identical at every -j — parallelism
+// only changes wall-clock time.
 //
-// Long sweeps can checkpoint with -journal FILE: every completed cell is
-// appended to the file as it finishes, and after an interrupt (Ctrl-C or
-// a crash) re-running with -journal FILE -resume skips the completed
-// cells and recomputes only the rest, emitting byte-identical TSVs. A
-// cell that fails renders as NaN in its table and the tool exits 3 after
-// listing the failures.
+// Every simulation is a cell keyed by what it reads (machine, policy,
+// workload), and the run's journal serves a key it already holds, so
+// experiments that share simulations compute them once: fig5 and fig7
+// re-read fig4's and fig6's cells, and fig9 and fig10 reuse fig4's
+// baselines. Long sweeps can checkpoint with -journal FILE: every
+// completed cell is appended to the file as it finishes, and after an
+// interrupt (Ctrl-C or a crash) re-running with -journal FILE -resume
+// skips the completed cells and recomputes only the rest, emitting
+// byte-identical TSVs. A cell that fails renders as NaN in its table and
+// the tool exits 3 after listing the failures.
 //
 // A running campaign is observable: -listen HOST:PORT serves /metrics
 // (Prometheus text), /status (JSON run manifest with per-cell states and
@@ -70,11 +74,6 @@ type runner struct {
 	// stBenches restricts fig6/fig7 to a benchmark subset (nil = full
 	// suite); used by -benches and the golden-output tests.
 	stBenches []string
-
-	// Cached tables so fig6/fig7 (and fig4/fig5) share their runs when
-	// regenerating multiple experiments in one invocation.
-	stTable *experiments.SingleThreadTable
-	mcTable *experiments.MultiCoreTable
 }
 
 // chart writes an ASCII chart as TSV comment lines.
@@ -266,7 +265,7 @@ func (r *runner) run(id string) error {
 		}
 
 	case "fig6", "fig7":
-		t, err := r.singleTable()
+		t, err := experiments.SingleThread(r.stCfg, r.stPolicies, r.stBenches, r.opts)
 		if err != nil {
 			return err
 		}
@@ -451,28 +450,10 @@ func (r *runner) run(id string) error {
 	return nil
 }
 
-func (r *runner) singleTable() (*experiments.SingleThreadTable, error) {
-	if r.stTable == nil {
-		t, err := experiments.SingleThread(r.stCfg, r.stPolicies, r.stBenches, r.opts)
-		if err != nil {
-			return nil, err
-		}
-		r.stTable = t
-	}
-	return r.stTable, nil
-}
-
 func (r *runner) multiTable() (*experiments.MultiCoreTable, error) {
 	mixes := experiments.TestingMixes(workload.Mixes(r.mixCount*10/9+1, workload.DefaultMixSeed))
 	if len(mixes) > r.mixCount {
 		mixes = mixes[:r.mixCount]
 	}
-	if r.mcTable == nil {
-		t, err := experiments.MultiCore(r.mcCfg, r.mcPolicies, mixes, r.opts)
-		if err != nil {
-			return nil, err
-		}
-		r.mcTable = t
-	}
-	return r.mcTable, nil
+	return experiments.MultiCore(r.mcCfg, r.mcPolicies, mixes, r.opts)
 }

@@ -5,6 +5,9 @@ package main
 // after an intended output change.
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"mpppb/internal/clitest"
@@ -65,4 +68,24 @@ func TestCLIBadInput(t *testing.T) {
 // and -retries.
 func TestCLIFlags(t *testing.T) {
 	clitest.Flags(t, "ablate-mixes adapt-seeds benches check climb coordinator cpuprofile duel id j journal lease-ttl listen mc-policies measure memprofile mixes out plot progress q random resume roc-segments st-policies table3-segments warmup worker")
+}
+
+// TestCLIRefusesV1Journal: a journal in format mpppb-journal/v1, whose
+// fig8 cells hold every sample packed under the keys that now hold count
+// tables, is refused on -resume with exit code 1 and a message naming
+// its format, rather than decoded into the new cell type.
+func TestCLIRefusesV1Journal(t *testing.T) {
+	dir := t.TempDir()
+	v1 := `{"journal":"mpppb-journal/v1","fingerprint":{"config":"8c1f00b7a2e4d5c6","version":"dev","seed":42}}
+{"key":"roc/sdbp/mcf_like-0","status":"ok","value":{"c":[3,-1,3],"d":[1,0,0]}}
+`
+	if err := os.WriteFile(filepath.Join(dir, "v1.journal"), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := clitest.Run(t, dir, "-id", "fig8", "-roc-segments", "1", "-q",
+		"-warmup", "50000", "-measure", "200000", "-journal", "v1.journal", "-resume")
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "mpppb-journal/v1") {
+		t.Errorf("exit code %d, stdout %q, stderr %q; want exit code 1, no stdout and a message naming format mpppb-journal/v1",
+			code, stdout, stderr)
+	}
 }

@@ -20,6 +20,7 @@ import (
 
 	"mpppb/internal/clitest"
 	"mpppb/internal/experiments"
+	"mpppb/internal/journal"
 	"mpppb/internal/obs"
 	"mpppb/internal/sim"
 )
@@ -43,8 +44,10 @@ func goldenRunner(outDir string) *runner {
 func TestGoldenTSV(t *testing.T) {
 	dir := t.TempDir()
 	r := goldenRunner(dir)
-	// fig6 and fig7 share r.stTable, so this also checks the cached-table
-	// path renders identically to a fresh one; table1 is compiled-in data.
+	// fig6 and fig7 share one file-less journal, as the tool's runs do, so
+	// fig7 renders from the cells fig6 computed; table1 is compiled-in
+	// data.
+	r.opts = &experiments.Run{Journal: journal.Memory()}
 	for _, id := range []string{"fig6", "fig7", "table1"} {
 		if err := r.run(id); err != nil {
 			t.Fatalf("run(%s): %v", id, err)

@@ -17,7 +17,9 @@ import (
 // panicking on int(NaN), and the NaN still reaches the TSV. The NaNs are
 // injected through the journal, with no simulation: an entry that does
 // not decode as its cell fails that cell, and a segment with no misses
-// under either policy has a 0/0 ratio.
+// under either policy has a 0/0 ratio. fig4 covers both multi-core
+// failure rules: a failed standalone cell makes its mix NaN for every
+// policy, and a failed policy cell makes only that policy's entry NaN.
 func TestPlotRendersNaNCells(t *testing.T) {
 	jrnl, err := journal.Create(filepath.Join(t.TempDir(), "run.journal"), testFingerprint)
 	if err != nil {
@@ -27,15 +29,37 @@ func TestPlotRendersNaNCells(t *testing.T) {
 	type vals = map[string]float64
 	mixes := experiments.TestingMixes(workload.Mixes(3, workload.DefaultMixSeed))
 	seed := map[string]any{
-		"single/gcc_like-0":          "not a cell",
-		"single/gcc_like-1":          map[string]vals{"ipc": {"lru": 1, "min": 1.2, "mpppb": 1.1}, "mpki": {"lru": 9, "min": 6, "mpppb": 8}},
-		"single/gcc_like-2":          map[string]vals{"ipc": {"lru": 1, "min": 1.3, "mpppb": 0.9}, "mpki": {"lru": 7, "min": 5, "mpppb": 8}},
-		"multi/" + mixes[0].String(): "not a cell",
-		"multi/" + mixes[1].String(): map[string]any{"lru_mpki": 10, "ws": vals{"mpppb-srrip": 1.01}, "mpki": vals{"mpppb-srrip": 9}},
-		"adapt/gcc_like-0":           map[string][]float64{"static": {0}, "adaptive": {0}},
-		"adapt/gcc_like-1":           map[string][]float64{"static": {10}, "adaptive": {9}},
-		"adapt/gcc_like-2":           map[string][]float64{"static": {10}, "adaptive": {11}},
+		"single/gcc_like-0": "not a cell",
+		"single/gcc_like-1": map[string]vals{"ipc": {"lru": 1, "min": 1.2, "mpppb": 1.1}, "mpki": {"lru": 9, "min": 6, "mpppb": 8}},
+		"single/gcc_like-2": map[string]vals{"ipc": {"lru": 1, "min": 1.3, "mpppb": 0.9}, "mpki": {"lru": 7, "min": 5, "mpppb": 8}},
+		"adapt/gcc_like-0":  map[string][]float64{"static": {0}, "adaptive": {0}},
+		"adapt/gcc_like-1":  map[string][]float64{"static": {10}, "adaptive": {9}},
+		"adapt/gcc_like-2":  map[string][]float64{"static": {10}, "adaptive": {11}},
 	}
+	// Multi-core cells are keyed by machine, policy and workload.
+	mc := "mc/" + journal.ConfigHash(sim.MultiCoreConfig()) + "/"
+	type cell struct {
+		IPC  []float64 `json:"ipc"`
+		MPKI float64   `json:"mpki"`
+	}
+	for i, mix := range mixes {
+		seed[mc+"lru/"+mix.String()] = cell{IPC: []float64{1, 1, 1, 1}, MPKI: 10}
+		seed[mc+"srrip/"+mix.String()] = cell{IPC: []float64{1.1, 1, 1, 1}, MPKI: 9}
+		seed[mc+"mpppb-srrip/"+mix.String()] = cell{IPC: []float64{1.2, 1, 1, 1}, MPKI: 8}
+		for _, id := range mix {
+			seed[mc+"lru/"+id.String()] = cell{IPC: []float64{2 + float64(i)}, MPKI: 5}
+		}
+	}
+	// A segment of mix 0 alone fails, so mix 0 is NaN under both
+	// policies; mpppb-srrip fails on mix 1, where srrip stays a number.
+	failed := mixes[0][0]
+	for _, id := range mixes[1] {
+		if id == failed {
+			t.Fatalf("segment %s is in both mixes; pick another", id)
+		}
+	}
+	seed[mc+"lru/"+failed.String()] = "not a cell"
+	seed[mc+"mpppb-srrip/"+mixes[1].String()] = "not a cell"
 	for k, v := range seed {
 		if err := jrnl.Record(k, v); err != nil {
 			t.Fatal(err)
@@ -50,10 +74,11 @@ func TestPlotRendersNaNCells(t *testing.T) {
 		mixCount:   2,
 		adaptSeeds: 1,
 		stPolicies: []string{"mpppb"},
-		mcPolicies: []string{"mpppb-srrip"},
+		mcPolicies: []string{"srrip", "mpppb-srrip"},
 		stBenches:  []string{"gcc_like"},
 		opts:       &experiments.Run{Journal: jrnl, KeepGoing: true},
 	}
+	tsvs := map[string]string{}
 	for id, title := range map[string]string{"fig4": "# Figure 4: weighted", "fig6": "# Figure 6: MPPPB", "figadapt": "# figadapt: adaptive/static"} {
 		if err := r.run(id); err != nil {
 			t.Fatalf("run(%s): %v", id, err)
@@ -62,11 +87,22 @@ func TestPlotRendersNaNCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tsvs[id] = string(b)
 		if tsv := string(b); !strings.Contains(tsv, "NaN") || !strings.Contains(tsv, title) {
 			t.Errorf("%s: want a NaN entry and the chart %q:\n%s", id, title, tsv)
 		}
 	}
-	if got := len(r.opts.Failures()); got != 2 {
-		t.Errorf("%d failed cells, want 2 (one fig6 segment, one fig4 mix)", got)
+	// fig4's S-curve rows: rank, srrip, mpppb-srrip (NaN sorts first).
+	var rows []string
+	for _, line := range strings.Split(tsvs["fig4"], "\n") {
+		if strings.HasPrefix(line, "0\t") || strings.HasPrefix(line, "1\t") {
+			rows = append(rows, line)
+		}
+	}
+	if want := []string{"0\tNaN\tNaN", "1\t1.0250\tNaN"}; strings.Join(rows, "|") != strings.Join(want, "|") {
+		t.Errorf("fig4 rows %q, want %q", rows, want)
+	}
+	if got := len(r.opts.Failures()); got != 3 {
+		t.Errorf("%d failed cells, want 3 (one fig6 segment; one fig4 standalone and one fig4 policy cell)", got)
 	}
 }

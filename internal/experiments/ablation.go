@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"context"
-	"fmt"
-	"math"
+	"slices"
 
 	"mpppb/internal/cache"
 	"mpppb/internal/core"
-	"mpppb/internal/parallel"
 	"mpppb/internal/sim"
 	"mpppb/internal/workload"
 )
@@ -17,46 +15,6 @@ func mpppbFactory(params core.Params) sim.PolicyFactory {
 	return func(sets, ways int) cache.ReplacementPolicy {
 		return core.NewMPPPB(sets, ways, params)
 	}
-}
-
-// lruWSCache memoizes per-mix LRU weighted-speedup baselines across the
-// sweep points of an ablation (keyed by mix index — every call of one
-// experiment shares one fixed mix list). Single-flight, so parallel sweep
-// points never duplicate an LRU baseline run.
-type lruWSCache = parallel.Memo[int, float64]
-
-// multiCoreGeomeanWS computes the geometric-mean LRU-normalized weighted
-// speedup of a policy over the given mixes — the y-axis of Figures 9 and
-// 10. Mixes fan across the worker pool; per-mix speedups merge in input
-// order so the geomean accumulates in the serial sequence. Callers
-// sweeping configurations over the same mixes pass shared singles/lruWS
-// caches so baselines are computed once per sweep, not once per point,
-// and a distinct keyPrefix per sweep point so journal keys never collide.
-// A failed mix contributes NaN, making the point's geomean NaN.
-func multiCoreGeomeanWS(cfg sim.Config, pf sim.PolicyFactory, mixes []workload.Mix, singles *sim.SingleIPCCache, lruWS *lruWSCache, r *Run, keyPrefix string) (float64, error) {
-	lruPF := r.mustPolicy("lru")
-	keys := make([]string, len(mixes))
-	for i, mix := range mixes {
-		keys[i] = keyPrefix + "mix=" + mix.String()
-	}
-	speedups, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (float64, error) {
-		mix := mixes[i]
-		single := singles.For(mix)
-		base := lruWS.Do(i, func() float64 {
-			return sim.RunMulti(cfg, mix, lruPF).WeightedSpeedup(single)
-		})
-		res := sim.RunMulti(cfg, mix, pf)
-		return res.WeightedSpeedup(single) / base, nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	for i, e := range cellErrs {
-		if e != nil {
-			speedups[i] = math.NaN()
-		}
-	}
-	return r.geoMean(speedups), nil
 }
 
 // Fig9Result is the uniform-associativity experiment (Figure 9): fixing
@@ -71,33 +29,27 @@ type Fig9Result struct {
 }
 
 // Fig9UniformAssociativity sweeps the uniform A parameter over the
-// multi-programmed feature set (Section 6.4, Figure 9).
+// multi-programmed feature set (Section 6.4, Figure 9) as one grid: LRU,
+// the original set and every uniform A on every mix. The original set is
+// core.MultiCoreParams(), which the registry names mpppb-srrip, so it is
+// declared by that name and shares Figure 4's cells.
 func Fig9UniformAssociativity(cfg sim.Config, mixes []workload.Mix, r *Run) (*Fig9Result, error) {
-	singles := sim.NewSingleIPCCache(cfg)
-	lruWS := &lruWSCache{}
-	res := &Fig9Result{}
-
-	base := core.MultiCoreParams()
-	r.prog().log("fig9 original (variable A)")
-	var err error
-	res.OriginalWS, err = multiCoreGeomeanWS(cfg, mpppbFactory(base), mixes, singles, lruWS, r, "fig9/orig/")
+	orig := r.named("mpppb-srrip")
+	policies := []mcPolicy{orig}
+	for a := 1; a <= core.MaxA; a++ {
+		params := core.MultiCoreParams() // a fresh feature slice
+		for i := range params.Features {
+			params.Features[i].A = a
+		}
+		policies = append(policies, withParams(params))
+	}
+	g, err := runMultiGrid(cfg, policies, mixes, r)
 	if err != nil {
 		return nil, err
 	}
-
-	for a := 1; a <= core.MaxA; a++ {
-		r.prog().log("fig9 uniform A=%d", a)
-		params := core.MultiCoreParams()
-		feats := make([]core.Feature, len(params.Features))
-		copy(feats, params.Features)
-		for i := range feats {
-			feats[i].A = a
-		}
-		params.Features = feats
-		res.UniformWS[a-1], err = multiCoreGeomeanWS(cfg, mpppbFactory(params), mixes, singles, lruWS, r, fmt.Sprintf("fig9/a=%d/", a))
-		if err != nil {
-			return nil, err
-		}
+	res := &Fig9Result{OriginalWS: g.geomeanWS(orig, mixes, r)}
+	for a := range res.UniformWS {
+		res.UniformWS[a] = g.geomeanWS(policies[a+1], mixes, r)
 	}
 	return res, nil
 }
@@ -115,35 +67,30 @@ type Fig10Result struct {
 }
 
 // Fig10FeatureAblation removes each feature in turn and measures the
-// multi-programmed weighted speedup.
+// multi-programmed weighted speedup, as one grid: LRU, the full set and
+// every omission on every mix. A feature listed twice (Table 1(a) lists
+// pc(17,6,20,0,1) twice) leaves the same set whichever copy is omitted,
+// and that set's cells run once.
 func Fig10FeatureAblation(cfg sim.Config, features []core.Feature, mixes []workload.Mix, r *Run) (*Fig10Result, error) {
 	if features == nil {
 		features = core.SingleThreadSetA()
 	}
-	singles := sim.NewSingleIPCCache(cfg)
-	lruWS := &lruWSCache{}
-
-	res := &Fig10Result{Features: features, OmittedWS: make([]float64, len(features))}
 	params := core.MultiCoreParams()
 	params.Features = features
-	r.prog().log("fig10 original")
-	var err error
-	res.OriginalWS, err = multiCoreGeomeanWS(cfg, mpppbFactory(params), mixes, singles, lruWS, r, "fig10/orig/")
+	policies := []mcPolicy{withParams(params)}
+	for i := range features {
+		p := params
+		p.Features = slices.Delete(slices.Clone(features), i, i+1)
+		policies = append(policies, withParams(p))
+	}
+	g, err := runMultiGrid(cfg, policies, mixes, r)
 	if err != nil {
 		return nil, err
 	}
-
+	res := &Fig10Result{Features: features, OmittedWS: make([]float64, len(features))}
+	res.OriginalWS = g.geomeanWS(policies[0], mixes, r)
 	for i := range features {
-		r.prog().log("fig10 omit %s", features[i])
-		sub := make([]core.Feature, 0, len(features)-1)
-		sub = append(sub, features[:i]...)
-		sub = append(sub, features[i+1:]...)
-		p := params
-		p.Features = sub
-		res.OmittedWS[i], err = multiCoreGeomeanWS(cfg, mpppbFactory(p), mixes, singles, lruWS, r, fmt.Sprintf("fig10/omit=%d/", i))
-		if err != nil {
-			return nil, err
-		}
+		res.OmittedWS[i] = g.geomeanWS(policies[i+1], mixes, r)
 	}
 	return res, nil
 }

@@ -29,7 +29,7 @@ import (
 // through.
 var (
 	mCellsDeclared = obs.Default().Gauge("mpppb_experiments_cells_total",
-		"grid cells declared by the experiment drivers this run")
+		"distinct cell keys declared by the experiment drivers this run")
 	mCellsComputed = obs.Default().Counter("mpppb_experiments_cells_computed_total",
 		"cells computed to completion (excludes journal hits)")
 	mCellsJournal = obs.Default().Counter("mpppb_experiments_cells_journal_total",
@@ -65,7 +65,9 @@ type Run struct {
 	// Ctx cancels the run: dispatch of new cells stops, in-flight cells
 	// finish (and are journaled), and the experiment returns Ctx's error.
 	Ctx context.Context
-	// Journal checkpoints completed cells; nil disables.
+	// Journal checkpoints completed cells and serves every key it holds,
+	// so a cell several grids declare is computed once (journal.Memory
+	// keeps one without a file); nil disables both.
 	Journal *journal.Journal
 	// Workers is the pool width for cells computed in this process (the
 	// cmd tools' -j); 0 means runtime.GOMAXPROCS(0). A fleet worker's
@@ -103,6 +105,7 @@ type Run struct {
 
 	mu       sync.Mutex
 	failures []CellFailure
+	declared map[string]bool
 }
 
 // CellFailure records one cell that failed permanently.
@@ -260,10 +263,21 @@ type ledger struct {
 	done    int
 }
 
-// ledger declares keys as one grid: on /status and in the cell metrics.
+// ledger declares keys as one grid: on /status and in the cell metrics,
+// where, as on /status, a key an earlier grid of the run declared counts
+// once.
 func (r *Run) ledger(keys []string) *ledger {
 	r.Status.AddCells(keys...)
-	mCellsDeclared.Add(int64(len(keys)))
+	r.mu.Lock()
+	if r.declared == nil {
+		r.declared = map[string]bool{}
+	}
+	n := len(r.declared)
+	for _, k := range keys {
+		r.declared[k] = true
+	}
+	mCellsDeclared.Add(int64(len(r.declared) - n))
+	r.mu.Unlock()
 	return &ledger{r: r, keys: keys, settled: make([]bool, len(keys))}
 }
 

@@ -39,10 +39,11 @@ func DefaultROCPredictors() []string { return []string{"sdbp", "perceptron", "mp
 // the figure demonstrates.
 //
 // The (predictor, segment) grid flattens into one cell list so all
-// predictors' segments share the pool (and the checkpoint journal, where
-// each cell's samples are stored packed, see stats.PackedROC); samples
-// pool per predictor in segment order, so the curves are byte-identical
-// at any worker count and across resumes.
+// predictors' segments share the pool. A cell is its samples' count table
+// (stats.ROCCounts), which is all a curve depends on, so the journal and
+// the pooled curves hold one entry per distinct confidence rather than
+// one per sample; tables pool by addition, so the curves are
+// byte-identical at any worker count and across resumes.
 func ROCCurves(cfg sim.Config, predictors []string, segments []workload.SegmentID, r *Run) (*ROCTable, error) {
 	if predictors == nil {
 		predictors = DefaultROCPredictors()
@@ -71,29 +72,29 @@ func ROCCurves(cfg sim.Config, predictors []string, segments []workload.SegmentI
 			keys = append(keys, "roc/"+pred+"/"+id.String())
 		}
 	}
-	cells, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (stats.PackedROC, error) {
+	cells, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (stats.ROCCounts, error) {
 		pi, si := i/len(segments), i%len(segments)
 		gen := workload.NewGenerator(segments[si], workload.CoreBase(0))
-		return stats.PackROC(sim.RunROC(cfg, gen, cfs[pi])), nil
+		return stats.CountROC(sim.RunROC(cfg, gen, cfs[pi])), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for pi, pred := range predictors {
-		var pool []stats.ROCSample
+		pool := stats.ROCCounts{}
 		for si := range segments {
 			i := pi*len(segments) + si
 			if cellErrs[i] != nil {
 				t.FailedCells = append(t.FailedCells, keys[i])
 				continue
 			}
-			pool = append(pool, cells[i].Unpack()...)
+			pool.Add(cells[i])
 		}
-		curve := stats.ROC(pool)
+		curve := pool.Curve()
 		t.Curves[pred] = curve
 		t.AUC[pred] = stats.AUC(curve)
 		t.TPRAt30[pred] = stats.TPRAtFPR(curve, 0.30)
-		t.Samples[pred] = len(pool)
+		t.Samples[pred] = pool.Samples()
 	}
 	return t, nil
 }

@@ -13,14 +13,14 @@ type Flags struct {
 }
 
 // Open creates or resumes the journal per the parsed flags. With no
-// -journal it returns (nil, nil): a nil *Journal disables checkpointing
-// throughout the drivers.
+// -journal it returns a journal with no file (Memory), so the run still
+// computes each cell key once.
 func (f *Flags) Open(fp Fingerprint) (*Journal, error) {
 	if f.Path == "" {
 		if f.Resume {
 			return nil, errors.New("journal: -resume requires -journal")
 		}
-		return nil, nil
+		return Memory(), nil
 	}
 	if f.Resume {
 		return Resume(f.Path, fp)

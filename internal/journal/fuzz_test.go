@@ -7,9 +7,10 @@ import (
 )
 
 // FuzzJournalLoad feeds arbitrary bytes to Resume, which must classify
-// every input as a valid journal, a fingerprint mismatch, or corruption —
-// never panic and never mis-parse. Seeds cover a well-formed journal, a
-// torn tail, and assorted malformed headers.
+// every input as a valid journal, a fingerprint mismatch, another format,
+// or corruption — never panic and never mis-parse. Seeds cover a
+// well-formed journal, a torn tail, a v1 header, and assorted malformed
+// headers.
 func FuzzJournalLoad(f *testing.F) {
 	fp := Fingerprint{Config: "cfg", Version: "v1", Seed: 42}
 
@@ -36,9 +37,10 @@ func FuzzJournalLoad(f *testing.F) {
 	f.Add(good)
 	f.Add(good[:len(good)-3]) // torn tail: must truncate, not reject
 	f.Add([]byte{})
-	f.Add([]byte("{\"journal\":\"mpppb-journal/v1\"}\n"))
+	f.Add([]byte("{\"journal\":\"mpppb-journal/v2\"}\n"))
 	f.Add([]byte("not json at all\n{{{"))
-	f.Add([]byte("{\"journal\":\"mpppb-journal/v1\",\"fingerprint\":{\"config\":\"other\"}}\n"))
+	f.Add([]byte("{\"journal\":\"mpppb-journal/v2\",\"fingerprint\":{\"config\":\"other\"}}\n"))
+	f.Add([]byte("{\"journal\":\"mpppb-journal/v1\",\"fingerprint\":{\"config\":\"cfg\",\"version\":\"v1\",\"seed\":42}}\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := filepath.Join(t.TempDir(), "fuzz.journal")

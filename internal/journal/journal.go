@@ -23,13 +23,16 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"strings"
 	"sync"
 )
 
-// magic identifies the file format in the header line.
-const magic = "mpppb-journal/v1"
+// magic identifies the file format in the header line. v2 changed the
+// value types under existing keys (ROC cells hold count tables), so a v1
+// file is refused by name rather than decoded into the new types.
+const magic = "mpppb-journal/v2"
 
-// Sentinel errors for the three refusal modes. Callers match with
+// Sentinel errors for the four refusal modes. Callers match with
 // errors.Is.
 var (
 	// ErrExists is returned by Create when the journal file already
@@ -43,6 +46,10 @@ var (
 	// ErrCorrupt is returned by Resume when a non-trailing line fails to
 	// parse: the file cannot be trusted.
 	ErrCorrupt = errors.New("journal: corrupt")
+	// ErrFormat is returned by Resume when the header names another
+	// version of the journal format: its cell values do not decode as
+	// this binary's.
+	ErrFormat = errors.New("journal: unsupported format")
 )
 
 // Fingerprint identifies the run a journal belongs to. Two runs may share
@@ -75,9 +82,11 @@ type record struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-// Journal is an open checkpoint file. All methods are safe for concurrent
-// use and safe on a nil receiver (a nil *Journal is "journaling disabled":
-// Load always misses, Record is a no-op), so drivers thread one pointer
+// Journal is an open checkpoint file, or with no file (Memory) the same
+// table kept in memory only; either way it is the run's one memo, serving
+// every recorded cell by key. All methods are safe for concurrent use and
+// safe on a nil receiver (a nil *Journal is "journaling disabled": Load
+// always misses, Record is a no-op), so drivers thread one pointer
 // through unconditionally.
 type Journal struct {
 	mu      sync.Mutex
@@ -85,6 +94,10 @@ type Journal struct {
 	path    string
 	entries map[string]record
 }
+
+// Memory returns a journal with no file: it records and serves cells for
+// the life of the process and persists nothing.
+func Memory() *Journal { return &Journal{entries: make(map[string]record)} }
 
 // Create starts a new journal at path for the given fingerprint. It
 // refuses with ErrExists if the file is already there.
@@ -144,7 +157,11 @@ func parse(path string, data []byte, fp Fingerprint) (map[string]record, int, er
 		return nil, 0, fmt.Errorf("%w: %s: missing or incomplete header", ErrCorrupt, path)
 	}
 	var h header
-	if err := json.Unmarshal(data[:nl], &h); err != nil || h.Journal != magic {
+	switch err := json.Unmarshal(data[:nl], &h); {
+	case err == nil && h.Journal != magic && strings.HasPrefix(h.Journal, "mpppb-journal/"):
+		return nil, 0, fmt.Errorf("%w: %s: written in format %s, this binary reads %s; start a new journal",
+			ErrFormat, path, h.Journal, magic)
+	case err != nil || h.Journal != magic:
 		return nil, 0, fmt.Errorf("%w: %s: not a journal header", ErrCorrupt, path)
 	}
 	if h.Fingerprint != fp {
@@ -176,9 +193,13 @@ func parse(path string, data []byte, fp Fingerprint) (map[string]record, int, er
 	return entries, goodLen, nil
 }
 
-// writeLine marshals v, appends it as one line, and fsyncs. Caller holds
-// no lock on the Create path; Record takes the mutex.
+// writeLine marshals v, appends it as one line, and fsyncs; with no file
+// it does nothing. Caller holds no lock on the Create path; Record takes
+// the mutex.
 func (j *Journal) writeLine(v any) error {
+	if j.f == nil {
+		return nil
+	}
 	b, err := json.Marshal(v)
 	if err != nil {
 		return err

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -164,46 +163,6 @@ func TestMapEmptyAndDefaults(t *testing.T) {
 	}
 	if p := peak.Load(); p > int64(width) {
 		t.Fatalf("%d items in flight at width 0, want at most GOMAXPROCS (%d)", p, width)
-	}
-}
-
-// TestMemoSingleFlight hammers one Memo from 16 goroutines: every key's
-// compute function must run exactly once and all callers must observe the
-// same value.
-func TestMemoSingleFlight(t *testing.T) {
-	var m Memo[int, int]
-	var computes [8]atomic.Int64
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			for rep := 0; rep < 200; rep++ {
-				for k := 0; k < 8; k++ {
-					v := m.Do(k, func() int {
-						computes[k].Add(1)
-						time.Sleep(50 * time.Microsecond) // widen the race window
-						return k * 100
-					})
-					if v != k*100 {
-						t.Errorf("Do(%d) = %d, want %d", k, v, k*100)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	close(start)
-	wg.Wait()
-	for k := range computes {
-		if n := computes[k].Load(); n != 1 {
-			t.Errorf("key %d computed %d times, want 1", k, n)
-		}
-	}
-	if m.Len() != 8 {
-		t.Errorf("Len() = %d, want 8", m.Len())
 	}
 }
 

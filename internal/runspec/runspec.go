@@ -252,6 +252,11 @@ func (s *Spec) start() error {
 	if err != nil {
 		return err
 	}
+	if s.Worker != "" {
+		// A worker keeps no cells: it computes only what it leases, and
+		// the coordinator's journal serves the rest.
+		jrnl = nil
+	}
 	s.teardown = append(s.teardown, func() { jrnl.Close() })
 	status := obs.NewRunStatus(s.Tool)
 	status.SetMeta(fp.Config, s.Journal.Path)

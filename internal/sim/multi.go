@@ -2,7 +2,6 @@ package sim
 
 import (
 	"mpppb/internal/cpu"
-	"mpppb/internal/parallel"
 	"mpppb/internal/stats"
 	"mpppb/internal/trace"
 	"mpppb/internal/workload"
@@ -55,36 +54,4 @@ func RunMulti(cfg Config, mix workload.Mix, pf PolicyFactory) MultiResult {
 	})
 	res.LLCMisses, res.LLCAccesses, res.MPKI = r.LLCMisses, r.LLCAccesses, r.MPKI
 	return res
-}
-
-// SingleIPCCache memoizes standalone IPCs per segment. It is safe for
-// concurrent use: mixes fanned across workers share one cache, and
-// single-flight semantics guarantee each segment's baseline run executes
-// exactly once even when several mixes need it simultaneously (concurrent
-// requesters block until the one computation finishes).
-type SingleIPCCache struct {
-	cfg Config
-	m   parallel.Memo[workload.SegmentID, float64]
-}
-
-// NewSingleIPCCache creates a cache computing standalone IPCs with cfg.
-func NewSingleIPCCache(cfg Config) *SingleIPCCache {
-	return &SingleIPCCache{cfg: cfg}
-}
-
-// For returns the standalone IPCs for a mix, computing missing segments.
-func (c *SingleIPCCache) For(mix workload.Mix) [4]float64 {
-	var out [4]float64
-	for i, id := range mix {
-		out[i] = c.ipc(id)
-	}
-	return out
-}
-
-// ipc returns one segment's standalone IPC, computing it at most once.
-func (c *SingleIPCCache) ipc(id workload.SegmentID) float64 {
-	return c.m.Do(id, func() float64 {
-		gen := workload.NewGenerator(id, workload.CoreBase(0))
-		return RunSingle(c.cfg, gen, newLRU).IPC
-	})
 }

@@ -146,41 +146,74 @@ type ROCPoint struct {
 	FPR float64
 }
 
+// ROCTally counts the outcomes seen at one confidence value.
+type ROCTally struct{ Dead, Live int }
+
+// ROCCounts maps each confidence value to its outcome counts. An ROC
+// curve depends on nothing else, so a table holds a run's samples in
+// space proportional to its distinct confidences, and runs pool by
+// addition (Add).
+type ROCCounts map[int]ROCTally
+
+// CountROC tallies samples by confidence.
+func CountROC(samples []ROCSample) ROCCounts {
+	c := ROCCounts{}
+	for _, s := range samples {
+		t := c[s.Confidence]
+		if s.Dead {
+			t.Dead++
+		} else {
+			t.Live++
+		}
+		c[s.Confidence] = t
+	}
+	return c
+}
+
+// Add pools o into c.
+func (c ROCCounts) Add(o ROCCounts) {
+	for conf, t := range o {
+		sum := c[conf]
+		sum.Dead += t.Dead
+		sum.Live += t.Live
+		c[conf] = sum
+	}
+}
+
+// Samples returns the number of outcomes counted.
+func (c ROCCounts) Samples() int {
+	n := 0
+	for _, t := range c {
+		n += t.Dead + t.Live
+	}
+	return n
+}
+
 // ROC computes the ROC curve over all distinct thresholds present in the
 // samples, ordered by increasing FPR (decreasing threshold). Section 6.3:
 // "The false positive rate is the fraction of live blocks that are
 // mispredicted as dead, while the true positive rate is the fraction of
 // dead blocks that are correctly predicted."
 func ROC(samples []ROCSample) []ROCPoint {
-	if len(samples) == 0 {
-		return nil
-	}
-	sorted := make([]ROCSample, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Confidence > sorted[j].Confidence })
+	return CountROC(samples).Curve()
+}
 
+// Curve is the ROC curve of the counted samples (see ROC).
+func (c ROCCounts) Curve() []ROCPoint {
+	confs := make([]int, 0, len(c))
 	var totalDead, totalLive int
-	for _, s := range samples {
-		if s.Dead {
-			totalDead++
-		} else {
-			totalLive++
-		}
+	for conf, t := range c {
+		confs = append(confs, conf)
+		totalDead += t.Dead
+		totalLive += t.Live
 	}
+	sort.Sort(sort.Reverse(sort.IntSlice(confs)))
 
 	var points []ROCPoint
 	var tp, fp int
-	i := 0
-	for i < len(sorted) {
-		thr := sorted[i].Confidence
-		for i < len(sorted) && sorted[i].Confidence == thr {
-			if sorted[i].Dead {
-				tp++
-			} else {
-				fp++
-			}
-			i++
-		}
+	for _, thr := range confs {
+		tp += c[thr].Dead
+		fp += c[thr].Live
 		pt := ROCPoint{Threshold: thr}
 		if totalDead > 0 {
 			pt.TPR = float64(tp) / float64(totalDead)

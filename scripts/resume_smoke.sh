@@ -2,7 +2,11 @@
 # Crash-recovery smoke test against the real binary: start a small fig6
 # campaign with a journal, interrupt it with SIGINT mid-run, resume it,
 # and require the resumed TSV to be byte-identical to an uninterrupted
-# reference run. The Go test (cmd/mpppb-experiments/resume_test.go)
+# reference run. A second pass resumes a fig4 journal into fig9: the
+# fingerprint leaves -id out and both figures key their multi-core cells
+# by machine, policy and workload, so fig9 must read its baselines and
+# its original point from fig4's journal and still print the bytes of a
+# run without one. The Go test (cmd/mpppb-experiments/resume_test.go)
 # pins the library-level semantics deterministically; this script checks
 # the end-to-end flow — signal handling, exit codes, the flag plumbing —
 # the way a user would hit it.
@@ -43,3 +47,25 @@ $BIN $ARGS -j 4 -out "$tmp/res" -journal "$tmp/run.journal" -resume
 echo "== comparing TSVs"
 cmp "$tmp/ref/fig6.tsv" "$tmp/res/fig6.tsv"
 echo "PASS: resumed output is byte-identical to the uninterrupted run"
+
+# fig9's two mixes are two of fig4's four (workload.Mixes is prefix-
+# stable), so fig4's journal holds 12 of fig9's cells: the 8 segments
+# alone, and LRU and mpppb-srrip on each mix.
+MC="-mixes 4 -ablate-mixes 2 -warmup 50000 -measure 200000 -j 2"
+
+echo "== fig9 reference run (no journal)"
+$BIN -id fig9 $MC -q -out "$tmp/mc-ref"
+
+echo "== fig4 run (-journal)"
+$BIN -id fig4 $MC -q -out "$tmp/mc-fig4" -journal "$tmp/mc.journal"
+
+echo "== fig9 resumed from fig4's journal"
+$BIN -id fig9 $MC -out "$tmp/mc-res" -journal "$tmp/mc.journal" -resume 2>"$tmp/mc-res.log"
+served=$(grep -c '(from journal)' "$tmp/mc-res.log" || true)
+if [ "$served" -ne 12 ]; then
+    echo "fig9 read $served cell(s) from fig4's journal, want 12:" >&2
+    cat "$tmp/mc-res.log" >&2
+    exit 1
+fi
+cmp "$tmp/mc-ref/fig9.tsv" "$tmp/mc-res/fig9.tsv"
+echo "PASS: fig9 read 12 cells from fig4's journal and printed the bytes of a run without one"
