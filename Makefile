@@ -22,10 +22,11 @@ test: vet
 # this target): the worker pool, the experiment drivers that fan across
 # it and share cells through the journal, the observability layer their
 # workers all update, the advice server's concurrent client soak, the
-# fleet coordinator/worker lease machinery, and the core package whose
-# adaptive-duel gauges those concurrent workers now publish.
+# fleet coordinator/worker lease machinery, the core package whose
+# adaptive-duel gauges those concurrent workers now publish, and the
+# Zipf tables that concurrent cells' generators share.
 race:
-	$(GO) test -race ./internal/parallel ./internal/sim ./internal/experiments ./internal/obs ./internal/serve ./internal/fleet ./internal/core
+	$(GO) test -race ./internal/parallel ./internal/sim ./internal/experiments ./internal/obs ./internal/serve ./internal/fleet ./internal/core ./internal/xrand
 
 # The root package's Go benchmarks, one iteration each: the ablation
 # sweeps no experiment id prints (θ, sampler size, bypass, default
@@ -36,13 +37,16 @@ bench:
 
 # Hot-path microbenchmarks: predictor confidence, the per-feature-kind and
 # per-feature-set predictor gather, one LLC access, the set probe and
-# victim scan, one Hierarchy.Demand, the core timing model's share of one
-# trace record, generator batching, the advice-serving round trip, and
+# victim scan, one Hierarchy.Demand, one prefetcher miss, the core timing
+# model's share of one trace record, one Zipf draw per table size,
+# generator batching per Zipf segment, the advice-serving round trip, and
 # the end-to-end fig6 segment. See docs/PERFORMANCE.md.
 bench-hotpath:
 	$(GO) test -run NONE -bench 'BenchmarkPredictorConfidence|BenchmarkPredict$$|BenchmarkLLCAccess' -benchmem -benchtime 2s ./internal/core
 	$(GO) test -run NONE -bench 'BenchmarkCacheLookup|BenchmarkVictimScan|BenchmarkHierarchyDemand' -benchmem -benchtime 2s ./internal/cache
+	$(GO) test -run NONE -bench BenchmarkStreamOnL1Miss -benchmem -benchtime 2s ./internal/prefetch
 	$(GO) test -run NONE -bench BenchmarkCoreRecord -benchmem -benchtime 2s ./internal/cpu
+	$(GO) test -run NONE -bench BenchmarkZipfDraw -benchmem -benchtime 2s ./internal/xrand
 	$(GO) test -run NONE -bench BenchmarkGeneratorBatch -benchmem -benchtime 2s ./internal/workload
 	$(GO) test -run NONE -bench 'BenchmarkServeAdvice|BenchmarkApplyInline' -benchmem -benchtime 2s ./internal/serve
 	$(GO) test -run NONE -bench BenchmarkEndToEndFig6Segment -benchmem -benchtime 1x .
@@ -125,6 +129,8 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzIngestTrace -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run NONE -fuzz FuzzServeProtocol -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzCoreMatchesReference -fuzztime $(FUZZTIME) ./internal/cpu
+	$(GO) test -run NONE -fuzz FuzzZipfDraw -fuzztime $(FUZZTIME) ./internal/xrand
+	$(GO) test -run NONE -fuzz FuzzStreamMatchesReference -fuzztime $(FUZZTIME) ./internal/prefetch
 
 clean:
 	rm -rf results

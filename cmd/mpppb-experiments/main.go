@@ -1,7 +1,9 @@
 // Command mpppb-experiments regenerates the paper's tables and figures.
 //
 // Each experiment writes TSV to stdout (or -out dir/<id>.tsv): the same
-// rows/series the paper plots. Examples:
+// rows/series the paper plots. Under -out a table replaces dir/<id>.tsv
+// only when its experiment succeeds; one that fails or is interrupted
+// leaves the previous file as it was. Examples:
 //
 //	mpppb-experiments -id fig6                  # single-thread speedups
 //	mpppb-experiments -id fig4 -mixes 100       # 4-core S-curve, 100 test mixes
@@ -113,8 +115,8 @@ func main() {
 	flag.IntVar(&flags.ROCSegs, "roc-segments", 33, "segments pooled per predictor for fig8")
 	flag.IntVar(&flags.AdaptSeeds, "adapt-seeds", 3, "seeds (distinct reference streams) per segment for figadapt")
 	flag.IntVar(&flags.T3Segs, "table3-segments", 33, "segments for table3 leave-one-out")
-	flag.StringVar(&flags.STPolicies, "st-policies", "", "override single-thread policy list (comma-separated)")
-	flag.StringVar(&flags.MCPolicies, "mc-policies", "", "override multi-core policy list (comma-separated)")
+	flag.StringVar(&flags.STPolicies, "st-policies", "", "override single-thread policy list (comma-separated, each once; lru always runs)")
+	flag.StringVar(&flags.MCPolicies, "mc-policies", "", "override multi-core policy list (comma-separated, each once; lru always runs)")
 	flag.StringVar(&flags.Benches, "benches", "", "restrict fig6/fig7 to these benchmarks (comma-separated)")
 	flag.Parse()
 	s.Positive("mixes", "ablate-mixes", "random", "roc-segments", "table3-segments", "adapt-seeds")
@@ -134,11 +136,20 @@ func main() {
 		stPolicies:  experiments.DefaultSingleThreadPolicies(),
 		mcPolicies:  experiments.DefaultMultiCorePolicies(),
 	}
+	// Every table already has an lru column, so a listed lru would be a
+	// second run under the same name.
+	policies := func(name, list string) []string {
+		pols := s.Policies(name, list)
+		if slices.Contains(pols, "lru") {
+			s.Exit(fmt.Errorf("-%s: lru is always run; leave it out of the list", name))
+		}
+		return pols
+	}
 	if flags.STPolicies != "" {
-		r.stPolicies = s.Policies("st-policies", flags.STPolicies)
+		r.stPolicies = policies("st-policies", flags.STPolicies)
 	}
 	if flags.MCPolicies != "" {
-		r.mcPolicies = s.Policies("mc-policies", flags.MCPolicies)
+		r.mcPolicies = policies("mc-policies", flags.MCPolicies)
 	}
 	if flags.Benches != "" {
 		r.stBenches = strings.Split(flags.Benches, ",")
@@ -165,29 +176,71 @@ func main() {
 	s.Exit(nil)
 }
 
-// output opens the TSV sink for an experiment.
-func (r *runner) output(id string) (io.WriteCloser, error) {
+// sink is where an experiment's table goes: stdout, or with -out the
+// temporary file <id>.tsv.tmp in that directory, which commit renames
+// over <id>.tsv. close, deferred, removes the temporary file unless
+// commit ran, so an experiment that fails, panics or is interrupted
+// leaves the previous <id>.tsv as it was.
+type sink struct {
+	io.Writer
+	f    *os.File // the temporary file; nil for stdout or once committed
+	path string
+}
+
+// output opens the sink for an experiment.
+func (r *runner) output(id string) (*sink, error) {
 	if r.outDir == "" {
 		fmt.Printf("# --- %s ---\n", id)
-		return nopCloser{os.Stdout}, nil
+		return &sink{Writer: os.Stdout}, nil
 	}
 	if err := os.MkdirAll(r.outDir, 0o755); err != nil {
 		return nil, err
 	}
-	return os.Create(filepath.Join(r.outDir, id+".tsv"))
+	path := filepath.Join(r.outDir, id+".tsv")
+	f, err := os.Create(path + ".tmp")
+	if err != nil {
+		return nil, err
+	}
+	return &sink{Writer: f, f: f, path: path}, nil
 }
 
-type nopCloser struct{ io.Writer }
+func (s *sink) commit() error {
+	f := s.f
+	if f == nil {
+		return nil
+	}
+	s.f = nil
+	err := f.Close()
+	if err == nil {
+		err = os.Rename(f.Name(), s.path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
 
-func (nopCloser) Close() error { return nil }
+func (s *sink) close() {
+	if s.f != nil {
+		s.f.Close()
+		os.Remove(s.f.Name())
+	}
+}
 
 func (r *runner) run(id string) error {
-	w, err := r.output(id)
+	out, err := r.output(id)
 	if err != nil {
 		return err
 	}
-	defer w.Close()
+	defer out.close()
+	if err := r.write(id, out); err != nil {
+		return err
+	}
+	return out.commit()
+}
 
+// write runs experiment id and renders its table to w.
+func (r *runner) write(id string, w io.Writer) error {
 	switch id {
 	case "fig3":
 		seg := experiments.TrainingSegments(8)

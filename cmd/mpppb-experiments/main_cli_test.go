@@ -52,6 +52,13 @@ func TestCLIResume(t *testing.T) {
 func TestCLIBadInput(t *testing.T) {
 	clitest.Refused(t, "st-policies", "-id", "fig6", "-st-policies", "mpppb,bogus")
 	clitest.Refused(t, "mc-policies", "-id", "fig4", "-mc-policies", "bogus")
+	// Every table runs lru itself and keys its columns by name: a listed
+	// lru or a repeated name would merge two runs into one column (fig4,
+	// fig5) or break the table's shape (fig6).
+	clitest.Refused(t, "mc-policies", "-id", "fig5", "-mc-policies", "lru,mpppb-srrip")
+	clitest.Refused(t, "mc-policies", "-id", "fig5", "-mc-policies", "mpppb-srrip,mpppb-srrip")
+	clitest.Refused(t, "st-policies", "-id", "fig6", "-st-policies", "lru,mpppb")
+	clitest.Refused(t, "st-policies", "-id", "fig6", "-st-policies", "mpppb,mpppb")
 	clitest.Refused(t, "benches", "-id", "fig6", "-benches", "nosuch_like")
 	clitest.Refused(t, "id", "-id", "fig11")
 	clitest.Refused(t, "ablate-mixes", "-id", "fig9", "-ablate-mixes", "0")

@@ -11,6 +11,8 @@ package main
 //	go test ./cmd/mpppb-experiments -run Golden -update
 
 import (
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -136,5 +138,41 @@ func TestOutputIdenticalWithObservability(t *testing.T) {
 	}
 	if j8 != j1 {
 		t.Errorf("-j8 output differs from -j1 with observability on:\n--- j8 ---\n%s\n--- j1 ---\n%s", j8, j1)
+	}
+}
+
+// TestFailedExperimentKeepsPreviousTSV: an experiment that fails after its
+// output is open (here its run context is already cancelled, as after a
+// SIGINT) leaves the previous <id>.tsv byte-identical and no temporary
+// file behind; an experiment that succeeds replaces its table.
+func TestFailedExperimentKeepsPreviousTSV(t *testing.T) {
+	dir := t.TempDir()
+	prev := []byte("# fig6 from an earlier run\nbenchmark\tlru\n")
+	if err := os.WriteFile(filepath.Join(dir, "fig6.tsv"), prev, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := goldenRunner(dir)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r.opts = &experiments.Run{Ctx: ctx}
+	if err := r.run("fig6"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run(fig6) with a cancelled context: %v, want %v", err, context.Canceled)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "fig6.tsv")); err != nil || string(got) != string(prev) {
+		t.Fatalf("fig6.tsv after the failed run: %q (%v), want the previous %q", got, err, prev)
+	}
+	if err := r.run("table1"); err != nil {
+		t.Fatalf("run(table1): %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, " ") != "fig6.tsv table1.tsv" {
+		t.Fatalf("-out holds %v, want only fig6.tsv and table1.tsv", names)
 	}
 }

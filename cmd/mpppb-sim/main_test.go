@@ -42,6 +42,7 @@ func TestBadInput(t *testing.T) {
 	clitest.Refused(t, "seg", "-seg", "-2")
 	clitest.Refused(t, "bench", "-bench", "nosuch_like")
 	clitest.Refused(t, "policy", "-policy", "lru,bogus")
+	clitest.Refused(t, "policy", "-policy", "lru,mpppb,lru")
 	// Parses, but τ1 < τ2 < τ3 breaks the descending-threshold invariant.
 	clitest.Refused(t, "duel", "-policy", "mpppb-adaptive", "-duel", "48,-98,-68,-38,122,15,13,11,13;"+duel)
 	clitest.Refused(t, "duel", "-duel", "1,2,3")

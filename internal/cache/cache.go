@@ -53,6 +53,12 @@ func (a Access) IsDemand() bool { return a.Type == trace.Load || a.Type == trace
 // Invalid frames additionally hold the sentinel noBlock in the address
 // lane, so a tag-lane comparison can never match a stale address; flags
 // remain the authority on validity.
+//
+// A fill takes the lowest invalid way of its set, and only Invalidate and
+// Reset make a frame invalid, so a cache whose frames are all valid stays
+// that way through a whole simulation. The cache counts its invalid frames
+// (holes), and a miss searches its set for one only while that count is
+// positive.
 
 // noBlock is the address-lane value of an invalid frame. Real block
 // addresses are byte addresses shifted right by trace.BlockBits, so the
@@ -187,6 +193,7 @@ type Cache struct {
 	addrs    []uint64 // block-address (tag) lane; noBlock when invalid
 	readyAts []uint64 // data-arrival cycles
 	flags    []uint8  // frameValid | frameDirty | framePrefetched
+	holes    int      // invalid frames in the whole cache
 	policy   ReplacementPolicy
 	obs      Observer
 
@@ -213,6 +220,7 @@ func New(name string, sets, ways int, policy ReplacementPolicy) *Cache {
 		addrs:    make([]uint64, sets*ways),
 		readyAts: make([]uint64, sets*ways),
 		flags:    make([]uint8, sets*ways),
+		holes:    sets * ways,
 		policy:   policy,
 	}
 	for i := range c.addrs {
@@ -331,9 +339,7 @@ func (c *Cache) lookupFill(a Access) outcome {
 	}
 
 	// Probe: one pass over the set's contiguous tag lane. Invalid frames
-	// hold noBlock, so a match implies a valid frame, and the first noBlock
-	// is the lowest invalid way, which a miss fills before any eviction.
-	free := -1
+	// hold noBlock, so a match implies a valid frame.
 	for w, fa := range c.addrs[base : base+c.ways] {
 		if fa == blockAddr {
 			i := base + w
@@ -347,9 +353,6 @@ func (c *Cache) lookupFill(a Access) outcome {
 			}
 			c.policy.Hit(set, w, a)
 			return outcome{set: set, way: w, at: c.readyAts[i], flags: outHit}
-		}
-		if fa == noBlock && free < 0 {
-			free = w
 		}
 	}
 
@@ -370,8 +373,19 @@ func (c *Cache) lookupFill(a Access) outcome {
 	}
 
 	// Fill the lowest invalid frame, or else replace the policy's victim.
-	o := outcome{set: set, way: free}
-	if free < 0 {
+	// The first noBlock in the tag lane is the lowest invalid way; while
+	// the cache has no hole, no set can hold one.
+	o := outcome{set: set, way: -1}
+	if c.holes > 0 {
+		for w, fa := range c.addrs[base : base+c.ways] {
+			if fa == noBlock {
+				o.way = w
+				c.holes--
+				break
+			}
+		}
+	}
+	if o.way < 0 {
 		victim, bypass := c.policy.Victim(set, a)
 		if bypass {
 			c.Stats.Bypasses++
@@ -417,6 +431,7 @@ func (c *Cache) Invalidate(blockAddr uint64) (present, dirty bool) {
 		c.policy.Evict(set, way, c.addrs[i])
 		c.addrs[i] = noBlock
 		c.flags[i] = 0
+		c.holes++
 	}
 	if c.obs != nil {
 		c.obs.OnInvalidate(blockAddr, present)
@@ -447,9 +462,10 @@ func (c *Cache) DumpSet(set int) string {
 }
 
 // assertSetWellFormed panics if a set holds two valid frames with the same
-// block address, or an invalid frame whose tag lane is not the noBlock
-// sentinel (which would let a stale tag match). Compiled in only under the
-// verify build tag.
+// block address, an invalid frame whose tag lane is not the noBlock
+// sentinel (which would let a stale tag match), or an invalid frame while
+// the hole count says the cache has none (which would let a miss evict
+// instead of filling it). Compiled in only under the verify build tag.
 func (c *Cache) assertSetWellFormed(set int) {
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
@@ -457,6 +473,10 @@ func (c *Cache) assertSetWellFormed(set int) {
 			if c.addrs[base+w] != noBlock {
 				panic(fmt.Sprintf("cache %s: invalid frame %d of set %d holds tag %#x instead of the empty sentinel",
 					c.name, w, set, c.addrs[base+w]))
+			}
+			if c.holes <= 0 {
+				panic(fmt.Sprintf("cache %s: invalid frame %d of set %d with a hole count of %d",
+					c.name, w, set, c.holes))
 			}
 			continue
 		}
@@ -484,6 +504,7 @@ func (c *Cache) Reset() {
 		c.readyAts[i] = 0
 		c.flags[i] = 0
 	}
+	c.holes = len(c.addrs)
 	c.Stats = Stats{}
 }
 

@@ -312,3 +312,62 @@ func TestPolicyVictimRangeChecked(t *testing.T) {
 type badVictim struct{ lruStub }
 
 func (b *badVictim) Victim(int, Access) (int, bool) { return 99, false }
+
+// holeGuard is lruStub with a check on the fill protocol: Victim must
+// only be consulted for a set that has no invalid frame.
+type holeGuard struct {
+	lruStub
+	t *testing.T
+	c *Cache
+}
+
+func (g *holeGuard) Victim(set int, a Access) (int, bool) {
+	for w := 0; w < g.c.ways; w++ {
+		if g.c.flags[set*g.c.ways+w]&frameValid == 0 {
+			g.t.Fatalf("Victim consulted for set %d with invalid way %d\n%s", set, w, g.c.DumpSet(set))
+		}
+	}
+	return g.lruStub.Victim(set, a)
+}
+
+// TestHoleCountTracksInvalidFrames drives random accesses of every type,
+// invalidations of resident blocks and an occasional Reset through caches
+// of several shapes. After every operation the cache's hole count must
+// equal its number of invalid frames, and no miss may reach the policy's
+// Victim while its set still has an invalid frame. Sets fill at different
+// rates, so some evict while others still have holes.
+func TestHoleCountTracksInvalidFrames(t *testing.T) {
+	types := []trace.AccessType{trace.Load, trace.Load, trace.Store, trace.Prefetch, trace.Writeback}
+	for _, geo := range []struct{ sets, ways int }{{1, 1}, {1, 4}, {4, 3}, {8, 8}, {16, 16}} {
+		g := &holeGuard{lruStub: *newLRUStub(geo.ways), t: t}
+		c := New("t", geo.sets, geo.ways, g)
+		g.c = c
+		rng := uint64(geo.sets*131 + geo.ways)
+		next := func(n int) int {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return int((rng >> 33) % uint64(n))
+		}
+		capacity := geo.sets * geo.ways
+		for step := 0; step < 6000; step++ {
+			switch op := next(100); {
+			case step == 3000:
+				c.Reset()
+			case op < 8:
+				if b, ok := c.BlockAddrAt(next(geo.sets), next(geo.ways)); ok {
+					c.Invalidate(b)
+				}
+			default:
+				c.Access(Access{Addr: addr(uint64(next(3 * capacity))), Type: types[next(len(types))]})
+			}
+			invalid := 0
+			for _, f := range c.flags {
+				if f&frameValid == 0 {
+					invalid++
+				}
+			}
+			if c.holes != invalid {
+				t.Fatalf("%dx%d step %d: hole count %d, %d invalid frames", geo.sets, geo.ways, step, c.holes, invalid)
+			}
+		}
+	}
+}

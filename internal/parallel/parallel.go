@@ -141,8 +141,15 @@ func MapErr[T any](ctx context.Context, o RunOpts, n int, fn func(ctx context.Co
 		go func() {
 			defer wg.Done()
 			for {
+				// Check for cancellation before taking an index, never
+				// after: an index taken is always run, so every index
+				// below a failing one runs, and fail-fast reports the
+				// smallest failing index whatever the completion order.
+				if poolCtx.Err() != nil {
+					return
+				}
 				i := int(next.Add(1)) - 1
-				if i >= n || poolCtx.Err() != nil {
+				if i >= n {
 					return
 				}
 				results[i], errs[i] = run(poolCtx, i)

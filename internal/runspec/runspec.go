@@ -182,7 +182,9 @@ func (s *Spec) Positive(names ...string) {
 
 // Policies splits the comma-separated list given to flag name and checks
 // that every entry names a policy (with the -duel candidates applied) or
-// one of the extra names the tool handles itself. A bad name exits 1.
+// one of the extra names the tool handles itself, once: tables key their
+// rows and columns by name, so a repeat would merge two runs into one. A
+// bad or repeated name exits 1.
 func (s *Spec) Policies(name, list string, extra ...string) []string {
 	cands, err := s.duel()
 	if err != nil {
@@ -195,6 +197,9 @@ func (s *Spec) Policies(name, list string, extra ...string) []string {
 			if _, err := sim.PolicyWith(p, cands); err != nil {
 				s.Exit(fmt.Errorf("-%s: %v", name, err))
 			}
+		}
+		if slices.Contains(out, p) {
+			s.Exit(fmt.Errorf("-%s: policy %q is listed twice", name, p))
 		}
 		out = append(out, p)
 	}

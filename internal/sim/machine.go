@@ -39,8 +39,9 @@ type node struct {
 // when cfg.Prefetch, the shared LLC) and its timing model when timed. It
 // attaches the -check layer to the LLC and every L1/L2 before the first
 // access. The generators must be at the start of their streams: a driver
-// handed one resets it, while RunMulti's are fresh (a second Reset would
-// only rebuild their tables).
+// handed one resets it, while RunMulti builds fresh ones in every cell,
+// which start there (workload.NewGenerator resets what it builds, and a
+// kernel's Zipf table is built once per process and shared).
 func newMachine(cfg Config, pf PolicyFactory, timed bool, gens ...trace.Generator) *machine {
 	sets := cfg.LLCSize / trace.BlockSize / cfg.LLCWays
 	m := &machine{

@@ -9,7 +9,8 @@ import (
 // TestNextBatchMatchesNextStream proves the batched path delivers exactly
 // the per-record stream for every benchmark — the core suite and the
 // extension families — including with ragged batch sizes that straddle
-// the kernels' internal emit boundaries.
+// the kernels' internal emit boundaries. A generator on the Gen chassis
+// (every one but a trace file's segment) fills each batch.
 func TestNextBatchMatchesNextStream(t *testing.T) {
 	const total = 4096
 	sizes := []int{1, 3, 64, 256, 1000}
@@ -28,6 +29,9 @@ func TestNextBatchMatchesNextStream(t *testing.T) {
 				n := trace.FillBatch(g, buf)
 				if n <= 0 {
 					t.Fatalf("%s: FillBatch returned %d", b, n)
+				}
+				if _, file := g.(*traceSegment); !file && n != sz {
+					t.Fatalf("%s: batch of %d filled %d records", b, sz, n)
 				}
 				got = append(got, buf[:n]...)
 			}

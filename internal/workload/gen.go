@@ -64,20 +64,22 @@ func (g *Gen) Next(rec *trace.Record) {
 	g.pos++
 }
 
-// NextBatch implements trace.BatchGenerator: the kernels already emit into
-// an internal buffer, so a batch is one bulk copy of whatever the buffer
-// holds. The record stream is identical to repeated Next calls.
+// NextBatch implements trace.BatchGenerator: it fills all of recs with
+// bulk copies out of the internal buffer the kernels emit into, running
+// kernel steps until recs is full. The record stream is identical to
+// repeated Next calls.
 func (g *Gen) NextBatch(recs []trace.Record) int {
-	if len(recs) == 0 {
-		return 0
+	n := 0
+	for n < len(recs) {
+		if g.pos >= len(g.buf) {
+			g.buf = g.buf[:0]
+			g.pos = 0
+			g.step()
+		}
+		c := copy(recs[n:], g.buf[g.pos:])
+		g.pos += c
+		n += c
 	}
-	for g.pos >= len(g.buf) {
-		g.buf = g.buf[:0]
-		g.pos = 0
-		g.step()
-	}
-	n := copy(recs, g.buf[g.pos:])
-	g.pos += n
 	return n
 }
 

@@ -8,6 +8,11 @@
 // procedure for the xoshiro family.
 package xrand
 
+import (
+	"math"
+	"sync"
+)
+
 // RNG is a xoshiro256** pseudo-random number generator. The zero value is
 // not usable; construct with New.
 type RNG struct {
@@ -89,20 +94,65 @@ func (r *RNG) Perm(n int) []int {
 }
 
 // Zipf draws from a Zipf-like distribution over [0, n) with skew parameter
-// s > 0 using inverse-CDF sampling against a precomputed table. Construct
-// with NewZipf; this is deliberately simple (the table is O(n)) because
-// workload alphabets are small.
+// s > 0 by inverse-CDF sampling: a draw is the first entry of a cumulative
+// table at or above a uniform u. The workload suite's tables reach 294,912
+// entries, so a draw does not search the whole table. A guide of K = 2^k
+// buckets over [0, 1) holds, for bucket b, the first entry at or above
+// b/K, and a draw scans forward from its bucket's guide entry: about n/K
+// steps on average, and exactly the entry a binary search over the table
+// finds. A table depends only on (n, s), so it is built once per process
+// and shared read-only by every sampler with the same parameters.
 type Zipf struct {
-	cdf []float64
+	t   *zipfTable
 	rng *RNG
 }
 
+// zipfTable is the cumulative table of one (n, s) and its guide.
+type zipfTable struct {
+	once  sync.Once
+	cdf   []float64
+	guide []int32 // guide[b]: the first index whose cdf entry is >= b/K
+	shift uint    // 53 - k: a 53-bit draw's bucket is r >> shift
+}
+
+// zipfTables holds every table built so far, keyed by (n, s).
+var zipfTables struct {
+	sync.Mutex
+	m map[zipfKey]*zipfTable
+}
+
+type zipfKey struct {
+	n    int
+	bits uint64 // math.Float64bits(s)
+}
+
 // NewZipf builds a Zipf sampler over n items with exponent s, drawing
-// randomness from rng. Smaller ranks are more likely.
+// randomness from rng. Smaller ranks are more likely. The first sampler
+// for an (n, s) builds its table; later ones share it.
 func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("xrand: NewZipf with non-positive n")
 	}
+	key := zipfKey{n, math.Float64bits(s)}
+	zipfTables.Lock()
+	t := zipfTables.m[key]
+	if t == nil {
+		if zipfTables.m == nil {
+			zipfTables.m = make(map[zipfKey]*zipfTable)
+		}
+		t = new(zipfTable)
+		zipfTables.m[key] = t
+	}
+	zipfTables.Unlock()
+	// Built outside the lock, so tables of different (n, s) build in
+	// parallel while a second caller of the same one waits for it.
+	t.once.Do(func() { t.build(n, s) })
+	return &Zipf{t: t, rng: rng}
+}
+
+// build fills the cumulative table and its guide. K is the smallest power
+// of two >= n/4.
+func (t *zipfTable) build(n int, s float64) {
 	cdf := make([]float64, n)
 	sum := 0.0
 	for i := 0; i < n; i++ {
@@ -112,27 +162,44 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, rng: rng}
-}
-
-// Draw returns the next sample in [0, n).
-func (z *Zipf) Draw() int {
-	u := z.rng.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	k := uint(0)
+	for 4<<k < n {
+		k++
 	}
-	return lo
+	// b/K is a float64, so each comparison against a bucket edge is exact.
+	guide := make([]int32, 1<<k)
+	i := 0
+	for b := range guide {
+		edge := float64(b) / float64(len(guide))
+		for i < n-1 && cdf[i] < edge {
+			i++
+		}
+		guide[b] = int32(i)
+	}
+	t.cdf, t.guide, t.shift = cdf, guide, 53-k
 }
 
-// pow computes x**y for y >= 0 without importing math, keeping this package
-// dependency-free. Accuracy is more than sufficient for sampling tables.
+// Draw returns the next sample in [0, n). It consumes one Uint64, as
+// Float64 does.
+func (z *Zipf) Draw() int { return z.t.index(z.rng.Uint64() >> 11) }
+
+// index returns the first entry at or above u = r/2^53 (the last entry if
+// none is), for a 53-bit r: the value Float64 would have returned. u lies
+// in bucket r >> shift exactly, since b/K <= u holds iff b <= r >> shift.
+func (t *zipfTable) index(r uint64) int {
+	u := float64(r) / (1 << 53)
+	i := int(t.guide[r>>t.shift])
+	last := len(t.cdf) - 1
+	for i < last && t.cdf[i] < u {
+		i++
+	}
+	return i
+}
+
+// pow computes x**y for y >= 0 with its own series rather than math.Pow,
+// so the sampling tables, and every workload stream drawn from them, stay
+// bit-for-bit what they have always been. Accuracy is more than
+// sufficient for sampling tables.
 func pow(x, y float64) float64 {
 	// x**y = exp(y * ln x); use the identity via repeated squaring for the
 	// integer part and a short series for the fractional part.
