@@ -4,8 +4,10 @@
 // Server mode (default) accepts streamed access events from concurrent
 // clients over the framed binary protocol and answers each batch with
 // bypass/placement/promotion advice; every client gets its own predictor
-// instance, hash-routed to a shard worker. SIGINT/SIGTERM drains open
-// connections (bounded by -drain) before exiting.
+// instance, and its connection applies each batch under the lock of the
+// shard its client id hashes to, so -shards bounds how many batches are
+// applied at once. SIGINT/SIGTERM drains open connections (bounded by
+// -drain) before exiting.
 //
 //	mpppb-serve -addr 127.0.0.1:9417 -mode st -shards 4 -listen :8080
 //	mpppb-serve -addr 127.0.0.1:9417 -check   # shadow with the reference engine
@@ -30,6 +32,7 @@ import (
 
 	"mpppb/internal/core"
 	"mpppb/internal/obs"
+	"mpppb/internal/policy"
 	"mpppb/internal/serve"
 	"mpppb/internal/stats"
 	"mpppb/internal/workload"
@@ -42,7 +45,7 @@ func main() {
 		mode    = flag.String("mode", "st", "predictor configuration: st (single-thread), mc (multi-core), table2, adaptive (st with online threshold dueling)")
 		sets    = flag.Int("sets", 2048, "LLC sets each predictor instance models (power of two)")
 		ways    = flag.Int("ways", 16, "LLC ways of the client-side annotation model")
-		shards  = flag.Int("shards", 4, "server mode: shard workers client instances are hash-routed across")
+		shards  = flag.Int("shards", 4, "server mode: shards client ids are hash-routed across; at most this many batches are applied at once")
 		check   = flag.Bool("check", false, "server mode: shadow every client with the reference engine; divergence fails the stream")
 		drain   = flag.Duration("drain", serve.DefaultDrainTimeout, "server mode: shutdown drain bound for open connections")
 
@@ -90,6 +93,9 @@ func paramsFor(mode string) (core.Params, error) {
 }
 
 func runServer(addr string, params core.Params, sets, shards int, check bool, drain time.Duration, of *obs.Flags) error {
+	if shards < 1 {
+		return fmt.Errorf("-shards: %d; want at least 1", shards)
+	}
 	st := obs.NewRunStatus("mpppb-serve")
 	stop, err := of.Start(st)
 	if err != nil {
@@ -129,6 +135,16 @@ func runClient(addr string, params core.Params, bench string, seg, n, batch, set
 		return fmt.Errorf("-events: %d is negative", n)
 	case batch < 1:
 		return fmt.Errorf("-batch: %d events per request; want at least 1", batch)
+	case sets < 1 || sets&(sets-1) != 0:
+		return fmt.Errorf("-sets: %d is not a positive power of two", sets)
+	case ways < 1:
+		return fmt.Errorf("-ways: %d; want at least 1", ways)
+	}
+	// The annotation model runs MPPPB over the mode's default policy.
+	if params.Default == core.DefaultMDPP {
+		if err := policy.CheckTreePLRUWays(ways); err != nil {
+			return fmt.Errorf("-ways: this -mode runs over MDPP, whose %v", err)
+		}
 	}
 	gen := workload.NewGenerator(workload.SegmentID{Bench: bench, Seg: seg}, 0)
 	events := serve.Annotate(gen, n, sets, ways, params)

@@ -55,10 +55,10 @@ func (a Access) IsDemand() bool { return a.Type == trace.Load || a.Type == trace
 // remain the authority on validity.
 //
 // A fill takes the lowest invalid way of its set, and only Invalidate and
-// Reset make a frame invalid, so a cache whose frames are all valid stays
-// that way through a whole simulation. The cache counts its invalid frames
-// (holes), and a miss searches its set for one only while that count is
-// positive.
+// Reset make a frame invalid, so a set whose frames are all valid stays
+// that way through a whole simulation. Each set counts its invalid frames
+// (holes), and a miss searches its set for one only while the set's count
+// is positive.
 
 // noBlock is the address-lane value of an invalid frame. Real block
 // addresses are byte addresses shifted right by trace.BlockBits, so the
@@ -193,7 +193,7 @@ type Cache struct {
 	addrs    []uint64 // block-address (tag) lane; noBlock when invalid
 	readyAts []uint64 // data-arrival cycles
 	flags    []uint8  // frameValid | frameDirty | framePrefetched
-	holes    int      // invalid frames in the whole cache
+	holes    []uint8  // invalid frames per set
 	policy   ReplacementPolicy
 	obs      Observer
 
@@ -204,10 +204,14 @@ type Cache struct {
 
 // New constructs a cache with the given geometry. sizeBytes must be
 // sets*ways*trace.BlockSize; the constructor takes sets and ways directly
-// to keep geometry errors loud. The number of sets must be a power of two.
+// to keep geometry errors loud. The number of sets must be a power of two,
+// and a set holds at most 255 ways.
 func New(name string, sets, ways int, policy ReplacementPolicy) *Cache {
 	if sets <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("cache %s: non-positive geometry %dx%d", name, sets, ways))
+	}
+	if ways > 255 {
+		panic(fmt.Sprintf("cache %s: %d ways exceed the limit of 255", name, ways))
 	}
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: sets %d is not a power of two", name, sets))
@@ -220,12 +224,10 @@ func New(name string, sets, ways int, policy ReplacementPolicy) *Cache {
 		addrs:    make([]uint64, sets*ways),
 		readyAts: make([]uint64, sets*ways),
 		flags:    make([]uint8, sets*ways),
-		holes:    sets * ways,
+		holes:    make([]uint8, sets),
 		policy:   policy,
 	}
-	for i := range c.addrs {
-		c.addrs[i] = noBlock
-	}
+	c.Reset()
 	return c
 }
 
@@ -373,14 +375,14 @@ func (c *Cache) lookupFill(a Access) outcome {
 	}
 
 	// Fill the lowest invalid frame, or else replace the policy's victim.
-	// The first noBlock in the tag lane is the lowest invalid way; while
-	// the cache has no hole, no set can hold one.
+	// The first noBlock in the tag lane is the lowest invalid way, and the
+	// set's hole count says whether there is one.
 	o := outcome{set: set, way: -1}
-	if c.holes > 0 {
+	if c.holes[set] > 0 {
 		for w, fa := range c.addrs[base : base+c.ways] {
 			if fa == noBlock {
 				o.way = w
-				c.holes--
+				c.holes[set]--
 				break
 			}
 		}
@@ -431,7 +433,7 @@ func (c *Cache) Invalidate(blockAddr uint64) (present, dirty bool) {
 		c.policy.Evict(set, way, c.addrs[i])
 		c.addrs[i] = noBlock
 		c.flags[i] = 0
-		c.holes++
+		c.holes[set]++
 	}
 	if c.obs != nil {
 		c.obs.OnInvalidate(blockAddr, present)
@@ -463,21 +465,19 @@ func (c *Cache) DumpSet(set int) string {
 
 // assertSetWellFormed panics if a set holds two valid frames with the same
 // block address, an invalid frame whose tag lane is not the noBlock
-// sentinel (which would let a stale tag match), or an invalid frame while
-// the hole count says the cache has none (which would let a miss evict
-// instead of filling it). Compiled in only under the verify build tag.
+// sentinel (which would let a stale tag match), or a hole count other than
+// its number of invalid frames (too low would let a miss evict instead of
+// filling a hole). Compiled in only under the verify build tag.
 func (c *Cache) assertSetWellFormed(set int) {
 	base := set * c.ways
+	invalid := 0
 	for w := 0; w < c.ways; w++ {
 		if c.flags[base+w]&frameValid == 0 {
 			if c.addrs[base+w] != noBlock {
 				panic(fmt.Sprintf("cache %s: invalid frame %d of set %d holds tag %#x instead of the empty sentinel",
 					c.name, w, set, c.addrs[base+w]))
 			}
-			if c.holes <= 0 {
-				panic(fmt.Sprintf("cache %s: invalid frame %d of set %d with a hole count of %d",
-					c.name, w, set, c.holes))
-			}
+			invalid++
 			continue
 		}
 		for w2 := w + 1; w2 < c.ways; w2++ {
@@ -486,6 +486,10 @@ func (c *Cache) assertSetWellFormed(set int) {
 					c.name, c.addrs[base+w], w, w2, c.DumpSet(set)))
 			}
 		}
+	}
+	if invalid != int(c.holes[set]) {
+		panic(fmt.Sprintf("cache %s: set %d has %d invalid frames and a hole count of %d",
+			c.name, set, invalid, c.holes[set]))
 	}
 }
 
@@ -504,7 +508,9 @@ func (c *Cache) Reset() {
 		c.readyAts[i] = 0
 		c.flags[i] = 0
 	}
-	c.holes = len(c.addrs)
+	for set := range c.holes {
+		c.holes[set] = uint8(c.ways)
+	}
 	c.Stats = Stats{}
 }
 

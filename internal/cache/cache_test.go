@@ -46,7 +46,7 @@ func (b *bypassAll) Victim(int, Access) (int, bool) { return 0, true }
 func addr(block uint64) uint64 { return block << trace.BlockBits }
 
 func TestNewValidation(t *testing.T) {
-	for _, bad := range []struct{ sets, ways int }{{0, 4}, {4, 0}, {3, 4}, {-1, 1}} {
+	for _, bad := range []struct{ sets, ways int }{{0, 4}, {4, 0}, {3, 4}, {-1, 1}, {4, 256}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -332,10 +332,10 @@ func (g *holeGuard) Victim(set int, a Access) (int, bool) {
 
 // TestHoleCountTracksInvalidFrames drives random accesses of every type,
 // invalidations of resident blocks and an occasional Reset through caches
-// of several shapes. After every operation the cache's hole count must
-// equal its number of invalid frames, and no miss may reach the policy's
-// Victim while its set still has an invalid frame. Sets fill at different
-// rates, so some evict while others still have holes.
+// of several shapes. After every operation each set's hole count must
+// equal that set's number of invalid frames, and no miss may reach the
+// policy's Victim while its set still has an invalid frame. Sets fill at
+// different rates, so some evict while others still have holes.
 func TestHoleCountTracksInvalidFrames(t *testing.T) {
 	types := []trace.AccessType{trace.Load, trace.Load, trace.Store, trace.Prefetch, trace.Writeback}
 	for _, geo := range []struct{ sets, ways int }{{1, 1}, {1, 4}, {4, 3}, {8, 8}, {16, 16}} {
@@ -359,14 +359,17 @@ func TestHoleCountTracksInvalidFrames(t *testing.T) {
 			default:
 				c.Access(Access{Addr: addr(uint64(next(3 * capacity))), Type: types[next(len(types))]})
 			}
-			invalid := 0
-			for _, f := range c.flags {
-				if f&frameValid == 0 {
-					invalid++
+			for set := 0; set < geo.sets; set++ {
+				invalid := 0
+				for _, f := range c.flags[set*geo.ways : (set+1)*geo.ways] {
+					if f&frameValid == 0 {
+						invalid++
+					}
 				}
-			}
-			if c.holes != invalid {
-				t.Fatalf("%dx%d step %d: hole count %d, %d invalid frames", geo.sets, geo.ways, step, c.holes, invalid)
+				if int(c.holes[set]) != invalid {
+					t.Fatalf("%dx%d step %d: set %d has hole count %d, %d invalid frames",
+						geo.sets, geo.ways, step, set, c.holes[set], invalid)
+				}
 			}
 		}
 	}

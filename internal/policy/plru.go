@@ -37,10 +37,20 @@ type touchEffect struct {
 	clr uint32
 }
 
-// NewTreePLRU constructs tree PLRU state. ways must be a power of two.
-func NewTreePLRU(sets, ways int) *TreePLRU {
+// CheckTreePLRUWays returns why tree PLRU (and so MDPP) cannot be built
+// with the given number of ways, or nil when it can.
+func CheckTreePLRUWays(ways int) error {
 	if ways&(ways-1) != 0 || ways < 2 || ways > 32 {
-		panic(fmt.Sprintf("policy: tree PLRU requires power-of-two ways in [2,32], got %d", ways))
+		return fmt.Errorf("tree PLRU requires power-of-two ways in [2,32], got %d", ways)
+	}
+	return nil
+}
+
+// NewTreePLRU constructs tree PLRU state. ways must pass
+// CheckTreePLRUWays.
+func NewTreePLRU(sets, ways int) *TreePLRU {
+	if err := CheckTreePLRUWays(ways); err != nil {
+		panic("policy: " + err.Error())
 	}
 	levels := 0
 	for 1<<levels < ways {

@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"mpppb/internal/core"
+	"mpppb/internal/obs"
 )
 
 // TestAdviseLoopDoesNotAllocate extends the zero-alloc steady-state guard
 // internal/core pins on the inline policy to the serving hot path: the
-// per-event advise loop the shard workers run (Apply: Event → Access →
+// per-event advise loop each connection runs (Apply: Event → Access →
 // AdviseHit/AdviseMiss) must not touch the heap once the advisor is warm.
 // Connection setup, batch framing, and the advice append are the batch
 // layer's amortized costs and are excluded — this is the loop that runs
@@ -29,6 +30,41 @@ func TestAdviseLoopDoesNotAllocate(t *testing.T) {
 		i++
 	}); avg != 0 {
 		t.Fatalf("serve advise loop allocates %v times per event", avg)
+	}
+}
+
+// TestServedRoundTripDoesNotAllocate is the live guard over what the two
+// tests around it cover piecewise: an in-process server and client, and
+// 256-event Advise round trips over loopback TCP through the server's
+// read, apply and write loop. Once warm-up batches have sized every
+// buffer on both sides, a round trip must not touch the heap.
+func TestServedRoundTripDoesNotAllocate(t *testing.T) {
+	const sets, ways, batch = 2048, 16, 256
+	params := core.SingleThreadParams()
+	events := Annotate(newTestGen(7), 32*batch, sets, ways, params)
+	srv, err := Start(Config{Addr: "127.0.0.1:0", Sets: sets, Params: params, Shards: 2, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var advice []core.Advice
+	off := 0
+	roundTrip := func() {
+		if advice, err = c.Advise(events[off:off+batch], advice); err != nil {
+			t.Fatal(err)
+		}
+		off = (off + batch) % len(events)
+	}
+	for range 8 {
+		roundTrip()
+	}
+	if avg := testing.AllocsPerRun(200, roundTrip); avg != 0 {
+		t.Fatalf("a served %d-event round trip allocates %v times", batch, avg)
 	}
 }
 

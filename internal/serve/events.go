@@ -29,8 +29,8 @@ type Event struct {
 }
 
 // Apply drives one event through an advisor and returns its advice. It is
-// the single authoritative Event→Advisor mapping: the server's shard
-// workers and the inline replay used by the equivalence tests both run
+// the single authoritative Event→Advisor mapping: the server's connection
+// handlers and the inline replay used by the equivalence tests both run
 // exactly this.
 func Apply(adv *core.Advisor, ev Event) core.Advice {
 	a := cache.Access{PC: ev.PC, Addr: ev.Addr, Type: ev.Type, Core: ev.Core}

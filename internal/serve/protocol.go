@@ -3,8 +3,9 @@
 // compact binary protocol and answers with the predictor's
 // bypass/placement/promotion advice. Each client gets its own
 // core.Advisor instance (the standalone engine behind the inline MPPPB
-// policy), hash-routed to a shard worker; with checking enabled every
-// advisor is shadowed by the verification layer's reference
+// policy), which its connection drives itself, applying each batch under
+// the lock of the shard its client id hashes to; with checking enabled
+// every advisor is shadowed by the verification layer's reference
 // reimplementation.
 package serve
 

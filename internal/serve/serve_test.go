@@ -10,6 +10,7 @@ import (
 	"mpppb/internal/core"
 	"mpppb/internal/obs"
 	"mpppb/internal/trace"
+	"mpppb/internal/verify"
 )
 
 // testGen is a deterministic synthetic access mix (hot region, streaming
@@ -66,6 +67,26 @@ func inlineAdvice(events []Event, sets int, params core.Params) []byte {
 	return out
 }
 
+// advisedCounts returns what a stream adds to the server's promote and
+// bypass counters, read from its inline advice: hits advised to promote,
+// and misses other than writebacks advised to bypass.
+func advisedCounts(t *testing.T, events []Event, inline []byte) (promotes, bypasses uint64) {
+	t.Helper()
+	advice, err := ParseAdvice(inline, nil)
+	if err != nil || len(advice) != len(events) {
+		t.Fatalf("inline advice: %d records for %d events, err %v", len(advice), len(events), err)
+	}
+	for i, ev := range events {
+		switch a := advice[i]; {
+		case ev.Hit && a.Promote:
+			promotes++
+		case !ev.Hit && a.Bypass && ev.Type != trace.Writeback:
+			bypasses++
+		}
+	}
+	return promotes, bypasses
+}
+
 // replayThrough streams events to a server in batches of batchSize and
 // returns the concatenated wire-encoded advice.
 func replayThrough(t *testing.T, addr string, clientID uint64, events []Event, batchSize int) []byte {
@@ -91,12 +112,17 @@ func replayThrough(t *testing.T, addr string, clientID uint64, events []Event, b
 // TestServeMatchesInline is the serve-vs-sim equivalence gate: replaying
 // an annotated event stream through a loopback server must yield a
 // byte-identical advice stream to the inline advisor, at any shard count,
-// with and without the reference shadow, across uneven batch boundaries.
+// with and without the reference shadow, across uneven batch boundaries,
+// and the server must count the inline replay's promotes and bypasses.
 func TestServeMatchesInline(t *testing.T) {
 	const sets, ways, n = 64, 4, 60_000
 	params := testParams()
 	events := Annotate(newTestGen(12345), n, sets, ways, params)
 	want := inlineAdvice(events, sets, params)
+	promotes, bypasses := advisedCounts(t, events, want)
+	if promotes == 0 || bypasses == 0 {
+		t.Fatalf("degenerate stream: %d promotes, %d bypasses advised", promotes, bypasses)
+	}
 
 	for _, shards := range []int{1, 3} {
 		for _, check := range []bool{false, true} {
@@ -125,8 +151,11 @@ func TestServeMatchesInline(t *testing.T) {
 				if v := reg.Counter("mpppb_serve_events_total", "").Value(); v != n {
 					t.Fatalf("events counter %d, want %d", v, n)
 				}
-				if reg.Counter("mpppb_serve_bypass_advised_total", "").Value() == 0 {
-					t.Fatal("degenerate stream: no bypasses advised")
+				if v := reg.Counter("mpppb_serve_promote_advised_total", "").Value(); v != promotes {
+					t.Fatalf("promote counter %d, want %d", v, promotes)
+				}
+				if v := reg.Counter("mpppb_serve_bypass_advised_total", "").Value(); v != bypasses {
+					t.Fatalf("bypass counter %d, want %d", v, bypasses)
 				}
 				if check {
 					if v := reg.Counter("mpppb_serve_check_events_total", "").Value(); v != n {
@@ -163,9 +192,9 @@ func TestServeHandshake(t *testing.T) {
 	c.Close()
 }
 
-// TestServeShardsAreNotTasks: shard loops are plain goroutines, so
-// running a server adds nothing to the pool's task counter, which counts
-// grid cells only.
+// TestServeShardsAreNotTasks: shards are locks that connection handlers
+// take, not pool tasks, so running a server adds nothing to the pool's
+// task counter, which counts grid cells only.
 func TestServeShardsAreNotTasks(t *testing.T) {
 	started := obs.Default().Counter("mpppb_parallel_tasks_started_total", "")
 	before := started.Value()
@@ -176,12 +205,138 @@ func TestServeShardsAreNotTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Close waits for every shard loop to start and finish.
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := started.Value() - before; got != 0 {
 		t.Fatalf("a 3-shard server started %d pool tasks, want 0", got)
+	}
+}
+
+// TestBatchWaitsForItsShard: a connection applies a batch only while it
+// holds its shard's lock, and a held shard stops no other shard. The lock
+// guards no shared data (each advisor belongs to one connection), so the
+// race detector cannot see a missing one; this test is what keeps
+// -shards a bound on the batches applied at once.
+func TestBatchWaitsForItsShard(t *testing.T) {
+	params := testParams()
+	events := Annotate(newTestGen(99), 256, 64, 4, params)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			srv, err := Start(Config{Addr: "127.0.0.1:0", Sets: 64, Params: params, Shards: shards, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			advise := func(id uint64) <-chan error {
+				done := make(chan error, 1)
+				go func() {
+					c, err := Dial(srv.Addr(), id)
+					if err == nil {
+						_, err = c.Advise(events, nil)
+						c.Close()
+					}
+					done <- err
+				}()
+				return done
+			}
+			wait := func(done <-chan error, what string) {
+				t.Helper()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s: Advise did not return", what)
+				}
+			}
+
+			held := &srv.shards[srv.shardFor(1)]
+			held.Lock()
+			locked := true
+			defer func() {
+				// Before Close, which waits for the handler blocked on it.
+				if locked {
+					held.Unlock()
+				}
+			}()
+			blocked := advise(1)
+			if shards > 1 {
+				// Client ids 1 and 2 hash to different shards of two.
+				if srv.shardFor(2) == srv.shardFor(1) {
+					t.Fatal("client ids 1 and 2 share a shard")
+				}
+				wait(advise(2), "client on the free shard")
+			}
+			select {
+			case err := <-blocked:
+				t.Fatalf("Advise returned (err %v) while its shard was held", err)
+			case <-time.After(200 * time.Millisecond):
+			}
+			if v := reg.Counter("mpppb_serve_events_total", "").Value(); v != uint64(shards-1)*256 {
+				t.Fatalf("%d events applied while client 1's shard was held, want %d", v, (shards-1)*256)
+			}
+			locked = false
+			held.Unlock()
+			wait(blocked, "client on the released shard")
+		})
+	}
+}
+
+// TestDivergentBatchIsCounted drives applyBatch with a reference shadow
+// that places misses one position apart from the advisor, so the first
+// miss other than a writeback diverges. The divergence names that
+// event's index in the client's stream, and the counters read what they
+// would per event: every event up to the divergent one is checked and
+// counted, the batch and its events are not.
+func TestDivergentBatchIsCounted(t *testing.T) {
+	const sets = 64
+	params := testParams()
+	refParams := params
+	refParams.Pi[0]--
+	reg := obs.NewRegistry()
+	s := &Server{m: newMetrics(reg)}
+	cl := &clientState{id: 3, adv: core.NewAdvisor(sets, params), ref: verify.NewRefAdvisor(sets, refParams)}
+
+	hit := func(i uint64) Event { return Event{PC: 0x400100 + 4*i, Addr: 0x10000 + 64*i, Hit: true} }
+	first := []Event{hit(0), hit(1), hit(2)}
+	second := []Event{
+		{PC: 0x400200, Addr: 0x20000, Type: trace.Writeback},
+		hit(3), hit(4), hit(5),
+		{PC: 0x400300, Addr: 0x30000}, // event 7: the first placement
+		hit(6),
+	}
+	inline := inlineAdvice(append(append([]Event(nil), first...), second...), sets, params)
+	if a, _ := ParseAdvice(inline[7*AdviceWireSize:8*AdviceWireSize], nil); a[0].Bypass || a[0].Slot != 1 {
+		t.Fatalf("event 7 advised %+v, want a placement at π1", a[0])
+	}
+	promotes, bypasses := advisedCounts(t, first, inline[:3*AdviceWireSize])
+	p2, b2 := advisedCounts(t, second[:5], inline[3*AdviceWireSize:8*AdviceWireSize])
+	promotes, bypasses = promotes+p2, bypasses+b2
+
+	if _, err := s.applyBatch(cl, first, nil); err != nil {
+		t.Fatal(err)
+	}
+	advice, err := s.applyBatch(cl, second, nil)
+	if err == nil || !strings.Contains(err.Error(), "client 3 event 7 ") {
+		t.Fatalf("second batch: err %v, want a divergence at client 3 event 7", err)
+	}
+	if len(advice) != 5 {
+		t.Fatalf("%d advice records before the divergence stopped the batch, want 5", len(advice))
+	}
+	for name, want := range map[string]uint64{
+		"mpppb_serve_batches_total":           1,
+		"mpppb_serve_events_total":            3,
+		"mpppb_serve_check_events_total":      8,
+		"mpppb_serve_check_divergences_total": 1,
+		"mpppb_serve_promote_advised_total":   promotes,
+		"mpppb_serve_bypass_advised_total":    bypasses,
+	} {
+		if v := reg.Counter(name, "").Value(); v != want {
+			t.Errorf("%s = %d, want %d", name, v, want)
+		}
 	}
 }
 

@@ -30,8 +30,9 @@ type Config struct {
 	Sets int
 	// Params is the predictor configuration shared by all clients.
 	Params core.Params
-	// Shards is the number of shard workers advisors are hash-routed
-	// across; <= 0 means one.
+	// Shards bounds how many batches are applied at once: each client id
+	// hashes to one of Shards locks, and a connection holds its shard's
+	// lock while it applies a batch; <= 0 means one.
 	Shards int
 	// Check shadows every client advisor with the verification layer's
 	// reference reimplementation, comparing advice on every event and full
@@ -53,16 +54,18 @@ const DefaultDrainTimeout = 5 * time.Second
 
 // Server serves predictor advice over the framed binary protocol. Each
 // accepted connection owns a fresh advisor (and, under Check, a reference
-// shadow); all its batches are processed synchronously in arrival order
-// by the shard its client id hashes to, so a client's advice stream is
-// deterministic at any shard count.
+// shadow), and its handler applies the connection's batches itself, in
+// arrival order, each under the lock of the shard its client id hashes
+// to, so a client's advice stream is deterministic at any shard count.
 type Server struct {
 	cfg Config
 	ln  net.Listener
 	m   *metrics
 
-	jobs    []chan *job
-	shardWG sync.WaitGroup
+	// shards[shardFor(id)] is held while a batch of client id is applied.
+	// It guards no data, since each advisor belongs to one connection: it
+	// bounds the batches applied at once to Shards.
+	shards []sync.Mutex
 
 	connWG   sync.WaitGroup
 	acceptWG sync.WaitGroup
@@ -95,22 +98,13 @@ func (c *servedConn) Close() error {
 	return c.closeErr
 }
 
-// job is one batch handed to a shard worker. The worker fills advice and
-// replies exactly once on done.
-type job struct {
-	cl     *clientState
-	events []Event
-	advice []core.Advice
-	done   chan error
-}
-
 // clientState is one connection's serving state.
 type clientState struct {
 	id     uint64
 	seq    uint64
 	adv    *core.Advisor
 	ref    *verify.RefAdvisor
-	events uint64 // processed events, for periodic check sweeps
+	events uint64 // events checked against ref, for sweeps and reports
 }
 
 // Start listens on cfg.Addr and begins accepting clients. The returned
@@ -136,19 +130,9 @@ func Start(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		ln:       ln,
 		m:        newMetrics(cfg.Metrics),
-		jobs:     make([]chan *job, cfg.Shards),
+		shards:   make([]sync.Mutex, cfg.Shards),
 		conns:    map[*servedConn]struct{}{},
 		stopDone: make(chan struct{}),
-	}
-	// One goroutine per shard drains its own job channel until Shutdown
-	// closes it.
-	for i := range s.jobs {
-		s.jobs[i] = make(chan *job, 1)
-		s.shardWG.Add(1)
-		go func(jobs <-chan *job) {
-			defer s.shardWG.Done()
-			s.shardLoop(jobs)
-		}(s.jobs[i])
 	}
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
@@ -179,56 +163,62 @@ func (s *Server) shardFor(clientID uint64) int {
 	return int((clientID*0x9e3779b97f4a7c15)>>33) % s.cfg.Shards
 }
 
-// shardLoop is one shard worker: it applies each batch's events to the
-// owning client's advisor, in arrival order, and reports the first check
-// divergence.
-func (s *Server) shardLoop(jobs <-chan *job) {
-	for j := range jobs {
-		start := time.Now()
-		j.done <- s.applyBatch(j)
-		s.m.batchSeconds.Observe(time.Since(start).Seconds())
-	}
-}
-
-func (s *Server) applyBatch(j *job) error {
-	cl := j.cl
-	for i, ev := range j.events {
+// applyBatch advises one batch of a client's events in order, appending
+// the advice to advice. Its promote, bypass and check counts reach the
+// server's counters once per batch, a divergent batch's included, so no
+// write that shards share is made per event.
+func (s *Server) applyBatch(cl *clientState, events []Event, advice []core.Advice) ([]core.Advice, error) {
+	var promotes, bypasses, checked uint64
+	var err error
+	for _, ev := range events {
 		adv := Apply(cl.adv, ev)
-		j.advice = append(j.advice, adv)
+		advice = append(advice, adv)
 		if ev.Hit {
 			if adv.Promote {
-				s.m.promotes.Inc()
+				promotes++
 			}
 		} else if adv.Bypass && ev.Type != trace.Writeback {
-			s.m.bypasses.Inc()
+			bypasses++
 		}
-		if cl.ref == nil {
-			cl.events++
-			continue
-		}
-		s.m.checkEvents.Inc()
-		a := cache.Access{PC: ev.PC, Addr: ev.Addr, Type: ev.Type, Core: ev.Core}
-		var want core.Advice
-		if ev.Hit {
-			want = cl.ref.AdviseHit(a, cl.adv.SetFor(a.Block()))
-		} else {
-			want = cl.ref.AdviseMiss(a, cl.adv.SetFor(a.Block()), ev.MayBypass)
-		}
-		if adv != want {
-			s.m.divergences.Inc()
-			return fmt.Errorf("serve: client %d event %d (%v pc=%#x addr=%#x hit=%v): production advice %+v, reference %+v",
-				cl.id, cl.events+uint64(i), ev.Type, ev.PC, ev.Addr, ev.Hit, adv, want)
-		}
-		cl.events++
-		if cl.events%checkSweepEvery == 0 {
-			if err := cl.ref.CompareState(cl.adv); err != nil {
-				s.m.divergences.Inc()
-				return fmt.Errorf("serve: client %d after %d events: %w", cl.id, cl.events, err)
+		if cl.ref != nil {
+			checked++
+			if err = cl.check(ev, adv); err != nil {
+				break
 			}
 		}
 	}
+	s.m.promotes.Add(promotes)
+	s.m.bypasses.Add(bypasses)
+	s.m.checkEvents.Add(checked)
+	if err != nil {
+		s.m.divergences.Inc()
+		return advice, err
+	}
 	s.m.batches.Inc()
-	s.m.events.Add(uint64(len(j.events)))
+	s.m.events.Add(uint64(len(events)))
+	return advice, nil
+}
+
+// check compares one event's advice with the reference shadow's, and
+// every checkSweepEvery events the full predictor and sampler state.
+func (cl *clientState) check(ev Event, adv core.Advice) error {
+	a := cache.Access{PC: ev.PC, Addr: ev.Addr, Type: ev.Type, Core: ev.Core}
+	var want core.Advice
+	if ev.Hit {
+		want = cl.ref.AdviseHit(a, cl.adv.SetFor(a.Block()))
+	} else {
+		want = cl.ref.AdviseMiss(a, cl.adv.SetFor(a.Block()), ev.MayBypass)
+	}
+	if adv != want {
+		return fmt.Errorf("serve: client %d event %d (%v pc=%#x addr=%#x hit=%v): production advice %+v, reference %+v",
+			cl.id, cl.events, ev.Type, ev.PC, ev.Addr, ev.Hit, adv, want)
+	}
+	cl.events++
+	if cl.events%checkSweepEvery == 0 {
+		if err := cl.ref.CompareState(cl.adv); err != nil {
+			return fmt.Errorf("serve: client %d after %d events: %w", cl.id, cl.events, err)
+		}
+	}
 	return nil
 }
 
@@ -262,7 +252,8 @@ func (s *Server) removeConn(conn *servedConn) {
 }
 
 // handle runs one connection: handshake, then a synchronous
-// events→advice loop until the client hangs up.
+// events→advice loop until the client hangs up. Each batch is applied
+// under its shard's lock, which is never held across a read or a write.
 func (s *Server) handle(conn *servedConn) {
 	defer s.removeConn(conn)
 	s.m.connections.Inc()
@@ -307,9 +298,12 @@ func (s *Server) handle(conn *servedConn) {
 	start := time.Now()
 	state := obs.CellOK
 
-	jobs := s.jobs[s.shardFor(clientID)]
-	j := &job{cl: cl, done: make(chan error, 1)}
-	var out []byte
+	shard := &s.shards[s.shardFor(clientID)]
+	var (
+		events []Event
+		advice []core.Advice
+		out    []byte
+	)
 	for {
 		typ, payload, err := ReadFrame(br, buf)
 		if err != nil {
@@ -327,9 +321,9 @@ func (s *Server) handle(conn *servedConn) {
 			state = obs.CellFailed
 			break
 		}
-		j.events, err = ParseEvents(payload, j.events)
+		events, err = ParseEvents(payload, events)
 		if err == nil {
-			err = checkCores(j.events, s.cfg.Params.Cores)
+			err = checkCores(events, s.cfg.Params.Cores)
 		}
 		if err != nil {
 			s.m.protoErrors.Inc()
@@ -337,15 +331,19 @@ func (s *Server) handle(conn *servedConn) {
 			state = obs.CellFailed
 			break
 		}
-		j.advice = j.advice[:0]
-		jobs <- j
-		if err := <-j.done; err != nil {
+		shard.Lock()
+		t := time.Now()
+		advice, err = s.applyBatch(cl, events, advice[:0])
+		d := time.Since(t)
+		shard.Unlock()
+		s.m.batchSeconds.Observe(d.Seconds())
+		if err != nil {
 			s.recordErr(err)
 			s.failConn(bw, err)
 			state = obs.CellFailed
 			break
 		}
-		out = AppendAdviceBatch(out[:0], j.advice)
+		out = AppendAdviceBatch(out[:0], advice)
 		if err := WriteFrame(bw, FrameAdvice, out); err != nil {
 			break
 		}
@@ -380,8 +378,8 @@ func (s *Server) failConn(bw *bufio.Writer, err error) {
 }
 
 // Shutdown drains the server: it stops accepting, waits up to the drain
-// timeout for open connections to finish their streams, force-closes any
-// stragglers, and stops the shard workers. It returns Err().
+// timeout for open connections to finish their streams, and force-closes
+// any stragglers. It returns Err().
 func (s *Server) Shutdown() error {
 	s.stop(s.cfg.DrainTimeout)
 	return s.Err()
@@ -398,8 +396,8 @@ func (s *Server) stop(drain time.Duration) {
 	if s.stopped {
 		s.mu.Unlock()
 		// A concurrent or repeat caller must not re-Wait the WaitGroups
-		// (the first caller may still be between its Waits and the channel
-		// closes); it just waits for the first caller to finish teardown.
+		// (the first caller may still be between its Waits); it just
+		// waits for the first caller to finish teardown.
 		<-s.stopDone
 		return
 	}
@@ -419,16 +417,11 @@ func (s *Server) stop(drain time.Duration) {
 		}
 	}
 	// Force-close whatever is still open (no-op after a clean drain), then
-	// wait for every handler to exit before closing the shard channels
-	// handlers send on.
+	// wait for every handler to exit.
 	s.mu.Lock()
 	for conn := range s.conns {
 		conn.Close()
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()
-	for _, ch := range s.jobs {
-		close(ch)
-	}
-	s.shardWG.Wait()
 }

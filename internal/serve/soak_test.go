@@ -12,11 +12,12 @@ import (
 )
 
 // TestServeSoak hammers one server with many concurrent clients (run
-// under -race by `make race`). Each client streams its own deterministic
-// workload with its own batch size and must receive exactly the advice
-// stream its single-client inline replay produces — per-client isolation —
-// while the server's counters account for every connection, batch, and
-// event exactly.
+// under -race by `make race`), with and without the reference shadow.
+// Each client streams its own deterministic workload with its own batch
+// size and must receive exactly the advice stream its single-client
+// inline replay produces — per-client isolation — while the server's
+// counters account for every connection, batch, event, promote, bypass
+// and checked event exactly.
 func TestServeSoak(t *testing.T) {
 	const (
 		clients = 10
@@ -25,83 +26,98 @@ func TestServeSoak(t *testing.T) {
 		ways    = 4
 	)
 	params := testParams()
-	reg := obs.NewRegistry()
-	srv, err := Start(Config{
-		Addr: "127.0.0.1:0", Sets: sets, Params: params,
-		Shards: 4, Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Distinct event streams and expected advice, derived up front so the
 	// concurrent phase only exercises the serving path.
 	events := make([][]Event, clients)
 	want := make([][]byte, clients)
-	wantBatches := uint64(0)
+	var wantBatches, wantPromotes, wantBypasses uint64
 	for i := range events {
 		events[i] = Annotate(newTestGen(uint64(1000+i)), n, sets, ways, params)
 		want[i] = inlineAdvice(events[i], sets, params)
 		batch := 503 + 97*i
 		wantBatches += uint64((n + batch - 1) / batch)
+		promotes, bypasses := advisedCounts(t, events[i], want[i])
+		wantPromotes += promotes
+		wantBypasses += bypasses
 	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := Dial(srv.Addr(), uint64(i)*7+1)
+	for _, check := range []bool{false, true} {
+		t.Run(fmt.Sprintf("check=%v", check), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			srv, err := Start(Config{
+				Addr: "127.0.0.1:0", Sets: sets, Params: params,
+				Shards: 4, Check: check, Metrics: reg,
+			})
 			if err != nil {
-				errs <- fmt.Errorf("client %d: dial: %w", i, err)
-				return
+				t.Fatal(err)
 			}
-			defer c.Close()
-			batch := 503 + 97*i
-			var got []byte
-			var advice []core.Advice
-			for off := 0; off < len(events[i]); off += batch {
-				end := min(off+batch, len(events[i]))
-				advice, err = c.Advise(events[i][off:end], advice)
-				if err != nil {
-					errs <- fmt.Errorf("client %d batch at %d: %w", i, off, err)
-					return
+
+			var wg sync.WaitGroup
+			errs := make(chan error, clients)
+			for i := 0; i < clients; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					c, err := Dial(srv.Addr(), uint64(i)*7+1)
+					if err != nil {
+						errs <- fmt.Errorf("client %d: dial: %w", i, err)
+						return
+					}
+					defer c.Close()
+					batch := 503 + 97*i
+					var got []byte
+					var advice []core.Advice
+					for off := 0; off < len(events[i]); off += batch {
+						end := min(off+batch, len(events[i]))
+						advice, err = c.Advise(events[i][off:end], advice)
+						if err != nil {
+							errs <- fmt.Errorf("client %d batch at %d: %w", i, off, err)
+							return
+						}
+						got = AppendAdviceBatch(got, advice)
+					}
+					if !bytes.Equal(got, want[i]) {
+						errs <- fmt.Errorf("client %d: advice stream differs from its single-client replay", i)
+					}
+				}(i)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+
+			if err := srv.Shutdown(); err != nil {
+				t.Fatalf("shutdown: %v", err)
+			}
+
+			// Exact accounting: every connection, batch, event, promote,
+			// bypass and checked event is counted.
+			wantChecked := uint64(0)
+			if check {
+				wantChecked = clients * n
+			}
+			for name, wantV := range map[string]uint64{
+				"mpppb_serve_connections_total":       clients,
+				"mpppb_serve_batches_total":           wantBatches,
+				"mpppb_serve_events_total":            clients * n,
+				"mpppb_serve_promote_advised_total":   wantPromotes,
+				"mpppb_serve_bypass_advised_total":    wantBypasses,
+				"mpppb_serve_check_events_total":      wantChecked,
+				"mpppb_serve_check_divergences_total": 0,
+				"mpppb_serve_protocol_errors_total":   0,
+			} {
+				if v := reg.Counter(name, "").Value(); v != wantV {
+					t.Errorf("%s = %d, want %d", name, v, wantV)
 				}
-				got = AppendAdviceBatch(got, advice)
 			}
-			if !bytes.Equal(got, want[i]) {
-				errs <- fmt.Errorf("client %d: advice stream differs from its single-client replay", i)
+			if v := reg.Gauge("mpppb_serve_active_clients", "").Value(); v != 0 {
+				t.Errorf("active clients gauge %d after shutdown, want 0", v)
 			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
-	if err := srv.Shutdown(); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-
-	// Exact accounting: every connection, batch, and event is counted.
-	for name, wantV := range map[string]uint64{
-		"mpppb_serve_connections_total":     clients,
-		"mpppb_serve_batches_total":         wantBatches,
-		"mpppb_serve_events_total":          clients * n,
-		"mpppb_serve_check_events_total":    0,
-		"mpppb_serve_protocol_errors_total": 0,
-	} {
-		if v := reg.Counter(name, "").Value(); v != wantV {
-			t.Errorf("%s = %d, want %d", name, v, wantV)
-		}
-	}
-	if v := reg.Gauge("mpppb_serve_active_clients", "").Value(); v != 0 {
-		t.Errorf("active clients gauge %d after shutdown, want 0", v)
-	}
-	if v := reg.Histogram("mpppb_serve_batch_seconds", "", nil).Count(); v != wantBatches {
-		t.Errorf("batch latency histogram holds %d samples, want %d", v, wantBatches)
+			if v := reg.Histogram("mpppb_serve_batch_seconds", "", nil).Count(); v != wantBatches {
+				t.Errorf("batch latency histogram holds %d samples, want %d", v, wantBatches)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,9 @@
 # client processes — one with -verify, which replays the stream through an
 # in-process predictor and requires byte-identical advice — then require
 # (a) deterministic client summaries (two runs, identical stdout),
-# (b) serve metrics visible on /metrics, and (c) a clean SIGINT drain.
+# (b) serve metrics visible on /metrics, the promote and bypass counters
+# at twice what each client's summary counted, and (c) a clean SIGINT
+# drain.
 # The Go tests pin the library-level semantics; this script checks the
 # end-to-end flow — flag plumbing, the TCP server's lifetime, shutdown
 # behavior — the way a user would hit it.
@@ -75,6 +77,21 @@ if [ "$divergences" != "0" ]; then
     exit 1
 fi
 echo "   600000 events served, 0 check divergences"
+
+# Both clients streamed the same events, so each advice counter reads
+# twice the count in one client's summary.
+for pair in promote:promote-advised bypass:bypass-advised; do
+    metric="mpppb_serve_${pair%%:*}_advised_total"
+    field=${pair#*:}
+    got=$(awk -v m="$metric" '$1 == m {print $2}' "$tmp/metrics.txt")
+    per=$(awk -F'\t' -v f="$field" '$1 == f {print $2}' "$tmp/run1.tsv")
+    if [ -z "$per" ] || [ "$got" != "$((2 * per))" ]; then
+        echo "$metric = $got, want 2 x $field (${per:-missing})" >&2
+        kill "$pid" 2>/dev/null || true
+        exit 1
+    fi
+    echo "   $metric = $got = 2 x $field"
+done
 
 echo "== SIGINT drain"
 kill -INT "$pid"
