@@ -67,8 +67,9 @@ results:
 
 # End-to-end crash recovery: interrupt a journaled campaign with SIGINT,
 # resume it, and require byte-identical TSVs; then resume fig4's journal
-# into fig9, which must read its shared multi-core cells from it (see
-# scripts/resume_smoke.sh).
+# into fig9, which must read its shared multi-core cells from it, and
+# fig6's journal into fig3 and then figadapt, which must read their
+# shared single-thread cells from it (see scripts/resume_smoke.sh).
 resume-smoke:
 	scripts/resume_smoke.sh
 

@@ -28,11 +28,11 @@ func ablationMPKI(b *testing.B, params core.Params) float64 {
 		{Bench: "gcc_like", Seg: 0},
 		{Bench: "data_caching_like", Seg: 0},
 	}
-	mpki, err := experiments.NewEvaluator(cfg, ids, nil).MPKI(params)
+	mpki, err := experiments.NewEvaluator(cfg, ids, nil).MPKI(experiments.WithParams(params))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return mpki
+	return mpki[0]
 }
 
 // BenchmarkAblationTheta sweeps the perceptron training threshold.

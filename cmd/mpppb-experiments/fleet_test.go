@@ -77,10 +77,11 @@ func fleetSplit[T any](t *testing.T, fp journal.Fingerprint, computed func(key s
 }
 
 // TestFig3GoldenWithFleet: the feature search split across a coordinator
-// and a worker prints the cli-fig3 golden at both parties. Each candidate
-// is one grid, so the worker computes the search's evaluation cells, not
-// only the fig3/ref reference lines, and proposes each next candidate
-// from the grids it fetches.
+// and a worker prints the cli-fig3 golden at both parties. The random
+// phase and the references are one grid and each hill-climb proposal one
+// grid after it, so the worker computes the search's evaluation cells
+// (untimed cells of feature sets), not only the LRU and MIN reference
+// lines, and proposes each next candidate from the grids it fetches.
 func TestFig3GoldenWithFleet(t *testing.T) {
 	if *update {
 		t.Skip("golden update pass")
@@ -95,7 +96,7 @@ func TestFig3GoldenWithFleet(t *testing.T) {
 	evals := 0
 	fp := journal.Fingerprint{Config: "fig3-test-cfg", Version: "test", Seed: 1}
 	coord, worker := fleetSplit(t, fp, func(key string) {
-		if strings.HasPrefix(key, "mpki/") {
+		if strings.HasPrefix(key, "fast/") && !strings.Contains(key, "/lru/") {
 			mu.Lock()
 			evals++
 			mu.Unlock()

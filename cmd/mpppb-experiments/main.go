@@ -18,11 +18,14 @@
 // order, so the TSV output is byte-identical at every -j — parallelism
 // only changes wall-clock time.
 //
-// Every simulation is a cell keyed by what it reads (machine, policy,
-// workload), and the run's journal serves a key it already holds, so
-// experiments that share simulations compute them once: fig5 and fig7
-// re-read fig4's and fig6's cells, and fig9 and fig10 reuse fig4's
-// baselines. Long sweeps can checkpoint with -journal FILE: every
+// Every simulation is a cell keyed by what it reads (kind of run,
+// machine, policy, workload, seed), and the run's journal serves a key it
+// already holds, so experiments that share simulations compute them
+// once: fig5 and fig7 re-read fig4's and fig6's cells, fig9 and fig10
+// reuse fig4's baselines, fig3's MIN references are fig6's MIN cells, and
+// fig3's paper set, table3's full set and figadapt's static seed-0 runs
+// are one untimed mpppb run per segment. fig3 scores its random sets as
+// one grid. Long sweeps can checkpoint with -journal FILE: every
 // completed cell is appended to the file as it finishes, and after an
 // interrupt (Ctrl-C or a crash) re-running with -journal FILE -resume
 // skips the completed cells and recomputes only the rest, emitting
@@ -73,8 +76,8 @@ type runner struct {
 	plot       bool
 	stPolicies []string
 	mcPolicies []string
-	// stBenches restricts fig6/fig7 to a benchmark subset (nil = full
-	// suite); used by -benches and the golden-output tests.
+	// stBenches restricts fig6/fig7 and figadapt to a benchmark subset
+	// (nil = full suite); used by -benches and the golden-output tests.
 	stBenches []string
 }
 
@@ -117,9 +120,10 @@ func main() {
 	flag.IntVar(&flags.T3Segs, "table3-segments", 33, "segments for table3 leave-one-out")
 	flag.StringVar(&flags.STPolicies, "st-policies", "", "override single-thread policy list (comma-separated, each once; lru always runs)")
 	flag.StringVar(&flags.MCPolicies, "mc-policies", "", "override multi-core policy list (comma-separated, each once; lru always runs)")
-	flag.StringVar(&flags.Benches, "benches", "", "restrict fig6/fig7 to these benchmarks (comma-separated)")
+	flag.StringVar(&flags.Benches, "benches", "", "restrict fig6/fig7 and figadapt to these benchmarks (comma-separated)")
 	flag.Parse()
 	s.Positive("mixes", "ablate-mixes", "random", "roc-segments", "table3-segments", "adapt-seeds")
+	s.NonNegative("climb")
 
 	r := &runner{
 		stCfg:       s.Config(sim.SingleThreadConfig()),

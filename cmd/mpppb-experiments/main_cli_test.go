@@ -63,6 +63,8 @@ func TestCLIBadInput(t *testing.T) {
 	clitest.Refused(t, "id", "-id", "fig11")
 	clitest.Refused(t, "ablate-mixes", "-id", "fig9", "-ablate-mixes", "0")
 	clitest.Refused(t, "random", "-id", "fig3", "-random", "0")
+	// 0 means no climb; a negative budget would run as 0 silently.
+	clitest.Refused(t, "climb", "-id", "fig3", "-random", "1", "-climb", "-4")
 	clitest.Refused(t, "table3-segments", "-id", "table3", "-table3-segments", "0")
 	// Parses, but τ1 < τ2 < τ3 breaks the descending-threshold invariant.
 	clitest.Refused(t, "duel", "-id", "figadapt", "-duel", "48,-98,-68,-38,122,15,13,11,13;0,-9,-38,-117,42,15,6,0,0")

@@ -113,10 +113,11 @@ func TestOutputIdenticalWithObservability(t *testing.T) {
 				if body := fetch(srv.Addr(), "/metrics"); !strings.Contains(body, "mpppb_experiments_cells_computed_total") {
 					t.Errorf("/metrics missing cell counters:\n%s", body)
 				}
-				// fig6's grid is one cell per segment (3 for the golden
-				// benchmark), all done by the time the run returns.
+				// fig6's grid is a MIN cell and a cell per policy on each
+				// segment (9 for the golden benchmark's 3 and 2 policies),
+				// all done by the time the run returns.
 				if body := fetch(srv.Addr(), "/status"); !strings.Contains(body, `"tool": "mpppb-experiments-test"`) ||
-					!strings.Contains(body, `"done_cells": 3`) {
+					!strings.Contains(body, `"done_cells": 9`) {
 					t.Errorf("/status missing run manifest:\n%s", body)
 				}
 			}()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,8 +17,9 @@ import (
 // cell in fig4 and fig6, a 0/0 MPKI ratio in figadapt — instead of
 // panicking on int(NaN), and the NaN still reaches the TSV. The NaNs are
 // injected through the journal, with no simulation: an entry that does
-// not decode as its cell fails that cell, and a segment with no misses
-// under either policy has a 0/0 ratio. fig4 covers both multi-core
+// not decode as its cell fails that cell (fig6's MIN cell on one
+// segment), and a segment with no misses under either policy has a 0/0
+// ratio. fig4 covers both multi-core
 // failure rules: a failed standalone cell makes its mix NaN for every
 // policy, and a failed policy cell makes only that policy's entry NaN.
 func TestPlotRendersNaNCells(t *testing.T) {
@@ -26,22 +28,28 @@ func TestPlotRendersNaNCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jrnl.Close()
-	type vals = map[string]float64
 	mixes := experiments.TestingMixes(workload.Mixes(3, workload.DefaultMixSeed))
-	seed := map[string]any{
-		"single/gcc_like-0": "not a cell",
-		"single/gcc_like-1": map[string]vals{"ipc": {"lru": 1, "min": 1.2, "mpppb": 1.1}, "mpki": {"lru": 9, "min": 6, "mpppb": 8}},
-		"single/gcc_like-2": map[string]vals{"ipc": {"lru": 1, "min": 1.3, "mpppb": 0.9}, "mpki": {"lru": 7, "min": 5, "mpppb": 8}},
-		"adapt/gcc_like-0":  map[string][]float64{"static": {0}, "adaptive": {0}},
-		"adapt/gcc_like-1":  map[string][]float64{"static": {10}, "adaptive": {9}},
-		"adapt/gcc_like-2":  map[string][]float64{"static": {10}, "adaptive": {11}},
-	}
-	// Multi-core cells are keyed by machine, policy and workload.
-	mc := "mc/" + journal.ConfigHash(sim.MultiCoreConfig()) + "/"
+	// Every cell is keyed by kind, machine, policy and workload.
 	type cell struct {
 		IPC  []float64 `json:"ipc"`
 		MPKI float64   `json:"mpki"`
+		LRU  *cell     `json:"lru,omitempty"`
 	}
+	st := journal.ConfigHash(sim.SingleThreadConfig()) + "/"
+	seed := map[string]any{
+		"min/" + st + "min/gcc_like-0":     "not a cell",
+		"min/" + st + "min/gcc_like-1":     cell{IPC: []float64{1.2}, MPKI: 6, LRU: &cell{IPC: []float64{1}, MPKI: 9}},
+		"min/" + st + "min/gcc_like-2":     cell{IPC: []float64{1.3}, MPKI: 5, LRU: &cell{IPC: []float64{1}, MPKI: 7}},
+		"timed/" + st + "mpppb/gcc_like-0": cell{IPC: []float64{1}, MPKI: 8},
+		"timed/" + st + "mpppb/gcc_like-1": cell{IPC: []float64{1.1}, MPKI: 8},
+		"timed/" + st + "mpppb/gcc_like-2": cell{IPC: []float64{0.9}, MPKI: 8},
+	}
+	for i, mpki := range [][2]float64{{0, 0}, {10, 9}, {10, 11}} {
+		seed[fmt.Sprintf("fast/%smpppb/gcc_like-%d", st, i)] = cell{IPC: []float64{0}, MPKI: mpki[0]}
+		seed[fmt.Sprintf("fast/%smpppb-adaptive/gcc_like-%d", st, i)] = cell{IPC: []float64{0}, MPKI: mpki[1]}
+	}
+	// Multi-core cells are keyed by machine, policy and workload.
+	mc := "mc/" + journal.ConfigHash(sim.MultiCoreConfig()) + "/"
 	for i, mix := range mixes {
 		seed[mc+"lru/"+mix.String()] = cell{IPC: []float64{1, 1, 1, 1}, MPKI: 10}
 		seed[mc+"srrip/"+mix.String()] = cell{IPC: []float64{1.1, 1, 1, 1}, MPKI: 9}
@@ -103,6 +111,6 @@ func TestPlotRendersNaNCells(t *testing.T) {
 		t.Errorf("fig4 rows %q, want %q", rows, want)
 	}
 	if got := len(r.opts.Failures()); got != 3 {
-		t.Errorf("%d failed cells, want 3 (one fig6 segment; one fig4 standalone and one fig4 policy cell)", got)
+		t.Errorf("%d failed cells, want 3 (one fig6 MIN cell; one fig4 standalone and one fig4 policy cell)", got)
 	}
 }

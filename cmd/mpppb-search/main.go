@@ -35,6 +35,7 @@ func main() {
 	flag.Uint64Var(&s.Seed, "seed", 2017, "search seed")
 	flag.Parse()
 	s.Positive("random", "training")
+	s.NonNegative("climb")
 
 	cfg := s.Config(sim.SingleThreadConfig())
 	res, err := experiments.Fig3FeatureSearch(cfg, experiments.TrainingSegments(flags.Training),

@@ -20,6 +20,8 @@ func TestGolden(t *testing.T) {
 
 func TestBadInput(t *testing.T) {
 	clitest.Refused(t, "random", "-random", "0")
+	// 0 means no climb; a negative budget would run as 0 silently.
+	clitest.Refused(t, "climb", "-random", "1", "-climb", "-5", "-training", "1")
 	// A non-positive count would otherwise train on the whole suite.
 	clitest.Refused(t, "training", "-training", "0")
 	clitest.Refused(t, "training", "-training", "-1")

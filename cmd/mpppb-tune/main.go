@@ -41,6 +41,7 @@ func main() {
 	)
 	flag.Parse()
 	s.Positive("tau0-step", "segments")
+	s.NonNegative("combos")
 
 	params := core.SingleThreadParams()
 	switch flags.Mode {
@@ -53,16 +54,25 @@ func main() {
 	}
 	training := experiments.TrainingSegments(flags.Segments)
 	ev := experiments.NewEvaluator(s.Config(sim.SingleThreadConfig()), training, s.Start())
+	// score is the Evaluator over parameter sets: each call is one grid.
+	score := func(ps []core.Params) ([]float64, error) {
+		policies := make([]experiments.Policy, len(ps))
+		for i, p := range ps {
+			policies[i] = experiments.WithParams(p)
+		}
+		return ev.MPKI(policies...)
+	}
 	fmt.Fprintf(os.Stderr, "training on %d segments\n", len(training))
 
-	base, err := ev.MPKI(params)
+	mpkis, err := score([]core.Params{params})
 	if err != nil {
 		s.Exit(err)
 	}
+	base := mpkis[0]
 	fmt.Fprintf(os.Stderr, "baseline %.4f MPKI (tau0=%d tau=%d,%d,%d,%d pi=%v)\n",
 		base, params.Tau0, params.Tau1, params.Tau2, params.Tau3, params.Tau4, params.Pi)
 
-	tau0, m, err := search.SearchTau0(ev.MPKI, params, 0, core.ConfMax, *tau0step, func(t int, m float64) {
+	tau0, m, err := search.SearchTau0(score, params, 0, core.ConfMax, *tau0step, func(t int, m float64) {
 		fmt.Fprintf(os.Stderr, "tau0=%-4d %.4f\n", t, m)
 	})
 	if err != nil {
@@ -72,7 +82,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "best tau0=%d (%.4f MPKI)\n", tau0, m)
 
 	rng := xrand.New(s.Seed)
-	best, bestMPKI, err := search.SearchThresholds(ev.MPKI, rng, params, *combos, func(i int, b float64) {
+	best, bestMPKI, err := search.SearchThresholds(score, rng, params, *combos, func(i int, b float64) {
 		if (i+1)%20 == 0 {
 			fmt.Fprintf(os.Stderr, "combo %d/%d best %.4f\n", i+1, *combos, b)
 		}

@@ -30,6 +30,8 @@ func TestResume(t *testing.T) {
 func TestBadInput(t *testing.T) {
 	clitest.Refused(t, "mode", "-mode", "mc")
 	clitest.Refused(t, "tau0-step", "-tau0-step", "0")
+	// 0 means no combinations; a negative budget would run as 0 silently.
+	clitest.Refused(t, "combos", "-segments", "1", "-combos", "-3")
 	// A non-positive count would otherwise train on the whole suite.
 	clitest.Refused(t, "segments", "-segments", "0")
 	clitest.Refused(t, "segments", "-segments", "-3")

@@ -7,6 +7,7 @@ package clitest
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Update is the -update flag: rewrite golden files instead of comparing.
@@ -31,21 +33,42 @@ func Main(m *testing.M, main func()) {
 	os.Exit(m.Run())
 }
 
+// deadlineMargin is how long before the test binary's deadline Run kills
+// a child still running, so the failure is reported before go test's own
+// timeout panics and leaves the child behind.
+const deadlineMargin = 10 * time.Second
+
 // Run executes the tool with args in dir (empty = the package directory)
-// and returns its stdout, its stderr and its exit code.
+// and returns its stdout, its stderr and its exit code. A child still
+// running near the test's deadline (go test -timeout) is killed, and the
+// test fails with the args, the bound and the output so far.
 func Run(t testing.TB, dir string, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(exe, args...)
+	ctx := context.Background()
+	var bound time.Duration
+	if dl, ok := t.(interface{ Deadline() (time.Time, bool) }); ok {
+		if deadline, ok := dl.Deadline(); ok {
+			bound = time.Until(deadline) - deadlineMargin
+			var cancel func()
+			ctx, cancel = context.WithTimeout(ctx, bound)
+			defer cancel()
+		}
+	}
+	cmd := exec.CommandContext(ctx, exe, args...)
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), childEnv+"=1")
+	cmd.WaitDelay = time.Second
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	var exit *exec.ExitError
 	switch err := cmd.Run(); {
+	case err != nil && ctx.Err() != nil:
+		t.Fatalf("%v: killed, still running after %v (the test deadline less %v); stdout so far:\n%s\nstderr so far:\n%s",
+			args, bound.Round(time.Millisecond), deadlineMargin, &out, &errb)
 	case errors.As(err, &exit):
 		code = exit.ExitCode()
 	case err != nil:

@@ -1,21 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"slices"
 
-	"mpppb/internal/cache"
 	"mpppb/internal/core"
 	"mpppb/internal/sim"
 	"mpppb/internal/workload"
 )
-
-// mpppbFactory builds an MPPPB policy factory from explicit parameters.
-func mpppbFactory(params core.Params) sim.PolicyFactory {
-	return func(sets, ways int) cache.ReplacementPolicy {
-		return core.NewMPPPB(sets, ways, params)
-	}
-}
 
 // Fig9Result is the uniform-associativity experiment (Figure 9): fixing
 // every feature's A parameter to the same value 1..18 versus the original
@@ -35,13 +26,13 @@ type Fig9Result struct {
 // declared by that name and shares Figure 4's cells.
 func Fig9UniformAssociativity(cfg sim.Config, mixes []workload.Mix, r *Run) (*Fig9Result, error) {
 	orig := r.named("mpppb-srrip")
-	policies := []mcPolicy{orig}
+	policies := []Policy{orig}
 	for a := 1; a <= core.MaxA; a++ {
 		params := core.MultiCoreParams() // a fresh feature slice
 		for i := range params.Features {
 			params.Features[i].A = a
 		}
-		policies = append(policies, withParams(params))
+		policies = append(policies, WithParams(params))
 	}
 	g, err := runMultiGrid(cfg, policies, mixes, r)
 	if err != nil {
@@ -77,11 +68,11 @@ func Fig10FeatureAblation(cfg sim.Config, features []core.Feature, mixes []workl
 	}
 	params := core.MultiCoreParams()
 	params.Features = features
-	policies := []mcPolicy{withParams(params)}
+	policies := []Policy{WithParams(params)}
 	for i := range features {
 		p := params
 		p.Features = slices.Delete(slices.Clone(features), i, i+1)
-		policies = append(policies, withParams(p))
+		policies = append(policies, WithParams(p))
 	}
 	g, err := runMultiGrid(cfg, policies, mixes, r)
 	if err != nil {
@@ -110,62 +101,53 @@ type Table3Row struct {
 // Table3FeatureBenefit runs the leave-one-out experiment per segment over
 // the given feature set (the paper uses Table 1(b) on SPEC CPU 2017
 // simpoints; here the synthetic suite stands in) and reports, for each
-// feature, the segment it helps most.
+// feature, the segment it helps most. The full set and every omission on
+// every segment are one grid; the default set, Table 1(b), is the
+// registry's mpppb, declared by that name to share fig3's and figadapt's
+// cells.
 func Table3FeatureBenefit(cfg sim.Config, features []core.Feature, segments []workload.SegmentID, r *Run) ([]Table3Row, error) {
+	params := core.SingleThreadParams()
+	full := r.named("mpppb")
 	if features == nil {
-		features = core.SingleThreadSetB()
+		features = params.Features
+	} else {
+		params.Features = features
+		full = WithParams(params)
 	}
 	if segments == nil {
 		segments = workload.Segments()
 	}
-	params := core.SingleThreadParams()
-	params.Features = features
+	variants := []Policy{full}
+	for i := range features {
+		p := params
+		p.Features = slices.Delete(slices.Clone(features), i, i+1)
+		variants = append(variants, WithParams(p))
+	}
+	var g grid
+	keys := make([][]string, len(segments)) // per segment, a key per variant
+	for si, id := range segments {
+		for _, p := range variants {
+			keys[si] = append(keys[si], g.fast(cfg, p, id, 0))
+		}
+	}
+	if err := g.run(r); err != nil {
+		return nil, err
+	}
 
+	// Fold the best segment per feature in segment order, so ties resolve
+	// to the earliest. A segment with a failed cell never wins.
 	rows := make([]Table3Row, len(features))
 	for i := range rows {
 		rows[i].Feature = features[i]
 		rows[i].PctIncrease = -1
 	}
-
-	// Each segment's full+leave-one-out runs are independent; fan them
-	// across the pool and fold the "best segment per feature" reduction in
-	// segment order, so ties keep resolving to the earliest segment exactly
-	// as the serial loop did.
-	type segMPKIs struct {
-		With    float64   `json:"with"`
-		Without []float64 `json:"without"`
-	}
-	keys := make([]string, len(segments))
 	for si, id := range segments {
-		keys[si] = "table3/" + id.String()
-	}
-	runs, cellErrs, err := RunCells(r, keys, func(_ context.Context, si int) (segMPKIs, error) {
-		id := segments[si]
-		gen := workload.NewGenerator(id, workload.CoreBase(0))
-		c := segMPKIs{Without: make([]float64, len(features))}
-		c.With = sim.RunFastMPKI(cfg, gen, mpppbFactory(params)).MPKI
-		for i := range features {
-			sub := make([]core.Feature, 0, len(features)-1)
-			sub = append(sub, features[:i]...)
-			sub = append(sub, features[i+1:]...)
-			p := params
-			p.Features = sub
-			c.Without[i] = sim.RunFastMPKI(cfg, gen, mpppbFactory(p)).MPKI
-		}
-		return c, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	for si, id := range segments {
-		if cellErrs[si] != nil {
-			// Failed segment: it simply never wins the per-feature argmax.
+		mpkis, err := g.mpkis(keys[si])
+		if err != nil {
 			continue
 		}
-		with := runs[si].With
-		for i := range features {
-			without := runs[si].Without[i]
+		with := mpkis[0]
+		for i, without := range mpkis[1:] {
 			pct := 0.0
 			if with > 0 {
 				pct = 100 * (without - with) / with

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -39,60 +38,47 @@ type AdaptiveTable struct {
 	// simulates identically under every candidate, and "the duel did no
 	// harm" is precisely the acceptance bar.
 	NotWorse int
-	// FailedCells lists journal keys of segments that failed permanently
-	// under Run.KeepGoing; their rows are dropped from the curve.
+	// FailedCells lists, in grid order, the keys of cells that failed
+	// permanently under Run.KeepGoing; a segment with a failed cell is
+	// dropped from the curve.
 	FailedCells []string
-}
-
-// adaptCell is the per-segment unit of work: both policies' MPKI at every
-// seed. Exported fields with JSON tags so the cell round-trips losslessly
-// through the checkpoint journal.
-type adaptCell struct {
-	Static   []float64 `json:"static"`
-	Adaptive []float64 `json:"adaptive"`
 }
 
 // AdaptiveVsStatic runs the adaptive-threshold evaluation: every segment
 // under the static and the adaptive policy, once per seed, on the fast
-// (MPKI-only) simulator. The seed axis draws statistically equivalent but
-// distinct reference streams (workload.NewSeededGenerator); seed 0 is the
-// canonical stream of every other experiment. Both policies see the same
-// stream at each seed, so a per-seed MPKI delta isolates the duel's
-// effect from stream noise. Segments are independent and fan across the
-// worker pool; the table is byte-identical at any -j, across journal
-// resume, and split over a fleet, like every other experiment grid.
+// (MPKI-only) simulator, as one grid of (policy, seed, segment) cells.
+// The seed axis draws statistically equivalent but distinct reference
+// streams (workload.NewSeededGenerator); seed 0 is the canonical stream
+// of every other experiment, so mpppb's seed-0 cells are fig3's and
+// table3's. Both policies see the same stream at each seed, so a per-seed
+// MPKI delta isolates the duel's effect from stream noise.
 func AdaptiveVsStatic(cfg sim.Config, staticPolicy, adaptivePolicy string, segs []workload.SegmentID, seeds int, r *Run) (*AdaptiveTable, error) {
 	if seeds < 1 {
 		return nil, fmt.Errorf("experiments: AdaptiveVsStatic needs at least 1 seed, got %d", seeds)
 	}
 	t := &AdaptiveTable{StaticPolicy: staticPolicy, AdaptivePolicy: adaptivePolicy, Seeds: seeds}
-	keys := make([]string, len(segs))
-	for i, id := range segs {
-		keys[i] = "adapt/" + id.String()
-	}
-	runs, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (adaptCell, error) {
-		id := segs[i]
-		c := adaptCell{Static: make([]float64, seeds), Adaptive: make([]float64, seeds)}
+	var g grid
+	declare := func(p Policy) [][]string { // per segment, a key per seed
+		keys := make([][]string, len(segs))
 		for s := 0; s < seeds; s++ {
-			gen := workload.NewSeededGenerator(id, workload.CoreBase(0), uint64(s))
-			c.Static[s] = sim.RunFastMPKI(cfg, gen, r.mustPolicy(staticPolicy)).MPKI
-			c.Adaptive[s] = sim.RunFastMPKI(cfg, gen, r.mustPolicy(adaptivePolicy)).MPKI
+			for i, id := range segs {
+				keys[i] = append(keys[i], g.fast(cfg, p, id, uint64(s)))
+			}
 		}
-		return c, nil
-	})
-	if err != nil {
+		return keys
+	}
+	static, adaptive := declare(r.named(staticPolicy)), declare(r.named(adaptivePolicy))
+	if err := g.run(r); err != nil {
 		return nil, err
 	}
-	for i, c := range runs {
-		if cellErrs[i] != nil {
-			t.FailedCells = append(t.FailedCells, keys[i])
+	t.FailedCells = g.failed()
+	for i, id := range segs {
+		st, err := g.mpkis(static[i])
+		ad, aerr := g.mpkis(adaptive[i])
+		if err != nil || aerr != nil {
 			continue
 		}
-		row := AdaptiveRow{
-			Segment:  segs[i],
-			Static:   stats.NewSpread(c.Static),
-			Adaptive: stats.NewSpread(c.Adaptive),
-		}
+		row := AdaptiveRow{Segment: id, Static: stats.NewSpread(st), Adaptive: stats.NewSpread(ad)}
 		row.Ratio = row.Adaptive.Mean / row.Static.Mean
 		if row.Adaptive.Mean <= row.Static.Mean {
 			t.NotWorse++

@@ -50,12 +50,6 @@ var (
 // monotonic.
 type Progress func(format string, args ...any)
 
-func (p Progress) log(format string, args ...any) {
-	if p != nil {
-		p(format, args...)
-	}
-}
-
 // Run carries the execution policy for one experiment invocation:
 // cancellation, checkpointing, pool sizing, failure handling, duel
 // candidates and progress reporting. A nil *Run means "all defaults" —
@@ -114,14 +108,12 @@ type CellFailure struct {
 	Err error
 }
 
-func (r *Run) prog() Progress {
-	if r == nil {
-		return nil
+// log sends a status line to r's Progress, if any.
+func (r *Run) log(format string, args ...any) {
+	if r != nil && r.Progress != nil {
+		r.Progress(format, args...)
 	}
-	return r.Progress
 }
-
-func (r *Run) keepGoing() bool { return r != nil && r.KeepGoing }
 
 // geoMean aggregates with the strictness the run's failure policy implies.
 // Fail-fast runs use stats.GeoMean, whose panic on a non-positive entry
@@ -130,20 +122,20 @@ func (r *Run) keepGoing() bool { return r != nil && r.KeepGoing }
 // the lenient form: the aggregate renders NaN (exactly like a failed
 // cell's slots) and the degenerate inputs are counted and reported.
 func (r *Run) geoMean(xs []float64) float64 {
-	if !r.keepGoing() {
+	if r == nil || !r.KeepGoing {
 		return stats.GeoMean(xs)
 	}
 	gm, bad := stats.GeoMeanLenient(xs)
 	if bad > 0 {
 		mDegenerateGeoMean.Add(uint64(bad))
-		r.prog().log("warning: %d non-positive value(s) in a geomean aggregate; rendering NaN", bad)
+		r.log("warning: %d non-positive value(s) in a geomean aggregate; rendering NaN", bad)
 	}
 	return gm
 }
 
-// mustPolicy resolves a policy name the caller has already validated,
+// named resolves a registry policy the caller has already validated,
 // with the run's duel candidates applied.
-func (r *Run) mustPolicy(name string) sim.PolicyFactory {
+func (r *Run) named(name string) Policy {
 	var cands []core.ThresholdSet
 	if r != nil {
 		cands = r.Duel
@@ -152,7 +144,7 @@ func (r *Run) mustPolicy(name string) sim.PolicyFactory {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	return pf
+	return Policy{name, pf}
 }
 
 // Failures returns the cells that failed permanently during this Run, in
@@ -325,7 +317,7 @@ func (l *ledger) settle(i int, state obs.CellState, elapsed time.Duration, err e
 			how = " (fleet)"
 		}
 	}
-	r.Progress.log("%s%s (%d/%d done)", key, how, l.done, len(l.keys))
+	r.log("%s%s (%d/%d done)", key, how, l.done, len(l.keys))
 }
 
 // DefaultSingleThreadPolicies are the realistic policies compared in the
@@ -340,22 +332,10 @@ func DefaultMultiCorePolicies() []string { return []string{"hawkeye", "perceptro
 // TrainingMixes and TestingMixes split the canonical mix list as in
 // Section 5.3: the first 100 mixes train the feature search, the remaining
 // 900 are reported.
-func TrainingMixes(total []workload.Mix) []workload.Mix {
-	n := len(total) / 10
-	if n == 0 {
-		n = 1
-	}
-	return total[:n]
-}
+func TrainingMixes(total []workload.Mix) []workload.Mix { return total[:max(len(total)/10, 1)] }
 
 // TestingMixes returns the reporting portion of the canonical mix list.
-func TestingMixes(total []workload.Mix) []workload.Mix {
-	n := len(total) / 10
-	if n == 0 {
-		n = 1
-	}
-	return total[n:]
-}
+func TestingMixes(total []workload.Mix) []workload.Mix { return total[max(len(total)/10, 1):] }
 
 // TrainingSegments returns n segments spread across the suite (one per
 // stride of benchmarks), a diverse training set for the feature search.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"mpppb/internal/core"
@@ -23,7 +22,7 @@ func tinyEvaluator(r *Run) *Evaluator {
 }
 
 func TestEvaluatorDeterministic(t *testing.T) {
-	params := core.SingleThreadParams()
+	params := WithParams(core.SingleThreadParams())
 	a, err := tinyEvaluator(&Run{Workers: 1}).MPKI(params)
 	if err != nil {
 		t.Fatal(err)
@@ -32,11 +31,11 @@ func TestEvaluatorDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatalf("evaluator not deterministic across -j: %g vs %g", a, b)
+	if a[0] != b[0] {
+		t.Fatalf("evaluator not deterministic across -j: %g vs %g", a[0], b[0])
 	}
-	if a <= 0 {
-		t.Fatalf("MPKI %g", a)
+	if a[0] <= 0 {
+		t.Fatalf("MPKI %g", a[0])
 	}
 }
 
@@ -46,7 +45,7 @@ func TestEvaluatorDeterministic(t *testing.T) {
 func TestEvaluatorCountsJournalHits(t *testing.T) {
 	fp := journal.Fingerprint{Config: "evaluator-test", Version: "test", Seed: 1}
 	path := filepath.Join(t.TempDir(), "run.journal")
-	params := core.SingleThreadParams()
+	params := WithParams(core.SingleThreadParams())
 
 	jrnl, err := journal.Create(path, fp)
 	if err != nil {
@@ -72,8 +71,8 @@ func TestEvaluatorCountsJournalHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want || warm.Evals != cold.Evals || warm.Evals != len(warm.training) {
-		t.Fatalf("resumed: MPKI %g, %d evals; cold: MPKI %g, %d evals", got, warm.Evals, want, cold.Evals)
+	if got[0] != want[0] || warm.Evals != cold.Evals || warm.Evals != len(warm.training) {
+		t.Fatalf("resumed: MPKI %g, %d evals; cold: MPKI %g, %d evals", got[0], warm.Evals, want[0], cold.Evals)
 	}
 	for key, state := range st.Snapshot().Cells {
 		if state != obs.CellJournal {
@@ -83,13 +82,15 @@ func TestEvaluatorCountsJournalHits(t *testing.T) {
 }
 
 // TestEvaluatorStatusCells: one evaluation declares one /status cell per
-// training segment, each under the evaluation prefix, and a search that
-// scores the same candidate again still counts each cell once.
+// training segment, each keyed by kind, machine, the params' hash and
+// segment, and a search that scores the same candidate again still
+// counts each cell once.
 func TestEvaluatorStatusCells(t *testing.T) {
 	st := obs.NewRunStatus("test")
 	ev := tinyEvaluator(&Run{Status: st})
+	params := core.SingleThreadParams()
 	for range 2 {
-		if _, err := ev.MPKI(core.SingleThreadParams()); err != nil {
+		if _, err := ev.MPKI(WithParams(params)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,8 +99,8 @@ func TestEvaluatorStatusCells(t *testing.T) {
 		t.Fatalf("%d cells declared, %d done; want %d of each", snap.TotalCells, snap.DoneCells, len(ev.training))
 	}
 	for i, key := range snap.CellOrder {
-		if !strings.HasPrefix(key, "mpki/") || !strings.HasSuffix(key, "/"+ev.training[i].String()) {
-			t.Errorf("cell %d is %q, want mpki/<params hash>/%s", i, key, ev.training[i])
+		if want := cellKey("fast", ev.cfg, journal.ConfigHash(params), ev.training[i], 0); key != want {
+			t.Errorf("cell %d is %q, want %q", i, key, want)
 		}
 		if snap.Cells[key] != obs.CellOK {
 			t.Errorf("cell %s is %s, want %s", key, snap.Cells[key], obs.CellOK)
@@ -113,7 +114,7 @@ func TestEvaluatorReturnsCellFailure(t *testing.T) {
 	params := core.SingleThreadParams()
 	params.Features = []core.Feature{}
 	for name, r := range map[string]*Run{"failfast": nil, "keepgoing": {KeepGoing: true}} {
-		_, err := tinyEvaluator(r).MPKI(params)
+		_, err := tinyEvaluator(r).MPKI(WithParams(params))
 		var pe *parallel.PanicError
 		if !errors.As(err, &pe) {
 			t.Errorf("%s: error %v, want the cell's panic", name, err)
@@ -124,7 +125,7 @@ func TestEvaluatorReturnsCellFailure(t *testing.T) {
 func TestEvaluatorCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tinyEvaluator(&Run{Ctx: ctx, KeepGoing: true}).MPKI(core.SingleThreadParams()); !errors.Is(err, context.Canceled) {
+	if _, err := tinyEvaluator(&Run{Ctx: ctx, KeepGoing: true}).MPKI(WithParams(core.SingleThreadParams())); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}
 }

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"mpppb/internal/core"
-	"mpppb/internal/journal"
 	"mpppb/internal/sim"
 	"mpppb/internal/stats"
 	"mpppb/internal/workload"
@@ -43,7 +40,7 @@ type MultiCoreTable struct {
 // mix order, so the table is byte-identical at any worker count, across
 // resumes, and when another experiment of the run computed the cells.
 func MultiCore(cfg sim.Config, policies []string, mixes []workload.Mix, r *Run) (*MultiCoreTable, error) {
-	named := make([]mcPolicy, len(policies))
+	named := make([]Policy, len(policies))
 	for i, p := range policies {
 		named[i] = r.named(p)
 	}
@@ -60,11 +57,7 @@ func MultiCore(cfg sim.Config, policies []string, mixes []workload.Mix, r *Run) 
 		MeanMPKI:        map[string]float64{},
 		BelowLRU:        map[string]int{},
 	}
-	for i, err := range g.errs {
-		if err != nil {
-			t.FailedCells = append(t.FailedCells, g.keys[i])
-		}
-	}
+	t.FailedCells = g.failed()
 	for _, mix := range mixes {
 		// LRU's speedup is 1 by definition, even when its cell failed.
 		t.WeightedSpeedup["lru"] = append(t.WeightedSpeedup["lru"], 1.0)
@@ -97,118 +90,68 @@ func (t *MultiCoreTable) MPKISCurve(policy string) []float64 {
 	return stats.SortedDesc(t.MPKI[policy])
 }
 
-// mcPolicy is a multi-core LLC policy as a grid declares it. id is its
-// part of a cell key: a registry name (the journal fingerprint holds the
-// run's duel candidates), or a hash of explicit MPPPB parameters, so
-// equal parameter sets share cells.
-type mcPolicy struct {
-	id string
-	pf sim.PolicyFactory
-}
-
-// named resolves a registry policy with the run's duel candidates.
-func (r *Run) named(name string) mcPolicy { return mcPolicy{name, r.mustPolicy(name)} }
-
-// withParams is MPPPB with explicit parameters.
-func withParams(p core.Params) mcPolicy { return mcPolicy{journal.ConfigHash(p), mpppbFactory(p)} }
-
-// mcCell is one multi-core simulation's raw measurements: each core's IPC
-// (one entry for a standalone run) and the LLC's MPKI. Tables derive
-// every ratio from them.
-type mcCell struct {
-	IPC  []float64 `json:"ipc"`
-	MPKI float64   `json:"mpki"`
-}
-
-// mcGrid is one multi-core grid's cells, found by key.
+// mcGrid is one multi-core grid: its cells, found by what they read.
 type mcGrid struct {
-	prefix string
-	lru    mcPolicy
-	index  map[string]int
-	keys   []string
-	cells  []mcCell
-	errs   []error
+	grid
+	cfg sim.Config
+	lru Policy
 }
 
-// key names a cell by what it reads: the machine (the grid's prefix), the
-// policy and the workload, a mix for a sim.RunMulti cell or a segment for
-// its standalone sim.RunSingle under LRU.
-func (g *mcGrid) key(p mcPolicy, w fmt.Stringer) string { return g.prefix + p.id + "/" + w.String() }
+// key names p's cell on a mix, or on a segment for its standalone run.
+func (g *mcGrid) key(p Policy, w fmt.Stringer) string { return cellKey("mc", g.cfg, p.id, w, 0) }
 
 // runMultiGrid runs every policy, and LRU, on every mix, plus the
 // standalone LRU run of every segment in the mixes (the weighted-speedup
-// baselines of Section 4.5), as one RunCells grid. Each key is declared
-// once, and the journal serves the cells an earlier grid of the run (or
-// a resumed journal) holds: fig4, fig9 and fig10 share their baselines
-// and fig9's original point. The 4-core cells come first, so the pool and
-// the fleet, which dispatch in key order, start the longest cells first.
-func runMultiGrid(cfg sim.Config, policies []mcPolicy, mixes []workload.Mix, r *Run) (*mcGrid, error) {
-	// -check verifies a run without changing its values, so it is left
-	// out of the machine's hash, as it is of the journal fingerprint.
-	machine := cfg
-	machine.Check = false
-	g := &mcGrid{prefix: "mc/" + journal.ConfigHash(machine) + "/", lru: r.named("lru"), index: map[string]int{}}
-	var runs []func() (mcCell, error)
-	declare := func(key string, run func() (mcCell, error)) {
-		if _, ok := g.index[key]; !ok {
-			g.index[key] = len(g.keys)
-			g.keys = append(g.keys, key)
-			runs = append(runs, run)
-		}
-	}
-	for _, p := range append([]mcPolicy{g.lru}, policies...) {
+// baselines of Section 4.5), as one grid: fig4, fig9 and fig10 share
+// their baselines and fig9's original point. The 4-core cells come first,
+// so the pool and the fleet, which dispatch in key order, start the
+// longest cells first.
+func runMultiGrid(cfg sim.Config, policies []Policy, mixes []workload.Mix, r *Run) (*mcGrid, error) {
+	g := &mcGrid{cfg: cfg, lru: r.named("lru")}
+	for _, p := range append([]Policy{g.lru}, policies...) {
 		for _, mix := range mixes {
-			declare(g.key(p, mix), func() (mcCell, error) {
+			g.add(g.key(p, mix), func() (cell, error) {
 				res := sim.RunMulti(cfg, mix, p.pf)
-				return mcCell{IPC: res.IPC[:], MPKI: res.MPKI}, nil
+				return cell{IPC: res.IPC[:], MPKI: res.MPKI}, nil
 			})
 		}
 	}
 	for _, mix := range mixes {
 		for _, id := range mix {
-			declare(g.key(g.lru, id), func() (mcCell, error) {
+			g.add(g.key(g.lru, id), func() (cell, error) {
 				res := sim.RunSingle(cfg, workload.NewGenerator(id, workload.CoreBase(0)), g.lru.pf)
 				if !(res.IPC > 0) {
-					return mcCell{}, fmt.Errorf("experiments: standalone IPC %g of %s is not positive", res.IPC, id)
+					return cell{}, fmt.Errorf("experiments: standalone IPC %g of %s is not positive", res.IPC, id)
 				}
-				return mcCell{IPC: []float64{res.IPC}, MPKI: res.MPKI}, nil
+				return measured(res), nil
 			})
 		}
 	}
-	var err error
-	g.cells, g.errs, err = RunCells(r, g.keys, func(_ context.Context, i int) (mcCell, error) { return runs[i]() })
-	return g, err
-}
-
-// cell returns the measurements of p on a workload, and false if the
-// cell failed.
-func (g *mcGrid) cell(p mcPolicy, w fmt.Stringer) (mcCell, bool) {
-	i := g.index[g.key(p, w)]
-	return g.cells[i], g.errs[i] == nil
+	return g, g.run(r)
 }
 
 // speedup is mix's weighted speedup under p normalized to LRU's (Section
 // 4.5), or NaN when p's cell, LRU's or a standalone one failed.
-func (g *mcGrid) speedup(p mcPolicy, mix workload.Mix) float64 {
+func (g *mcGrid) speedup(p Policy, mix workload.Mix) float64 {
 	single := make([]float64, len(mix))
 	for i, id := range mix {
-		c, ok := g.cell(g.lru, id)
-		if !ok {
+		c, err := g.cell(g.key(g.lru, id))
+		if err != nil {
 			return math.NaN()
 		}
 		single[i] = c.IPC[0]
 	}
-	base, okBase := g.cell(g.lru, mix)
-	c, ok := g.cell(p, mix)
-	if !okBase || !ok {
+	base, errBase := g.cell(g.key(g.lru, mix))
+	c, err := g.cell(g.key(p, mix))
+	if errBase != nil || err != nil {
 		return math.NaN()
 	}
 	return stats.WeightedSpeedup(c.IPC, single) / stats.WeightedSpeedup(base.IPC, single)
 }
 
 // mpki is the LLC MPKI of p on mix, or NaN when its cell failed.
-func (g *mcGrid) mpki(p mcPolicy, mix workload.Mix) float64 {
-	if c, ok := g.cell(p, mix); ok {
+func (g *mcGrid) mpki(p Policy, mix workload.Mix) float64 {
+	if c, err := g.cell(g.key(p, mix)); err == nil {
 		return c.MPKI
 	}
 	return math.NaN()
@@ -217,7 +160,7 @@ func (g *mcGrid) mpki(p mcPolicy, mix workload.Mix) float64 {
 // geomeanWS is the geometric mean over mixes of p's normalized weighted
 // speedup, taken in mix order — the y-axis of Figures 9 and 10. A failed
 // cell makes it NaN.
-func (g *mcGrid) geomeanWS(p mcPolicy, mixes []workload.Mix, r *Run) float64 {
+func (g *mcGrid) geomeanWS(p Policy, mixes []workload.Mix, r *Run) float64 {
 	ws := make([]float64, len(mixes))
 	for i, mix := range mixes {
 		ws[i] = g.speedup(p, mix)

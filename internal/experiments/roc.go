@@ -59,17 +59,15 @@ func ROCCurves(cfg sim.Config, predictors []string, segments []workload.SegmentI
 		Samples:    map[string]int{},
 	}
 	cfs := make([]sim.ConfidenceFactory, len(predictors))
+	keys := make([]string, 0, len(predictors)*len(segments))
 	for pi, pred := range predictors {
 		cf, err := sim.Confidence(pred)
 		if err != nil {
 			panic("experiments: " + err.Error())
 		}
 		cfs[pi] = cf
-	}
-	keys := make([]string, 0, len(predictors)*len(segments))
-	for _, pred := range predictors {
 		for _, id := range segments {
-			keys = append(keys, "roc/"+pred+"/"+id.String())
+			keys = append(keys, cellKey("roc", cfg, pred, id, 0))
 		}
 	}
 	cells, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (stats.ROCCounts, error) {

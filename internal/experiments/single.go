@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"math"
 	"sort"
 
@@ -32,9 +31,10 @@ type SingleThreadTable struct {
 	// BestCount[policy] counts benchmarks where the policy had the best
 	// speedup among the realistic policies (Section 6.2.1's "22 out of 33").
 	BestCount map[string]int
-	// FailedCells lists, in suite order, journal keys of segment cells
-	// that failed permanently under Run.KeepGoing; their contributions to
-	// every aggregate above are NaN.
+	// FailedCells lists, in grid order, the keys of cells that failed
+	// permanently under Run.KeepGoing. A failed MIN cell makes its
+	// segment's LRU and MIN entries NaN, and every policy's speedup there;
+	// a failed policy cell makes that policy's entries NaN.
 	FailedCells []string
 }
 
@@ -44,20 +44,12 @@ func (t *SingleThreadTable) AllSingleThreadPolicies() []string {
 	return append(append([]string{"lru"}, t.Policies...), "min")
 }
 
-// segCell is the per-(benchmark, segment) unit of work: every policy's
-// IPC and MPKI on that segment. Exported fields with JSON tags so the
-// cell round-trips losslessly through the checkpoint journal.
-type segCell struct {
-	IPC  map[string]float64 `json:"ipc"`
-	MPKI map[string]float64 `json:"mpki"`
-}
-
 // SingleThread runs the single-thread evaluation: every benchmark segment
-// under LRU, MIN, and the given policies. Segments are independent, so
-// they fan across the worker pool (Run.Workers, the cmd tools' -j);
-// per-segment results merge back in suite order, making the table
-// byte-identical at any worker count — including runs that were
-// interrupted and resumed from r's journal.
+// under LRU, MIN, and the given policies, as one grid. LRU's run is MIN's
+// first pass, read from MIN's cell; MIN's cells, two runs each, come
+// first, so the pool and the fleet start the longest first. Values
+// aggregate in suite order, so the table is byte-identical at any -j,
+// across resumes, and when another experiment computed the cells.
 func SingleThread(cfg sim.Config, policies []string, benches []string, r *Run) (*SingleThreadTable, error) {
 	if benches == nil {
 		benches = workload.Benchmarks()
@@ -79,56 +71,49 @@ func SingleThread(cfg sim.Config, policies []string, benches []string, r *Run) (
 		t.MPKI[p] = map[string]float64{}
 	}
 
-	// One unit of work per (benchmark, segment): all policies on that
-	// segment, sharing the segment's generator as the serial code did.
-	ids := make([]workload.SegmentID, 0, len(benches)*workload.SegmentsPerBenchmark)
+	var g grid
+	var ids []workload.SegmentID
+	var mins []string
 	for _, bench := range benches {
 		for seg := 0; seg < workload.SegmentsPerBenchmark; seg++ {
-			ids = append(ids, workload.SegmentID{Bench: bench, Seg: seg})
+			id := workload.SegmentID{Bench: bench, Seg: seg}
+			ids = append(ids, id)
+			mins = append(mins, g.min(cfg, id))
 		}
 	}
-	keys := make([]string, len(ids))
-	for i, id := range ids {
-		keys[i] = "single/" + id.String()
-	}
-	runs, cellErrs, err := RunCells(r, keys, func(_ context.Context, i int) (segCell, error) {
-		id := ids[i]
-		c := segCell{IPC: map[string]float64{}, MPKI: map[string]float64{}}
-		gen := workload.NewGenerator(id, workload.CoreBase(0))
-		lruRes, minRes := sim.RunSingleMIN(cfg, gen)
-		c.IPC["lru"], c.MPKI["lru"] = lruRes.IPC, lruRes.MPKI
-		c.IPC["min"], c.MPKI["min"] = minRes.IPC, minRes.MPKI
-		for _, p := range policies {
-			res := sim.RunSingle(cfg, gen, r.mustPolicy(p))
-			c.IPC[p], c.MPKI[p] = res.IPC, res.MPKI
+	runs := make([][]string, len(policies))
+	for pi, p := range policies {
+		for _, id := range ids {
+			runs[pi] = append(runs[pi], g.timed(cfg, r.named(p), id))
 		}
-		return c, nil
-	})
-	if err != nil {
+	}
+	if err := g.run(r); err != nil {
 		return nil, err
 	}
+	t.FailedCells = g.failed()
 
-	// Merge in suite order: aggregation below consumes per-segment values
-	// in exactly the sequence the serial loop produced them. A failed cell
-	// (KeepGoing) contributes NaN to every aggregate it touches.
+	// A failed cell (KeepGoing) contributes NaN to every aggregate it
+	// touches: a MIN cell to LRU's and MIN's, and through LRU to speedups.
 	segWeights := workload.SegmentWeights()
 	for bi, bench := range benches {
 		ipcs := map[string][]float64{}
 		mpkis := map[string][]float64{}
+		add := func(p string, c *cell, err error) {
+			ipc, mpki := math.NaN(), math.NaN()
+			if err == nil {
+				ipc, mpki = c.IPC[0], c.MPKI
+			}
+			ipcs[p] = append(ipcs[p], ipc)
+			mpkis[p] = append(mpkis[p], mpki)
+		}
 		for seg := 0; seg < workload.SegmentsPerBenchmark; seg++ {
 			i := bi*workload.SegmentsPerBenchmark + seg
-			c := runs[i]
-			if cellErrs[i] != nil {
-				t.FailedCells = append(t.FailedCells, keys[i])
-				for _, p := range all {
-					ipcs[p] = append(ipcs[p], math.NaN())
-					mpkis[p] = append(mpkis[p], math.NaN())
-				}
-				continue
-			}
-			for _, p := range all {
-				ipcs[p] = append(ipcs[p], c.IPC[p])
-				mpkis[p] = append(mpkis[p], c.MPKI[p])
+			c, err := g.cell(mins[i])
+			add("lru", c.LRU, err)
+			add("min", &c, err)
+			for pi, p := range policies {
+				c, err := g.cell(runs[pi][i])
+				add(p, &c, err)
 			}
 		}
 		for _, p := range all {

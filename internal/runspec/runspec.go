@@ -172,10 +172,16 @@ func (s *Spec) Segments(bench string, seg int) []workload.SegmentID {
 // Positive checks that each named integer flag is at least 1: a count or
 // budget of zero would otherwise panic, hang or print an empty table. A
 // bad value exits 1.
-func (s *Spec) Positive(names ...string) {
+func (s *Spec) Positive(names ...string) { s.atLeast(1, names) }
+
+// NonNegative checks that each named integer flag is at least 0: a
+// negative budget would otherwise run as 0 silently. A bad value exits 1.
+func (s *Spec) NonNegative(names ...string) { s.atLeast(0, names) }
+
+func (s *Spec) atLeast(least int64, names []string) {
 	for _, name := range names {
-		if v, err := strconv.ParseInt(s.fs.Lookup(name).Value.String(), 10, 64); err == nil && v < 1 {
-			s.Exit(fmt.Errorf("-%s: %d; want at least 1", name, v))
+		if v, err := strconv.ParseInt(s.fs.Lookup(name).Value.String(), 10, 64); err == nil && v < least {
+			s.Exit(fmt.Errorf("-%s: %d; want at least %d", name, v, least))
 		}
 	}
 }

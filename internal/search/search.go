@@ -4,14 +4,16 @@
 // threshold and draw random feasible threshold combinations (Section
 // 5.5). The algorithms take the score function as an argument and stop at
 // its first error; the paper's score, the fast MPKI-only simulator over
-// training segments, is experiments.Evaluator. The hill climber's
-// mutation operator matches the paper's: replace a feature with a fresh
-// random one, replace it with a copy of another feature in the set, or
-// perturb one of its parameters.
+// training segments, is experiments.Evaluator. Only hill climbing
+// proposes from scores; the other searches score one Batch. Its mutations
+// are the paper's: replace a feature with a fresh random one or a copy of
+// another in the set, or perturb one of its parameters.
 package search
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"mpppb/internal/core"
 	"mpppb/internal/xrand"
@@ -27,17 +29,11 @@ func RandomFeature(rng *xrand.RNG) core.Feature {
 	switch f.Kind {
 	case core.KindPC:
 		f.B = rng.Intn(24)
-		f.E = f.B + rng.Intn(48)
-		if f.E > core.MaxBit {
-			f.E = core.MaxBit
-		}
+		f.E = min(f.B+rng.Intn(48), core.MaxBit)
 		f.W = rng.Intn(core.MaxW + 1)
 	case core.KindAddress:
 		f.B = rng.Intn(32)
-		f.E = f.B + rng.Intn(24)
-		if f.E > core.MaxBit {
-			f.E = core.MaxBit
-		}
+		f.E = min(f.B+rng.Intn(24), core.MaxBit)
 	case core.KindOffset:
 		f.B = rng.Intn(core.OffsetBits)
 		f.E = f.B + rng.Intn(core.OffsetBits-f.B+2)
@@ -73,15 +69,7 @@ func Mutate(rng *xrand.RNG, set []core.Feature) []core.Feature {
 
 // perturb nudges one parameter of a feature, keeping it valid.
 func perturb(rng *xrand.RNG, f core.Feature) core.Feature {
-	clamp := func(v, lo, hi int) int {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	}
+	clamp := func(v, lo, hi int) int { return max(lo, min(v, hi)) }
 	delta := 1
 	if rng.Bool() {
 		delta = -1
@@ -107,23 +95,31 @@ func perturb(rng *xrand.RNG, f core.Feature) core.Feature {
 	return f
 }
 
-// RandomSearch scores n random feature sets and returns them with their
-// MPKIs, best first.
-func RandomSearch(score func([]core.Feature) (float64, error), rng *xrand.RNG, n, setSize int, progress func(i int, mpki float64)) ([]ScoredSet, error) {
+// Batch scores candidates at once: a score per candidate, in order, or an
+// error with the scores of the candidates before the first that failed
+// (or fewer), which a search reports as scoring one at a time would.
+type Batch[C any] func([]C) ([]float64, error)
+
+// RandomSearch scores n random feature sets as one batch and returns them
+// with their MPKIs, best first.
+func RandomSearch(score Batch[[]core.Feature], rng *xrand.RNG, n, setSize int, progress func(i int, mpki float64)) ([]ScoredSet, error) {
 	if n <= 0 || setSize <= 0 {
 		return nil, fmt.Errorf("search: non-positive search size")
 	}
-	out := make([]ScoredSet, n)
-	for i := 0; i < n; i++ {
-		set := RandomSet(rng, setSize)
-		mpki, err := score(set)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ScoredSet{Features: set, MPKI: mpki}
+	sets := make([][]core.Feature, n)
+	for i := range sets {
+		sets[i] = RandomSet(rng, setSize)
+	}
+	mpkis, err := score(sets)
+	out := make([]ScoredSet, len(mpkis))
+	for i, mpki := range mpkis {
+		out[i] = ScoredSet{Features: sets[i], MPKI: mpki}
 		if progress != nil {
 			progress(i, mpki)
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	sortScored(out)
 	return out, nil
@@ -135,14 +131,9 @@ type ScoredSet struct {
 	MPKI     float64
 }
 
+// sortScored orders s best first, ties in their order.
 func sortScored(s []ScoredSet) {
-	// Insertion sort: populations are small and this avoids pulling in
-	// sort for a struct slice ordering used in two places.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].MPKI < s[j-1].MPKI; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	slices.SortStableFunc(s, func(a, b ScoredSet) int { return cmp.Compare(a.MPKI, b.MPKI) })
 }
 
 // HillClimb refines a feature set: each step proposes a mutation and keeps

@@ -102,11 +102,27 @@ func score(set []core.Feature) (float64, error) {
 	return m, nil
 }
 
+// batch scores a batch one candidate at a time, stopping at the first
+// error: the Batch contract's reference form.
+func batch[C any](score func(C) (float64, error)) Batch[C] {
+	return func(cands []C) ([]float64, error) {
+		out := make([]float64, 0, len(cands))
+		for _, c := range cands {
+			m, err := score(c)
+			if err != nil {
+				return out, err
+			}
+			out = append(out, m)
+		}
+		return out, nil
+	}
+}
+
 func TestRandomSearchSortsBestFirst(t *testing.T) {
 	calls := 0
-	counted := func(set []core.Feature) (float64, error) {
+	counted := func(sets [][]core.Feature) ([]float64, error) {
 		calls++
-		return score(set)
+		return batch(score)(sets)
 	}
 	scored, err := RandomSearch(counted, xrand.New(4), 5, 4, nil)
 	if err != nil {
@@ -117,16 +133,16 @@ func TestRandomSearchSortsBestFirst(t *testing.T) {
 			t.Fatalf("not sorted at %d", i)
 		}
 	}
-	if calls != 5 {
-		t.Fatalf("%d scores, want 5", calls)
+	if calls != 1 || len(scored) != 5 {
+		t.Fatalf("%d batches of %d sets, want 1 of 5", calls, len(scored))
 	}
 }
 
 func TestRandomSearchRejectsBadArgs(t *testing.T) {
-	if _, err := RandomSearch(score, xrand.New(1), 0, 16, nil); err == nil {
+	if _, err := RandomSearch(batch(score), xrand.New(1), 0, 16, nil); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := RandomSearch(score, xrand.New(1), 1, 0, nil); err == nil {
+	if _, err := RandomSearch(batch(score), xrand.New(1), 1, 0, nil); err == nil {
 		t.Fatal("setSize=0 accepted")
 	}
 }
@@ -191,7 +207,7 @@ func TestSearchTau0FindsNoWorse(t *testing.T) {
 	dist := func(p core.Params) (float64, error) { return math.Abs(float64(p.Tau0 - 100)), nil }
 	params := core.SingleThreadParams()
 	base, _ := dist(params)
-	tau, best, err := SearchTau0(dist, params, 0, 255, 64, nil)
+	tau, best, err := SearchTau0(batch(dist), params, 0, 255, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +223,10 @@ func TestSearchReturnsScoreError(t *testing.T) {
 	failSet := func([]core.Feature) (float64, error) { return 0, boom }
 	failParams := func(core.Params) (float64, error) { return 0, boom }
 	params := core.SingleThreadParams()
-	_, errRandom := RandomSearch(failSet, xrand.New(1), 3, 4, nil)
+	_, errRandom := RandomSearch(batch(failSet), xrand.New(1), 3, 4, nil)
 	_, errClimb := HillClimb(failSet, xrand.New(1), ScoredSet{Features: RandomSet(xrand.New(1), 4)}, 3, 3, nil)
-	_, _, errTau0 := SearchTau0(failParams, params, 0, 255, 64, nil)
-	_, _, errThresholds := SearchThresholds(failParams, xrand.New(1), params, 3, nil)
+	_, _, errTau0 := SearchTau0(batch(failParams), params, 0, 255, 64, nil)
+	_, _, errThresholds := SearchThresholds(batch(failParams), xrand.New(1), params, 3, nil)
 	for name, err := range map[string]error{"RandomSearch": errRandom, "HillClimb": errClimb,
 		"SearchTau0": errTau0, "SearchThresholds": errThresholds} {
 		if !errors.Is(err, boom) {

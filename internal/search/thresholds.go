@@ -13,26 +13,26 @@ import (
 
 // SearchTau0 exhaustively sweeps the bypass threshold over [lo, hi] with
 // the given step, holding the other parameters fixed, and returns the best
-// value and its MPKI.
-func SearchTau0(score func(core.Params) (float64, error), params core.Params, lo, hi, step int, progress func(tau0 int, mpki float64)) (int, float64, error) {
-	bestTau := params.Tau0
-	bestMPKI, err := score(params)
-	if err != nil {
-		return 0, 0, err
-	}
+// value and its MPKI. params itself and the sweep are one batch.
+func SearchTau0(score Batch[core.Params], params core.Params, lo, hi, step int, progress func(tau0 int, mpki float64)) (int, float64, error) {
+	cands := []core.Params{params}
 	for t := lo; t <= hi; t += step {
 		p := params
 		p.Tau0 = t
-		m, err := score(p)
-		if err != nil {
-			return 0, 0, err
+		cands = append(cands, p)
+	}
+	mpkis, err := score(cands)
+	bestTau, bestMPKI := 0, 0.0
+	for i, m := range mpkis {
+		if i > 0 && progress != nil {
+			progress(cands[i].Tau0, m)
 		}
-		if progress != nil {
-			progress(t, m)
+		if i == 0 || m < bestMPKI {
+			bestTau, bestMPKI = cands[i].Tau0, m
 		}
-		if m < bestMPKI {
-			bestTau, bestMPKI = t, m
-		}
+	}
+	if err != nil {
+		return 0, 0, err
 	}
 	return bestTau, bestMPKI, nil
 }
@@ -70,25 +70,27 @@ func RandomFeasible(rng *xrand.RNG, params core.Params) core.Params {
 }
 
 // SearchThresholds runs the random feasible-combination search and returns
-// the best parameterization found.
-func SearchThresholds(score func(core.Params) (float64, error), rng *xrand.RNG, start core.Params, n int, progress func(i int, best float64)) (core.Params, float64, error) {
+// the best parameterization found. A combination reads only τ0 and the
+// default policy, which all share with start, so start and n draws from
+// it are one batch.
+func SearchThresholds(score Batch[core.Params], rng *xrand.RNG, start core.Params, n int, progress func(i int, best float64)) (core.Params, float64, error) {
+	cands := []core.Params{start}
+	for i := 0; i < n; i++ {
+		cands = append(cands, RandomFeasible(rng, start))
+	}
+	mpkis, err := score(cands)
 	best := start
-	bestMPKI, err := score(start)
+	var bestMPKI float64
+	for i, m := range mpkis {
+		if i == 0 || m < bestMPKI {
+			best, bestMPKI = cands[i], m
+		}
+		if i > 0 && progress != nil {
+			progress(i-1, bestMPKI)
+		}
+	}
 	if err != nil {
 		return best, 0, err
-	}
-	for i := 0; i < n; i++ {
-		cand := RandomFeasible(rng, best)
-		m, err := score(cand)
-		if err != nil {
-			return best, 0, err
-		}
-		if m < bestMPKI {
-			best, bestMPKI = cand, m
-		}
-		if progress != nil {
-			progress(i, bestMPKI)
-		}
 	}
 	return best, bestMPKI, nil
 }

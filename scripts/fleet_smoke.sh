@@ -21,8 +21,9 @@ go build -o "$BIN" ./cmd/mpppb-experiments
 
 PORT=${FLEET_SMOKE_PORT:-19427}
 ADDR="127.0.0.1:$PORT"
-# Small grid (12 cells: 4 benchmarks x 3 segments, each running lru,
-# min and mpppb). The script waits on events, not on the campaign's
+# Small grid (24 cells: on each of 4 benchmarks x 3 segments, a MIN
+# cell, whose first pass is the LRU run, and an mpppb cell). The script
+# waits on events, not on the campaign's
 # length, so the grid may finish in a few seconds. The 2s lease TTL keeps
 # the reassignment wait tiny.
 ARGS="-id fig7 -benches sphinx3_like,gcc_like,mcf_like,libquantum_like \

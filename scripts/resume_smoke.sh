@@ -6,7 +6,10 @@
 # fingerprint leaves -id out and both figures key their multi-core cells
 # by machine, policy and workload, so fig9 must read its baselines and
 # its original point from fig4's journal and still print the bytes of a
-# run without one. The Go test (cmd/mpppb-experiments/resume_test.go)
+# run without one. A third pass does the same for single-thread cells:
+# fig3 must read its MIN references from fig6's journal, and figadapt
+# its static seed-0 cells from fig3's paper set. The Go test
+# (cmd/mpppb-experiments/resume_test.go)
 # pins the library-level semantics deterministically; this script checks
 # the end-to-end flow — signal handling, exit codes, the flag plumbing —
 # the way a user would hit it.
@@ -69,3 +72,40 @@ if [ "$served" -ne 12 ]; then
 fi
 cmp "$tmp/mc-ref/fig9.tsv" "$tmp/mc-res/fig9.tsv"
 echo "PASS: fig9 read 12 cells from fig4's journal and printed the bytes of a run without one"
+
+# Single-thread cells are keyed by kind, machine, policy, segment and
+# seed, so fig3 reads the MIN cells of its training segments mcf_like-0
+# and sphinx3_like-0 from fig6's journal, and figadapt reads its static
+# (mpppb) seed-0 cells on those segments from fig3's paper set. Only
+# those keys are counted: fig3's own revisits are journal hits too. Every
+# step takes the same flags, which the fingerprint hashes.
+S="-benches mcf_like,sphinx3_like -st-policies mpppb -random 2 -climb 2 -adapt-seeds 1 -warmup 50000 -measure 200000 -j 2"
+
+echo "== fig3 and figadapt reference runs (no journal)"
+$BIN -id fig3 $S -q -out "$tmp/st-ref"
+$BIN -id figadapt $S -q -out "$tmp/st-ref"
+
+echo "== fig6 run (-journal)"
+$BIN -id fig6 $S -q -out "$tmp/st-fig6" -journal "$tmp/st.journal"
+
+# served KEYPATTERN LOG WANT: the log must hold WANT "(from journal)"
+# lines whose key matches KEYPATTERN.
+served() {
+    n=$(grep -cE "^$1 \(from journal\)" "$2" || true)
+    if [ "$n" -ne "$3" ]; then
+        echo "$2: $n journal hit(s) on $1, want $3:" >&2
+        cat "$2" >&2
+        exit 1
+    fi
+}
+
+echo "== fig3 resumed from fig6's journal"
+$BIN -id fig3 $S -out "$tmp/st-res" -journal "$tmp/st.journal" -resume 2>"$tmp/st-fig3.log"
+served 'min/[0-9a-f]+/min/(mcf_like|sphinx3_like)-0' "$tmp/st-fig3.log" 2
+cmp "$tmp/st-ref/fig3.tsv" "$tmp/st-res/fig3.tsv"
+
+echo "== figadapt resumed from the same journal"
+$BIN -id figadapt $S -out "$tmp/st-res" -journal "$tmp/st.journal" -resume 2>"$tmp/st-adapt.log"
+served 'fast/[0-9a-f]+/mpppb/(mcf_like|sphinx3_like)-0' "$tmp/st-adapt.log" 2
+cmp "$tmp/st-ref/figadapt.tsv" "$tmp/st-res/figadapt.tsv"
+echo "PASS: fig3 read fig6's MIN cells and figadapt fig3's paper set from the journal, and both printed the bytes of runs without one"
