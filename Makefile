@@ -19,14 +19,16 @@ test: vet
 	$(GO) test -tags verify ./internal/cache ./internal/verify
 
 # Race-detector pass over the concurrent packages (CI's race job runs
-# this target): the worker pool, the experiment drivers that fan across
-# it and share cells through the journal, the observability layer their
-# workers all update, the advice server's concurrent client soak, the
-# fleet coordinator/worker lease machinery, the core package whose
-# adaptive-duel gauges those concurrent workers now publish, and the
-# Zipf tables that concurrent cells' generators share.
+# this target): the worker pool, the simulation drivers whose cores'
+# captures run in goroutines of their own, the cache levels they split
+# between a capture and the replay, the experiment drivers that fan
+# across the pool and share cells through the journal, the observability
+# layer their workers all update, the advice server's concurrent client
+# soak, the fleet coordinator/worker lease machinery, the core package
+# whose adaptive-duel gauges those concurrent workers now publish, and
+# the Zipf tables that concurrent cells' generators share.
 race:
-	$(GO) test -race ./internal/parallel ./internal/sim ./internal/experiments ./internal/obs ./internal/serve ./internal/fleet ./internal/core ./internal/xrand
+	$(GO) test -race ./internal/parallel ./internal/sim ./internal/cache ./internal/experiments ./internal/obs ./internal/serve ./internal/fleet ./internal/core ./internal/xrand
 
 # The root package's Go benchmarks, one iteration each: the ablation
 # sweeps no experiment id prints (θ, sampler size, bypass, default
@@ -69,7 +71,9 @@ results:
 # resume it, and require byte-identical TSVs; then resume fig4's journal
 # into fig9, which must read its shared multi-core cells from it, and
 # fig6's journal into fig3 and then figadapt, which must read their
-# shared single-thread cells from it (see scripts/resume_smoke.sh).
+# shared single-thread cells from it; last, resume a fig7 journal after
+# its trace:<path> file changed, which must recompute that file's cells
+# (see scripts/resume_smoke.sh).
 resume-smoke:
 	scripts/resume_smoke.sh
 

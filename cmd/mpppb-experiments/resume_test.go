@@ -14,8 +14,11 @@ import (
 	"strings"
 	"testing"
 
+	"mpppb/internal/clitest"
 	"mpppb/internal/experiments"
 	"mpppb/internal/journal"
+	"mpppb/internal/trace"
+	"mpppb/internal/workload"
 )
 
 // testFingerprint is the fingerprint shared by the create/resume pairs
@@ -223,5 +226,57 @@ func TestGoldenWithJournalIdentical(t *testing.T) {
 
 	if got, want := readTSV(t, warmDir, "fig6"), readTSV(t, coldDir, "fig6"); got != want {
 		t.Errorf("fig6.tsv differs between cold and journal-replayed runs\n--- cold ---\n%s\n--- replayed ---\n%s", want, got)
+	}
+}
+
+// writeCapture writes the first n records of segment seg to path, as
+// mpppb-trace -capture does.
+func writeCapture(t *testing.T, path, seg string, n int) {
+	t.Helper()
+	id, err := workload.ParseSegmentID(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.NewWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range trace.Capture(workload.NewGenerator(id, workload.CoreBase(0)), n) {
+		if err := w.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeRecomputesChangedTraceFile: a trace:<path> segment's cells are
+// keyed by the file's bytes as well as its path, so a run resumed after
+// the file changed recomputes them and prints the new file's numbers.
+func TestResumeRecomputesChangedTraceFile(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-id", "fig7", "-benches", "trace:t.trc", "-st-policies", "mpppb",
+		"-warmup", "20000", "-measure", "80000", "-j", "1", "-journal", "J", "-q"}
+	writeCapture(t, filepath.Join(dir, "t.trc"), "mcf_like-0", 200_000)
+	if stdout, stderr, code := clitest.Run(t, dir, append(args, "-out", "a")...); code != 0 {
+		t.Fatalf("first run exited %d:\n%s%s", code, stdout, stderr)
+	}
+	if got, want := readTSV(t, filepath.Join(dir, "a"), "fig7"), "lru=105.547 mpppb=105.547 min=105.547"; !strings.Contains(got, want) {
+		t.Fatalf("first run printed\n%s\nwant %q", got, want)
+	}
+	writeCapture(t, filepath.Join(dir, "t.trc"), "gcc_like-0", 200_000)
+	if stdout, stderr, code := clitest.Run(t, dir, append(args, "-out", "b", "-resume")...); code != 0 {
+		t.Fatalf("resumed run exited %d:\n%s%s", code, stdout, stderr)
+	}
+	if got, want := readTSV(t, filepath.Join(dir, "b"), "fig7"), "lru=240.244 mpppb=240.029 min=239.636"; !strings.Contains(got, want) {
+		t.Fatalf("resumed run on the changed file printed\n%s\nwant %q, as a run without the journal does", got, want)
 	}
 }

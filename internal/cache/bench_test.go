@@ -90,49 +90,43 @@ func BenchmarkVictimScan(b *testing.B) {
 	}
 }
 
-// BenchmarkHierarchyDemand measures one Hierarchy.Demand through the
-// single-thread machine's levels (32 KB L1, 256 KB L2, 2 MB LLC, all LRU)
-// with the stream prefetcher on. The reference stream is fixed: every
-// eighth reference continues one sequential stream, the rest fall at
-// random in a 4 MB footprint, and one in four is a store. A steady-state
-// Demand must not allocate.
+// BenchmarkHierarchyDemand measures one demand through the single-thread
+// machine's levels (32 KB L1, 256 KB L2, 2 MB LLC, all LRU) with the
+// stream prefetcher on: its capture through L1, L2 and the prefetcher,
+// then its replay into the LLC, back to back on one goroutine. The
+// reference stream is fixed: every eighth reference continues one
+// sequential stream, the rest fall at random in a 4 MB footprint, and one
+// in four is a store. A steady-state demand must not allocate.
 func BenchmarkHierarchyDemand(b *testing.B) {
 	lru := func(name string, size, ways int) *cache.Cache {
 		return cache.NewBySize(name, size, ways, policy.NewLRU(size/trace.BlockSize/ways, ways))
 	}
-	h := &cache.Hierarchy{
-		L1:  lru("l1d", 32<<10, 8),
-		L2:  lru("l2", 256<<10, 8),
-		LLC: lru("llc", 2<<20, 16),
-		Pf:  prefetch.NewStream(),
-		Lat: cache.DefaultLatencies(),
-	}
-	type ref struct {
-		pc, addr uint64
-		write    bool
-	}
+	priv := cache.NewPrivate(0, lru("l1d", 32<<10, 8), lru("l2", 256<<10, 8), prefetch.NewStream())
+	port := cache.NewPort(priv, lru("llc", 2<<20, 16), cache.DefaultLatencies())
+	words := make([]uint64, 0, cache.MaxWords)
 	rng := rand.New(rand.NewSource(1))
-	refs := make([]ref, 1<<16)
+	refs := make([]trace.Record, 1<<16)
 	seq := uint64(1 << 32)
 	for i := range refs {
-		r := ref{pc: 0x400000 + uint64(rng.Intn(32))*4, write: rng.Intn(4) == 0}
+		r := trace.Record{PC: 0x400000 + uint64(rng.Intn(32))*4, IsWrite: rng.Intn(4) == 0}
 		if i%8 == 0 {
 			seq += trace.BlockSize
-			r.addr = seq
+			r.Addr = seq
 		} else {
-			r.addr = uint64(rng.Intn(4 << 20))
+			r.Addr = uint64(rng.Intn(4 << 20))
 		}
 		refs[i] = r
 	}
 	var now uint64
 	i := 0
 	step := func() {
-		r := refs[i&(len(refs)-1)]
-		now += uint64(h.Demand(r.pc, r.addr, r.write, now))
+		w := priv.Capture(&refs[i&(len(refs)-1)], words)
+		lat, _ := port.Replay(cache.Op(w[0]), w, 1, now)
+		now += uint64(lat)
 		i++
 	}
 	if allocs := testing.AllocsPerRun(len(refs), step); allocs != 0 {
-		b.Fatalf("Hierarchy.Demand allocates %.2f times per call", allocs)
+		b.Fatalf("a demand allocates %.2f times", allocs)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -18,12 +18,7 @@ func TestHierarchyFillPathConsistency(t *testing.T) {
 		mk := func(name string, sets, ways int) *Cache {
 			return New(name, sets, ways, newLRUStub(ways))
 		}
-		h := &Hierarchy{
-			L1:  mk("l1", 4, 2),
-			L2:  mk("l2", 16, 4),
-			LLC: mk("llc", 64, 8),
-			Lat: DefaultLatencies(),
-		}
+		h := newSerial(mk("l1", 4, 2), mk("l2", 16, 4), mk("llc", 64, 8), nil)
 		for i := 0; i < 3000; i++ {
 			addr := rng.Uint64n(1<<14) << 3
 			h.Demand(0x400+rng.Uint64n(16)*4, addr, rng.Intn(4) == 0, uint64(i))
@@ -49,12 +44,7 @@ func TestHierarchyLatencyBounds(t *testing.T) {
 		mk := func(name string, sets, ways int) *Cache {
 			return New(name, sets, ways, newLRUStub(ways))
 		}
-		h := &Hierarchy{
-			L1:  mk("l1", 4, 2),
-			L2:  mk("l2", 16, 4),
-			LLC: mk("llc", 64, 8),
-			Lat: DefaultLatencies(),
-		}
+		h := newSerial(mk("l1", 4, 2), mk("l2", 16, 4), mk("llc", 64, 8), nil)
 		now := uint64(0)
 		for i := 0; i < 2000; i++ {
 			addr := rng.Uint64n(1<<13) * trace.BlockSize

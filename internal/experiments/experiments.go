@@ -134,7 +134,9 @@ func (r *Run) geoMean(xs []float64) float64 {
 }
 
 // named resolves a registry policy the caller has already validated,
-// with the run's duel candidates applied.
+// with the run's duel candidates applied. A set-dueling policy that reads
+// candidates other than its defaults is keyed by them too, so two runs on
+// one journal with different -duel specs never share its cells.
 func (r *Run) named(name string) Policy {
 	var cands []core.ThresholdSet
 	if r != nil {
@@ -144,7 +146,11 @@ func (r *Run) named(name string) Policy {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	return Policy{name, pf}
+	id := name
+	if cands != nil && sim.Duels(name) {
+		id += "@" + journal.ConfigHash(cands)
+	}
+	return Policy{id, pf}
 }
 
 // Failures returns the cells that failed permanently during this Run, in

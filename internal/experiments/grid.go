@@ -44,10 +44,23 @@ func WithParams(p core.Params) Policy {
 // ("mc", the multi-core grid's sim.RunMulti and standalone sim.RunSingle;
 // "timed", "fast", "min" and "roc": sim.RunSingle, RunFastMPKI,
 // RunSingleMIN and RunROC), the machine (less -check, which changes no
-// value), the policy, the workload and the segment's seed if not 0.
+// value), the policy, the workload (a segment or a mix) with a digest of
+// every trace file it replays, and the segment's seed if not 0.
 func cellKey(kind string, cfg sim.Config, policy string, w fmt.Stringer, seed uint64) string {
 	cfg.Check = false
 	key := kind + "/" + journal.ConfigHash(cfg) + "/" + policy + "/" + w.String()
+	var ids []workload.SegmentID
+	switch w := w.(type) {
+	case workload.SegmentID:
+		ids = []workload.SegmentID{w}
+	case workload.Mix:
+		ids = w[:]
+	}
+	for _, id := range ids {
+		if d := workload.TraceDigest(id.Bench); d != "" {
+			key += "/" + d
+		}
+	}
 	if seed != 0 {
 		key += "/seed" + strconv.FormatUint(seed, 10)
 	}

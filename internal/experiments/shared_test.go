@@ -327,3 +327,31 @@ func TestSingleThreadFailureRules(t *testing.T) {
 		t.Errorf("FailedCells %v, want %v", tab.FailedCells, want)
 	}
 }
+
+// TestDuelCandidatesDoNotShare: a set-dueling policy is keyed by the duel
+// candidates it reads, so figadapt with the default lineup and then with
+// tuned candidates on one journal reads the tuned run's own cells.
+func TestDuelCandidatesDoNotShare(t *testing.T) {
+	tuned, err := core.ParseDuelCandidates("0,-9,-38,-117,42,15,6,0,0;0,-1,-3,-87,-6,15,2,1,0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := []workload.SegmentID{{Bench: "gcc_like", Seg: 0}}
+	shared := journal.Memory()
+	adaptive := func(duel []core.ThresholdSet) string {
+		tab, err := AdaptiveVsStatic(tinyST(), "mpppb", "mpppb-adaptive", segs, 1, &Run{Journal: shared, Workers: 4, Duel: duel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%.4f", tab.Rows[0].Adaptive.Mean)
+	}
+	if got := adaptive(nil); got != "185.7464" {
+		t.Fatalf("the default duel read %s MPKI, want 185.7464", got)
+	}
+	if got := adaptive(tuned); got != "185.7580" {
+		t.Fatalf("the tuned duel after the default one read %s MPKI, want its own 185.7580", got)
+	}
+	if (&Run{}).named("mpppb-adaptive").id != "mpppb-adaptive" || (&Run{Duel: tuned}).named("mpppb").id != "mpppb" {
+		t.Error("a policy that reads no candidates, or the default ones, changed its key")
+	}
+}

@@ -1,10 +1,9 @@
 package sim
 
-// Regression tests for the untimed drivers' clock: the "now" passed down
-// the hierarchy must never move backward across the warmup→measure
+// Regression tests for the untimed drivers' clock: the "now" each LLC
+// access carries must never move backward across the warmup→measure
 // boundary (it used to reset to 0 with the loop counter, sending time
-// backward and confusing timestamp-ordered state such as the prefetcher's
-// stream LRU).
+// backward for any policy that orders by it).
 
 import (
 	"testing"

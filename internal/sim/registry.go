@@ -114,6 +114,13 @@ func PolicyWith(name string, cands []core.ThresholdSet) (PolicyFactory, error) {
 	return func(sets, ways int) cache.ReplacementPolicy { return core.NewMPPPB(sets, ways, p) }, nil
 }
 
+// Duels reports whether name is a set-dueling MPPPB policy, one whose
+// candidates PolicyWith replaces.
+func Duels(name string) bool {
+	_, ok := adaptiveParams[name]
+	return ok
+}
+
 // adaptiveParams are the params of the set-dueling MPPPB policies, whose
 // candidates PolicyWith can replace.
 var adaptiveParams = map[string]func() core.Params{

@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -128,7 +127,9 @@ var (
 // throughput fields from r.LLCAccesses, so call it after the LLC counters
 // are in place. If any other measurement overlapped this one, the
 // process-wide malloc delta is meaningless for this run and
-// AllocsPerAccess reports -1.
+// AllocsPerAccess reports -1. The function closes the window once: called
+// with nil, as a run that panicked does, it closes it and records nothing,
+// and later calls do nothing.
 func startMeasure() func(r *Result) {
 	startedOverlapped := activeMeasures.Add(1) > 1
 	if startedOverlapped {
@@ -138,11 +139,19 @@ func startMeasure() func(r *Result) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	m0, t0 := ms.Mallocs, time.Now()
+	closed := false
 	return func(r *Result) {
+		if closed {
+			return
+		}
+		closed = true
+		activeMeasures.Add(-1)
+		if r == nil {
+			return
+		}
 		sec := time.Since(t0).Seconds()
 		runtime.ReadMemStats(&ms)
 		overlapped := startedOverlapped || overlapEvents.Load() != seq0
-		activeMeasures.Add(-1)
 		r.SimSeconds = sec
 		if r.LLCAccesses > 0 {
 			if sec > 0 {
@@ -201,13 +210,13 @@ func newBatchReader(gen trace.Generator) *batchReader {
 	return r
 }
 
-// next returns the next record; the pointer is valid until the following
-// call. An exhausted generator (trace.FillBatch returning 0: a finite,
-// non-wrapping source that ran dry mid-run) is a panic rather than a
-// silent replay of stale buffer contents; all four drivers read through
-// this cursor, so the panic surfaces as an explicit run failure — under
-// the experiment engine, a captured *parallel.PanicError on that one cell
-// — never as corrupted statistics.
+// next returns the next record, or nil once the source is exhausted
+// (trace.FillBatch returning 0: a finite, non-wrapping source that ran
+// dry). The pointer is valid until the following call. Every driver reads
+// through this cursor in its cores' captures, and a capture hands
+// exhaustion to the replay, which panics only if it needs a record past
+// it: under the experiment engine, a captured *parallel.PanicError on
+// that one cell, never corrupted statistics or a stale buffer replayed.
 func (r *batchReader) next() *trace.Record {
 	if r.pos >= r.n {
 		if r.cb != nil {
@@ -216,7 +225,7 @@ func (r *batchReader) next() *trace.Record {
 			r.n = trace.FillBatch(r.gen, r.buf[:])
 		}
 		if r.n == 0 {
-			panic(fmt.Sprintf("sim: generator %q exhausted mid-run (FillBatch returned 0); the run needs more records than the source holds", r.gen.Name()))
+			return nil
 		}
 		r.pos = 0
 	}
@@ -250,8 +259,9 @@ func RunSingle(cfg Config, gen trace.Generator, pf PolicyFactory) Result {
 // same counters RunSingle reports). This is the "fast simulator that only
 // measures average MPKI" used for the feature search (Section 5.1). It
 // skips the timing model, not the generator or the upper hierarchy, which
-// is what an untimed run spends: at default scale, on four segments on a
-// shared 2-vCPU Xeon, it took 0.8–1.9 s against RunSingle's 1.0–2.4 s.
+// its capture still runs: at default scale, on four segments on a shared
+// 2-vCPU Xeon, it took 0.8–1.9 s against RunSingle's 1.0–2.4 s, both
+// before a cell's capture ran on a CPU of its own.
 func RunFastMPKI(cfg Config, gen trace.Generator, pf PolicyFactory) Result {
 	gen.Reset()
 	res := newMachine(cfg, pf, false, gen).run(nil, nil)

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"strings"
@@ -25,29 +28,43 @@ const tracePrefix = "trace:"
 var traceCache sync.Map // path -> traceEntry
 
 type traceEntry struct {
-	recs []trace.Record
-	err  error
+	recs   []trace.Record
+	digest string // of the file's bytes
+	err    error
 }
 
-func loadTrace(path string) ([]trace.Record, error) {
+func loadTrace(path string) (traceEntry, error) {
 	if e, ok := traceCache.Load(path); ok {
 		ent := e.(traceEntry)
-		return ent.recs, ent.err
+		return ent, ent.err
 	}
 	var ent traceEntry
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		ent.err = err
 	} else {
-		ent.recs, ent.err = trace.ReadAll(f)
-		f.Close()
+		sum := sha256.Sum256(data)
+		ent.digest = hex.EncodeToString(sum[:8])
+		ent.recs, ent.err = trace.ReadAll(bytes.NewReader(data))
 		if ent.err == nil && len(ent.recs) == 0 {
 			ent.err = fmt.Errorf("workload: trace %s is empty", path)
 		}
 	}
 	e, _ := traceCache.LoadOrStore(path, ent)
 	ent = e.(traceEntry)
-	return ent.recs, ent.err
+	return ent, ent.err
+}
+
+// TraceDigest returns a short hash of the bytes of the file that a
+// "trace:<path>" benchmark replays, as this process read them, and "" for
+// any other benchmark or an unreadable file. A cell keyed by the path
+// alone would outlive a change to the file.
+func TraceDigest(bench string) string {
+	if !strings.HasPrefix(bench, tracePrefix) {
+		return ""
+	}
+	ent, _ := loadTrace(bench[len(tracePrefix):])
+	return ent.digest
 }
 
 func init() {
@@ -65,11 +82,11 @@ func init() {
 			Name:  name,
 			Class: "external-trace",
 			Make: func(seg int, base uint64) trace.Generator {
-				recs, err := loadTrace(path)
+				ent, err := loadTrace(path)
 				if err != nil {
 					panic(fmt.Sprintf("workload: loading %s: %v", path, err))
 				}
-				return newTraceSegment(segName(name, seg), recs, seg, base)
+				return newTraceSegment(segName(name, seg), ent.recs, seg, base)
 			},
 		}, true
 	})

@@ -8,7 +8,10 @@
 # its original point from fig4's journal and still print the bytes of a
 # run without one. A third pass does the same for single-thread cells:
 # fig3 must read its MIN references from fig6's journal, and figadapt
-# its static seed-0 cells from fig3's paper set. The Go test
+# its static seed-0 cells from fig3's paper set. A fourth pass changes
+# the trace file behind a trace:<path> benchmark between a journaled run
+# and its resume: the resumed run must recompute that file's cells and
+# print the bytes of a run without the journal. The Go test
 # (cmd/mpppb-experiments/resume_test.go)
 # pins the library-level semantics deterministically; this script checks
 # the end-to-end flow — signal handling, exit codes, the flag plumbing —
@@ -109,3 +112,26 @@ $BIN -id figadapt $S -out "$tmp/st-res" -journal "$tmp/st.journal" -resume 2>"$t
 served 'fast/[0-9a-f]+/mpppb/(mcf_like|sphinx3_like)-0' "$tmp/st-adapt.log" 2
 cmp "$tmp/st-ref/figadapt.tsv" "$tmp/st-res/figadapt.tsv"
 echo "PASS: fig3 read fig6's MIN cells and figadapt fig3's paper set from the journal, and both printed the bytes of runs without one"
+
+# A trace:<path> segment's cells are keyed by a digest of the file's
+# bytes as well as its path, so a resume after the file changed must
+# serve none of the old file's cells.
+TRACE="$tmp/mpppb-trace"
+go build -o "$TRACE" ./cmd/mpppb-trace
+T="-id fig7 -benches trace:$tmp/t.trc -st-policies mpppb -warmup 20000 -measure 80000 -j 1"
+
+echo "== fig7 on a captured trace file (-journal)"
+$TRACE -capture mcf_like-0 -n 200000 -o "$tmp/t.trc" >/dev/null
+$BIN $T -q -out "$tmp/tr-old" -journal "$tmp/tr.journal"
+
+echo "== the file replaced, a reference run (no journal) and a resumed run"
+$TRACE -capture gcc_like-0 -n 200000 -o "$tmp/t.trc" >/dev/null
+$BIN $T -q -out "$tmp/tr-ref"
+$BIN $T -out "$tmp/tr-res" -journal "$tmp/tr.journal" -resume 2>"$tmp/tr-res.log"
+served '.*' "$tmp/tr-res.log" 0
+if cmp -s "$tmp/tr-old/fig7.tsv" "$tmp/tr-ref/fig7.tsv"; then
+    echo "the two trace files gave the same fig7; the pass proves nothing" >&2
+    exit 1
+fi
+cmp "$tmp/tr-ref/fig7.tsv" "$tmp/tr-res/fig7.tsv"
+echo "PASS: the resumed run recomputed the changed trace file's cells and printed the bytes of a run without the journal"
