@@ -39,7 +39,8 @@ bench:
 
 # Hot-path microbenchmarks: predictor confidence, the per-feature-kind and
 # per-feature-set predictor gather, one LLC access, the set probe and
-# victim scan, one Hierarchy.Demand, one prefetcher miss, the core timing
+# victim scan, one demand's capture through L1, L2 and the prefetcher and
+# its replay into the LLC, one prefetcher miss, the core timing
 # model's share of one trace record, one Zipf draw per table size,
 # generator batching per Zipf segment, the advice-serving round trip, and
 # the end-to-end fig6 segment. See docs/PERFORMANCE.md.
@@ -129,6 +130,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzPredictorKernel -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run NONE -fuzz FuzzCacheOps -fuzztime $(FUZZTIME) ./internal/verify
+	$(GO) test -run NONE -fuzz FuzzPrivateLevelMatchesCache -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run NONE -fuzz FuzzJournalLoad -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run NONE -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run NONE -fuzz FuzzIngestTrace -fuzztime $(FUZZTIME) ./internal/trace

@@ -98,11 +98,9 @@ func BenchmarkVictimScan(b *testing.B) {
 // sequential stream, the rest fall at random in a 4 MB footprint, and one
 // in four is a store. A steady-state demand must not allocate.
 func BenchmarkHierarchyDemand(b *testing.B) {
-	lru := func(name string, size, ways int) *cache.Cache {
-		return cache.NewBySize(name, size, ways, policy.NewLRU(size/trace.BlockSize/ways, ways))
-	}
-	priv := cache.NewPrivate(0, lru("l1d", 32<<10, 8), lru("l2", 256<<10, 8), prefetch.NewStream())
-	port := cache.NewPort(priv, lru("llc", 2<<20, 16), cache.DefaultLatencies())
+	priv := cache.NewPrivate(0, cache.Geometry{Size: 32 << 10, Ways: 8}, cache.Geometry{Size: 256 << 10, Ways: 8}, prefetch.NewStream())
+	llc := cache.NewBySize("llc", 2<<20, 16, policy.NewLRU(2<<20/trace.BlockSize/16, 16))
+	port := cache.NewPort(priv, llc, cache.DefaultLatencies())
 	words := make([]uint64, 0, cache.MaxWords)
 	rng := rand.New(rand.NewSource(1))
 	refs := make([]trace.Record, 1<<16)

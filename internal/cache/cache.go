@@ -1,15 +1,18 @@
-// Package cache implements the set-associative cache model and the
+// Package cache implements the set-associative cache models and the
 // three-level hierarchy used by the simulator, mirroring the methodology of
 // Section 4.1 of the paper: 32KB 8-way L1 data cache, 256KB 8-way unified
 // L2, and a 16-way last-level cache of 2MB (single-thread) or 8MB
 // (multi-programmed), with 64-byte blocks throughout and a 200-cycle DRAM
 // latency.
 //
-// Replacement decisions are delegated to a ReplacementPolicy, which is where
-// LRU, SRRIP, MDPP, the baselines (SDBP, Perceptron, Hawkeye) and the
-// paper's MPPPB all plug in. Policies see every lookup outcome via
+// Only the LLC's replacement policy varies. A Cache, the LLC, delegates
+// its replacement decisions to a ReplacementPolicy, which is where LRU,
+// SRRIP, MDPP, the baselines (SDBP, Perceptron, Hawkeye) and the paper's
+// MPPPB all plug in. Policies see every lookup outcome via
 // Hit/Victim/Fill/Evict callbacks; Victim may additionally request bypass,
-// which the paper's techniques use for dead-on-arrival blocks.
+// which the paper's techniques use for dead-on-arrival blocks. L1 and L2
+// are always true LRU and never bypass, so each is a PrivateLevel
+// (private.go), which ranks its frames itself with no policy interface.
 package cache
 
 import (
@@ -44,11 +47,11 @@ func (a Access) Offset() uint64 { return a.Addr & (trace.BlockSize - 1) }
 func (a Access) IsDemand() bool { return a.Type == trace.Load || a.Type == trace.Store }
 
 // Frame storage is struct-of-arrays: the per-frame fields live in parallel
-// slices (addrs, readyAts, flags), row-major by set, rather than in an
-// array of frame structs. The way scan in Lookup/access then streams over a
-// contiguous lane of 8-byte block addresses — ways*8 bytes per set, two
-// cache lines for a 16-way LLC — instead of striding 24-byte structs, and
-// the three booleans pack into one byte per frame.
+// slices (addrs, flags, and a Cache's readyAts), row-major by set, rather
+// than in an array of frame structs. The way scan in Lookup/access then
+// streams over a contiguous lane of 8-byte block addresses — ways*8 bytes
+// per set, two cache lines for a 16-way LLC — instead of striding 24-byte
+// structs, and the three booleans pack into one byte per frame.
 //
 // Invalid frames additionally hold the sentinel noBlock in the address
 // lane, so a tag-lane comparison can never match a stale address; flags
@@ -183,17 +186,87 @@ type Observer interface {
 	OnInvalidate(blockAddr uint64, present bool)
 }
 
-// Cache is one level of set-associative cache.
-type Cache struct {
+// frames is the frame storage a Cache and a PrivateLevel share: the tag
+// lane, the flags and the hole counts, sets*ways frames row-major by set,
+// with the geometry that indexes them.
+type frames struct {
 	name    string
 	sets    int
 	ways    int
 	setMask uint64
-	// Struct-of-arrays frame storage, sets*ways each, row-major by set.
-	addrs    []uint64 // block-address (tag) lane; noBlock when invalid
-	readyAts []uint64 // data-arrival cycles
-	flags    []uint8  // frameValid | frameDirty | framePrefetched
-	holes    []uint8  // invalid frames per set
+	addrs   []uint64 // block-address (tag) lane; noBlock when invalid
+	flags   []uint8  // frameValid | frameDirty | framePrefetched
+	holes   []uint8  // invalid frames per set
+}
+
+// newFrames builds the storage of a level of the given geometry, every
+// frame invalid. It panics unless the sets are a positive power of two
+// and the ways number 1 to 255.
+func newFrames(name string, sets, ways int) frames {
+	if sets <= 0 || ways <= 0 {
+		panic(fmt.Sprintf("cache %s: non-positive geometry %dx%d", name, sets, ways))
+	}
+	if ways > 255 {
+		panic(fmt.Sprintf("cache %s: %d ways exceed the limit of 255", name, ways))
+	}
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("cache %s: sets %d is not a power of two", name, sets))
+	}
+	f := frames{
+		name:    name,
+		sets:    sets,
+		ways:    ways,
+		setMask: uint64(sets - 1),
+		addrs:   make([]uint64, sets*ways),
+		flags:   make([]uint8, sets*ways),
+		holes:   make([]uint8, sets),
+	}
+	f.clear()
+	return f
+}
+
+// setsOf returns the sets of a sizeBytes-byte level of the given ways.
+func setsOf(name string, sizeBytes, ways int) int {
+	blocks := sizeBytes / trace.BlockSize
+	if ways <= 0 || blocks%ways != 0 {
+		panic(fmt.Sprintf("cache %s: size %d not divisible into %d ways", name, sizeBytes, ways))
+	}
+	return blocks / ways
+}
+
+// clear invalidates every frame.
+func (f *frames) clear() {
+	for i := range f.addrs {
+		f.addrs[i] = noBlock
+		f.flags[i] = 0
+	}
+	for set := range f.holes {
+		f.holes[set] = uint8(f.ways)
+	}
+}
+
+// hole returns the lowest invalid way of the set whose first frame is
+// base and counts it filled, or returns -1 when the set has none. The
+// first noBlock in the tag lane is the lowest invalid way, and the set's
+// hole count says whether there is one.
+func (f *frames) hole(set, base int) int {
+	if f.holes[set] == 0 {
+		return -1
+	}
+	for w, fa := range f.addrs[base : base+f.ways] {
+		if fa == noBlock {
+			f.holes[set]--
+			return w
+		}
+	}
+	return -1
+}
+
+// Cache is one level of set-associative cache whose replacement a policy
+// decides: the LLC.
+type Cache struct {
+	frames
+	readyAts []uint64 // data-arrival cycles, sets*ways
 	policy   ReplacementPolicy
 	obs      Observer
 
@@ -207,50 +280,27 @@ type Cache struct {
 // to keep geometry errors loud. The number of sets must be a power of two,
 // and a set holds at most 255 ways.
 func New(name string, sets, ways int, policy ReplacementPolicy) *Cache {
-	if sets <= 0 || ways <= 0 {
-		panic(fmt.Sprintf("cache %s: non-positive geometry %dx%d", name, sets, ways))
-	}
-	if ways > 255 {
-		panic(fmt.Sprintf("cache %s: %d ways exceed the limit of 255", name, ways))
-	}
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache %s: sets %d is not a power of two", name, sets))
-	}
-	c := &Cache{
-		name:     name,
-		sets:     sets,
-		ways:     ways,
-		setMask:  uint64(sets - 1),
-		addrs:    make([]uint64, sets*ways),
-		readyAts: make([]uint64, sets*ways),
-		flags:    make([]uint8, sets*ways),
-		holes:    make([]uint8, sets),
-		policy:   policy,
-	}
-	c.Reset()
+	c := &Cache{frames: newFrames(name, sets, ways), policy: policy}
+	c.readyAts = make([]uint64, sets*ways)
 	return c
 }
 
 // NewBySize constructs a cache from a total size in bytes and associativity.
 func NewBySize(name string, sizeBytes, ways int, policy ReplacementPolicy) *Cache {
-	blocks := sizeBytes / trace.BlockSize
-	if blocks%ways != 0 {
-		panic(fmt.Sprintf("cache %s: size %d not divisible into %d ways", name, sizeBytes, ways))
-	}
-	return New(name, blocks/ways, ways, policy)
+	return New(name, setsOf(name, sizeBytes, ways), ways, policy)
 }
 
-// Name returns the cache's identifying name.
-func (c *Cache) Name() string { return c.name }
+// Name returns the level's identifying name.
+func (f *frames) Name() string { return f.name }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+func (f *frames) Sets() int { return f.sets }
 
 // Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
+func (f *frames) Ways() int { return f.ways }
 
 // SizeBytes returns the total capacity in bytes.
-func (c *Cache) SizeBytes() int { return c.sets * c.ways * trace.BlockSize }
+func (f *frames) SizeBytes() int { return f.sets * f.ways * trace.BlockSize }
 
 // Policy returns the attached replacement policy.
 func (c *Cache) Policy() ReplacementPolicy { return c.policy }
@@ -265,15 +315,15 @@ func (c *Cache) SetObserver(obs Observer) { c.obs = obs }
 func (c *Cache) SetPolicy(p ReplacementPolicy) { c.policy = p }
 
 // SetIndex returns the set index for a block address.
-func (c *Cache) SetIndex(blockAddr uint64) int { return int(blockAddr & c.setMask) }
+func (f *frames) SetIndex(blockAddr uint64) int { return int(blockAddr & f.setMask) }
 
-// Lookup probes the cache without changing any state. It returns the way
+// Lookup probes the level without changing any state. It returns the way
 // holding the block, or -1 on a miss.
-func (c *Cache) Lookup(blockAddr uint64) (set, way int) {
-	set = c.SetIndex(blockAddr)
-	base := set * c.ways
+func (f *frames) Lookup(blockAddr uint64) (set, way int) {
+	set = f.SetIndex(blockAddr)
+	base := set * f.ways
 	// Invalid frames hold noBlock in the tag lane, so a match implies valid.
-	for w, a := range c.addrs[base : base+c.ways] {
+	for w, a := range f.addrs[base : base+f.ways] {
 		if a == blockAddr {
 			return set, w
 		}
@@ -282,25 +332,25 @@ func (c *Cache) Lookup(blockAddr uint64) (set, way int) {
 }
 
 // Contains reports whether the block is present.
-func (c *Cache) Contains(blockAddr uint64) bool {
-	_, way := c.Lookup(blockAddr)
+func (f *frames) Contains(blockAddr uint64) bool {
+	_, way := f.Lookup(blockAddr)
 	return way >= 0
 }
 
 // BlockAddrAt returns the block address stored in (set, way) and whether
 // the frame is valid.
-func (c *Cache) BlockAddrAt(set, way int) (uint64, bool) {
-	i := set*c.ways + way
-	if c.flags[i]&frameValid == 0 {
+func (f *frames) BlockAddrAt(set, way int) (uint64, bool) {
+	i := set*f.ways + way
+	if f.flags[i]&frameValid == 0 {
 		return 0, false
 	}
-	return c.addrs[i], true
+	return f.addrs[i], true
 }
 
 // IsPrefetchedAt reports whether the block in (set, way) was installed by a
 // prefetch and has not yet been demand-referenced.
-func (c *Cache) IsPrefetchedAt(set, way int) bool {
-	return c.flags[set*c.ways+way]&framePrefetched != 0
+func (f *frames) IsPrefetchedAt(set, way int) bool {
+	return f.flags[set*f.ways+way]&framePrefetched != 0
 }
 
 // Access performs a full lookup-and-fill. On a miss the block is installed
@@ -375,18 +425,7 @@ func (c *Cache) lookupFill(a Access) outcome {
 	}
 
 	// Fill the lowest invalid frame, or else replace the policy's victim.
-	// The first noBlock in the tag lane is the lowest invalid way, and the
-	// set's hole count says whether there is one.
-	o := outcome{set: set, way: -1}
-	if c.holes[set] > 0 {
-		for w, fa := range c.addrs[base : base+c.ways] {
-			if fa == noBlock {
-				o.way = w
-				c.holes[set]--
-				break
-			}
-		}
-	}
+	o := outcome{set: set, way: c.hole(set, base)}
 	if o.way < 0 {
 		victim, bypass := c.policy.Victim(set, a)
 		if bypass {
@@ -442,23 +481,23 @@ func (c *Cache) Invalidate(blockAddr uint64) (present, dirty bool) {
 }
 
 // DumpSet renders the frames of one set for divergence diagnostics.
-func (c *Cache) DumpSet(set int) string {
-	base := set * c.ways
-	s := fmt.Sprintf("%s set %d:", c.name, set)
-	for w := 0; w < c.ways; w++ {
+func (f *frames) DumpSet(set int) string {
+	base := set * f.ways
+	s := fmt.Sprintf("%s set %d:", f.name, set)
+	for w := 0; w < f.ways; w++ {
 		i := base + w
-		if c.flags[i]&frameValid == 0 {
+		if f.flags[i]&frameValid == 0 {
 			s += fmt.Sprintf(" [%d: -]", w)
 			continue
 		}
 		flags := ""
-		if c.flags[i]&frameDirty != 0 {
+		if f.flags[i]&frameDirty != 0 {
 			flags += "D"
 		}
-		if c.flags[i]&framePrefetched != 0 {
+		if f.flags[i]&framePrefetched != 0 {
 			flags += "P"
 		}
-		s += fmt.Sprintf(" [%d: %#x %s]", w, c.addrs[i], flags)
+		s += fmt.Sprintf(" [%d: %#x %s]", w, f.addrs[i], flags)
 	}
 	return s
 }
@@ -468,28 +507,28 @@ func (c *Cache) DumpSet(set int) string {
 // sentinel (which would let a stale tag match), or a hole count other than
 // its number of invalid frames (too low would let a miss evict instead of
 // filling a hole). Compiled in only under the verify build tag.
-func (c *Cache) assertSetWellFormed(set int) {
-	base := set * c.ways
+func (f *frames) assertSetWellFormed(set int) {
+	base := set * f.ways
 	invalid := 0
-	for w := 0; w < c.ways; w++ {
-		if c.flags[base+w]&frameValid == 0 {
-			if c.addrs[base+w] != noBlock {
+	for w := 0; w < f.ways; w++ {
+		if f.flags[base+w]&frameValid == 0 {
+			if f.addrs[base+w] != noBlock {
 				panic(fmt.Sprintf("cache %s: invalid frame %d of set %d holds tag %#x instead of the empty sentinel",
-					c.name, w, set, c.addrs[base+w]))
+					f.name, w, set, f.addrs[base+w]))
 			}
 			invalid++
 			continue
 		}
-		for w2 := w + 1; w2 < c.ways; w2++ {
-			if c.flags[base+w2]&frameValid != 0 && c.addrs[base+w2] == c.addrs[base+w] {
+		for w2 := w + 1; w2 < f.ways; w2++ {
+			if f.flags[base+w2]&frameValid != 0 && f.addrs[base+w2] == f.addrs[base+w] {
 				panic(fmt.Sprintf("cache %s: duplicate block %#x in ways %d and %d of %s",
-					c.name, c.addrs[base+w], w, w2, c.DumpSet(set)))
+					f.name, f.addrs[base+w], w, w2, f.DumpSet(set)))
 			}
 		}
 	}
-	if invalid != int(c.holes[set]) {
+	if invalid != int(f.holes[set]) {
 		panic(fmt.Sprintf("cache %s: set %d has %d invalid frames and a hole count of %d",
-			c.name, set, invalid, c.holes[set]))
+			f.name, set, invalid, f.holes[set]))
 	}
 }
 
@@ -503,14 +542,8 @@ func (c *Cache) ReadyAt(set, way int) uint64 { return c.readyAts[set*c.ways+way]
 // Reset invalidates all blocks and zeroes statistics. The replacement
 // policy's state is not reset; construct a fresh policy for a fresh cache.
 func (c *Cache) Reset() {
-	for i := range c.addrs {
-		c.addrs[i] = noBlock
-		c.readyAts[i] = 0
-		c.flags[i] = 0
-	}
-	for set := range c.holes {
-		c.holes[set] = uint8(c.ways)
-	}
+	c.clear()
+	clear(c.readyAts)
 	c.Stats = Stats{}
 }
 

@@ -94,34 +94,36 @@ func (o Op) NonMem() int { return int(o & 0xffff) }
 // Instructions returns the instructions the op's record retires.
 func (o Op) Instructions() uint64 { return uint64(o&0xffff) + 1 }
 
+// Geometry is the shape of one private level: its capacity in bytes and
+// its associativity.
+type Geometry struct {
+	Size, Ways int
+}
+
 // Private is one core's private levels as a capture runs them: the L1
 // data cache, the unified L2 and the prefetcher (nil for none). L1 and L2
-// always use LRU, as in the paper; neither may bypass. A capture reads no
-// clock and never touches the LLC.
+// are PrivateLevels: always LRU, as in the paper, and never bypassing. A
+// capture reads no clock and never touches the LLC.
 type Private struct {
 	core   int
-	l1, l2 *Cache
+	l1, l2 *PrivateLevel
 	pf     Prefetcher
 }
 
-// NewPrivate builds core's private levels. It panics when a level has
-// more frames than an Op can name.
-func NewPrivate(core int, l1, l2 *Cache, pf Prefetcher) *Private {
-	if l1.sets*l1.ways > maxL1Frames || l2.sets*l2.ways > maxL2Frames {
+// NewPrivate builds core's private levels, "l1d" and "l2", of the given
+// geometries. It panics on a geometry a Cache would refuse, and when a
+// level has more frames than an Op can name.
+func NewPrivate(core int, l1, l2 Geometry, pf Prefetcher) *Private {
+	s1, s2 := setsOf("l1d", l1.Size, l1.Ways), setsOf("l2", l2.Size, l2.Ways)
+	if s1*l1.Ways > maxL1Frames || s2*l2.Ways > maxL2Frames {
 		panic(fmt.Sprintf("cache: %d L1 and %d L2 frames exceed the %d and %d a capture can name",
-			l1.sets*l1.ways, l2.sets*l2.ways, maxL1Frames, maxL2Frames))
+			s1*l1.Ways, s2*l2.Ways, maxL1Frames, maxL2Frames))
 	}
-	return &Private{core: core, l1: l1, l2: l2, pf: pf}
+	return &Private{core: core, l1: newPrivateLevel("l1d", s1, l1.Ways), l2: newPrivateLevel("l2", s2, l2.Ways), pf: pf}
 }
 
-// frame returns the frame an access touched or filled. The private levels
-// never bypass, so every access that reaches one has a frame.
-func (c *Cache) frame(o outcome) Op {
-	if o.bypassed() {
-		panic(fmt.Sprintf("cache %s: policy %s bypassed a private-level fill", c.name, c.policy.Name()))
-	}
-	return Op(o.set*c.ways + o.way)
-}
+// Levels returns the core's L1 and L2.
+func (p *Private) Levels() (l1, l2 *PrivateLevel) { return p.l1, p.l2 }
 
 // Capture runs one trace record through L1, L2 and the prefetcher, in the
 // order of a serial hierarchy, and appends its op and side words to words,
@@ -131,14 +133,15 @@ func (c *Cache) frame(o outcome) Op {
 func (p *Private) Capture(rec *trace.Record, words []uint64) []uint64 {
 	w := words[len(words) : len(words)+MaxWords]
 	op := Op(rec.NonMem)
-	a := Access{PC: rec.PC, Addr: rec.Addr, Type: trace.Load, Core: p.core}
+	typ := trace.Load
 	if rec.IsWrite {
-		a.Type = trace.Store
+		typ = trace.Store
 		op |= opStore
 	}
-	r1 := p.l1.access(a)
+	block := rec.Addr >> trace.BlockBits
+	r1 := p.l1.access(block, typ)
 	if r1.hit() {
-		w[0] = uint64(op | opL1Hit | Op(r1.set*p.l1.ways+r1.way)<<opL1Bits)
+		w[0] = uint64(op | opL1Hit | p.l1.frame(r1)<<opL1Bits)
 		return words[:len(words)+1]
 	}
 	op |= p.l1.frame(r1) << opL1Bits
@@ -149,7 +152,7 @@ func (p *Private) Capture(rec *trace.Record, words []uint64) []uint64 {
 		prefetches = p.pf.OnL1Miss(rec.PC, rec.Addr)
 	}
 	n := 1
-	r2 := p.l2.access(a)
+	r2 := p.l2.access(block, typ)
 	op |= p.l2.frame(r2) << opL2Bits
 	if r2.hit() {
 		op |= opL2Hit
@@ -160,16 +163,17 @@ func (p *Private) Capture(rec *trace.Record, words []uint64) []uint64 {
 			w[3], n = victim, 4
 		}
 	}
-	// The L1 dirty victim goes to L2 (update-if-present; see Access docs).
+	// The L1 dirty victim goes to L2, which updates it if present and
+	// otherwise drops it (see PrivateLevel.access).
 	if victim, dirty := r1.dirtyVictim(); dirty {
-		p.l2.access(Access{Addr: victim << trace.BlockBits, Type: trace.Writeback, Core: p.core})
+		p.l2.access(victim, trace.Writeback)
 	}
 	if len(prefetches) > maxPrefetches {
 		panic(fmt.Sprintf("cache: prefetcher returned %d addresses; a record carries at most %d", len(prefetches), maxPrefetches))
 	}
 	var missed Op
 	for _, pa := range prefetches {
-		r := p.l2.access(Access{PC: trace.PrefetchPC, Addr: pa, Type: trace.Prefetch, Core: p.core})
+		r := p.l2.access(pa>>trace.BlockBits, trace.Prefetch)
 		if r.hit() {
 			continue
 		}

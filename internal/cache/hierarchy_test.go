@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 
 	"mpppb/internal/trace"
@@ -10,17 +11,23 @@ import (
 // goroutine: each record is captured into a block of its own and replayed
 // at once, the way a pipelined machine meets it.
 type serial struct {
-	L1, L2, LLC *Cache
-	Lat         Latencies
-	priv        *Private
-	port        *Port
-	words       []uint64
+	L1, L2 *PrivateLevel
+	LLC    *Cache
+	Lat    Latencies
+	priv   *Private
+	port   *Port
+	words  []uint64
 }
 
-func newSerial(l1, l2, llc *Cache, pf Prefetcher) *serial {
+// geom returns the geometry of a level of sets sets of ways ways.
+func geom(sets, ways int) Geometry { return Geometry{Size: sets * ways * trace.BlockSize, Ways: ways} }
+
+func newSerial(l1, l2 Geometry, llc *Cache, pf Prefetcher) *serial {
 	priv := NewPrivate(0, l1, l2, pf)
 	lat := DefaultLatencies()
-	return &serial{L1: l1, L2: l2, LLC: llc, Lat: lat, priv: priv, port: NewPort(priv, llc, lat), words: make([]uint64, 0, MaxWords)}
+	s := &serial{LLC: llc, Lat: lat, priv: priv, port: NewPort(priv, llc, lat), words: make([]uint64, 0, MaxWords)}
+	s.L1, s.L2 = priv.Levels()
+	return s
 }
 
 // Demand performs a demand load or store issued at cycle now and returns
@@ -34,16 +41,33 @@ func (s *serial) Demand(pc, addr uint64, isWrite bool, now uint64) int {
 	return lat
 }
 
-// buildTestHierarchy wires a small three-level hierarchy with LRU stubs.
+// buildTestHierarchy wires a small three-level hierarchy, the LLC under an
+// LRU stub.
 func buildTestHierarchy(pf Prefetcher) *serial {
-	mk := func(name string, sets, ways int) *Cache {
-		return New(name, sets, ways, newLRUStub(ways))
-	}
 	return newSerial(
-		mk("l1", 8, 2),   // 1KB
-		mk("l2", 32, 4),  // 8KB
-		mk("llc", 64, 8), // 32KB
+		geom(8, 2),                       // 1KB
+		geom(32, 4),                      // 8KB
+		New("llc", 64, 8, newLRUStub(8)), // 32KB
 		pf)
+}
+
+// levelCount counts a private level's accesses by type and outcome.
+type levelCount struct {
+	demands, demandMisses, prefetches, writebackHits int
+}
+
+func (c *levelCount) OnLevelAccess(_ uint64, typ trace.AccessType, r Result) {
+	switch {
+	case typ == trace.Load || typ == trace.Store:
+		c.demands++
+		if !r.Hit {
+			c.demandMisses++
+		}
+	case typ == trace.Prefetch:
+		c.prefetches++
+	case r.Hit:
+		c.writebackHits++
+	}
 }
 
 func TestDemandLatenciesByLevel(t *testing.T) {
@@ -108,7 +132,12 @@ func (f *fixedPrefetcher) OnL1Miss(pc, addr uint64) []uint64 {
 func TestPrefetchFillsL2AndLLCWithFakePC(t *testing.T) {
 	target := uint64(0x40000)
 	h := buildTestHierarchy(&fixedPrefetcher{addrs: []uint64{target}})
+	var l2 levelCount
+	h.L2.SetObserver(&l2)
 	h.Demand(0x400, 0x999000, false, 0) // trigger
+	if l2.prefetches != 1 {
+		t.Fatalf("prefetches issued to L2 = %d", l2.prefetches)
+	}
 	if !h.L2.Contains(target >> trace.BlockBits) {
 		t.Fatal("prefetch did not fill L2")
 	}
@@ -118,8 +147,8 @@ func TestPrefetchFillsL2AndLLCWithFakePC(t *testing.T) {
 	if h.L1.Contains(target >> trace.BlockBits) {
 		t.Fatal("prefetch filled L1 (should stop at L2)")
 	}
-	if h.L2.Stats.PrefetchAccesses != 1 {
-		t.Fatalf("prefetches issued to L2 = %d", h.L2.Stats.PrefetchAccesses)
+	if set, way := h.L2.Lookup(target >> trace.BlockBits); !h.L2.IsPrefetchedAt(set, way) {
+		t.Fatal("the prefetch's L2 frame is not marked prefetched")
 	}
 	if h.LLC.Stats.PrefetchFills != 1 {
 		t.Fatalf("LLC prefetch fills = %d", h.LLC.Stats.PrefetchFills)
@@ -144,19 +173,21 @@ func TestLatePrefetchPaysRemainingLatency(t *testing.T) {
 
 func TestWritebackPathToMemory(t *testing.T) {
 	h := buildTestHierarchy(nil)
+	var l2 levelCount
+	h.L2.SetObserver(&l2)
 	// Dirty a block, then evict it from L1 by filling the set; its L2 copy
 	// absorbs the writeback (present), so nothing goes below L2.
 	h.Demand(0x400, 0, true, 0)
 	h.Demand(0x400, 8*trace.BlockSize*1, false, 0)
 	h.Demand(0x400, 8*trace.BlockSize*2, false, 0) // evicts dirty block 0 from 2-way L1
-	if h.L2.Stats.Hits != 1 || h.LLC.Stats.Accesses != 3 {
+	if l2.writebackHits != 1 || h.LLC.Stats.Accesses != 3 {
 		t.Fatalf("the writeback hit L2 %d times and the LLC saw %d accesses, want 1 and 3 (the demands)",
-			h.L2.Stats.Hits, h.LLC.Stats.Accesses)
+			l2.writebackHits, h.LLC.Stats.Accesses)
 	}
-	// The L2 copy must now be dirty: evicting it from L2 sends it to the
-	// LLC, which holds a copy, so still no memory traffic.
-	if _, dirty := h.L2.Invalidate(0); !dirty {
-		t.Fatal("L2 copy not marked dirty by the writeback")
+	// The L2 copy must be dirty: evicting it from L2 sends it to the LLC,
+	// which holds a copy, so still no memory traffic.
+	if set, way := h.L2.Lookup(0); way < 0 || h.L2.flags[set*h.L2.ways+way]&frameDirty == 0 {
+		t.Fatal("L2 copy not marked dirty")
 	}
 }
 
@@ -188,5 +219,38 @@ func TestPrefetchHitInLLCArrivesAtLLCLatency(t *testing.T) {
 	h.Demand(0x400, addr(1), false, 1000) // an L1 miss that prefetches target
 	if got, want := h.Demand(0x400, addr(target), false, 1010), 1000+h.Lat.LLC-1010; got != want {
 		t.Fatalf("demand on an in-flight LLC-hit prefetch took %d cycles, want %d", got, want)
+	}
+}
+
+// TestNewPrivateValidation: NewPrivate refuses, by message, every
+// geometry a Cache refuses and every level with more frames than an Op
+// can name, and builds the paper's levels.
+func TestNewPrivateValidation(t *testing.T) {
+	ok := geom(64, 8)
+	for _, bad := range []struct {
+		name   string
+		l1, l2 Geometry
+		msg    string
+	}{
+		{"zero size", Geometry{0, 8}, ok, "non-positive geometry"},
+		{"zero ways", Geometry{4096, 0}, ok, "not divisible"},
+		{"size not whole sets", Geometry{100 * trace.BlockSize, 8}, ok, "not divisible"},
+		{"sets not a power of two", geom(3, 8), ok, "not a power of two"},
+		{"too many ways", ok, geom(1, 256), "exceed the limit of 255"},
+		{"too many L1 frames", geom(1<<18, 8), ok, "a capture can name"},
+		{"too many L2 frames", ok, geom(1<<19, 8), "a capture can name"},
+	} {
+		t.Run(bad.name, func(t *testing.T) {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, bad.msg) {
+					t.Errorf("NewPrivate(%+v, %+v) panicked with %q, want a message containing %q", bad.l1, bad.l2, msg, bad.msg)
+				}
+			}()
+			NewPrivate(0, bad.l1, bad.l2, nil)
+		})
+	}
+	l1, l2 := NewPrivate(0, Geometry{32 << 10, 8}, Geometry{256 << 10, 8}, nil).Levels()
+	if l1.Name() != "l1d" || l1.Sets() != 64 || l1.Ways() != 8 || l2.Name() != "l2" || l2.Sets() != 512 || l2.Ways() != 8 {
+		t.Fatalf("paper levels: %s %dx%d and %s %dx%d", l1.Name(), l1.Sets(), l1.Ways(), l2.Name(), l2.Sets(), l2.Ways())
 	}
 }

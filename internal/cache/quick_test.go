@@ -15,10 +15,10 @@ import (
 func TestHierarchyFillPathConsistency(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		rng := xrand.New(seed)
-		mk := func(name string, sets, ways int) *Cache {
-			return New(name, sets, ways, newLRUStub(ways))
-		}
-		h := newSerial(mk("l1", 4, 2), mk("l2", 16, 4), mk("llc", 64, 8), nil)
+		h := newSerial(geom(4, 2), geom(16, 4), New("llc", 64, 8, newLRUStub(8)), nil)
+		var l1, l2 levelCount
+		h.L1.SetObserver(&l1)
+		h.L2.SetObserver(&l2)
 		for i := 0; i < 3000; i++ {
 			addr := rng.Uint64n(1<<14) << 3
 			h.Demand(0x400+rng.Uint64n(16)*4, addr, rng.Intn(4) == 0, uint64(i))
@@ -29,8 +29,7 @@ func TestHierarchyFillPathConsistency(t *testing.T) {
 		}
 		// Conservation: L1 misses == L2 accesses (no prefetcher, and only
 		// demand traffic plus L1 writebacks reach L2).
-		demandToL2 := h.L2.Stats.DemandAccesses
-		return demandToL2 == h.L1.Stats.DemandMisses
+		return l2.demands == l1.demandMisses
 	}, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +40,7 @@ func TestHierarchyFillPathConsistency(t *testing.T) {
 func TestHierarchyLatencyBounds(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		rng := xrand.New(seed)
-		mk := func(name string, sets, ways int) *Cache {
-			return New(name, sets, ways, newLRUStub(ways))
-		}
-		h := newSerial(mk("l1", 4, 2), mk("l2", 16, 4), mk("llc", 64, 8), nil)
+		h := newSerial(geom(4, 2), geom(16, 4), New("llc", 64, 8, newLRUStub(8)), nil)
 		now := uint64(0)
 		for i := 0; i < 2000; i++ {
 			addr := rng.Uint64n(1<<13) * trace.BlockSize

@@ -112,7 +112,7 @@ func (v *Advisor) Predict(a cache.Access, set int, insert bool) int {
 // train performs the sampler access that updates the weight tables, using
 // the index vector left in the predictor by its last prediction for this
 // same access.
-func (v *Advisor) train(a cache.Access, set, conf int) {
+func (v *Advisor) train(a *cache.Access, set, conf int) {
 	if ss := v.sampler.sampledSet(set); ss >= 0 {
 		v.sampler.access(v.pred, ss, a.Block(), conf, v.pred.idx)
 		v.TrainEvents++
@@ -128,8 +128,8 @@ func (v *Advisor) AdviseHit(a cache.Access, set int) Advice {
 	if a.Type == trace.Writeback {
 		return Advice{}
 	}
-	conf := v.pred.predict(a, set, false)
-	v.train(a, set, conf)
+	conf := v.pred.predict(&a, set, false)
+	v.train(&a, set, conf)
 	ts := v.thresholdsFor(set)
 	adv := Advice{Conf: int16(conf)}
 	if conf > ts.Tau4 {
@@ -138,7 +138,7 @@ func (v *Advisor) AdviseHit(a cache.Access, set int) Advice {
 		adv.Promote = true
 		adv.Pos = int8(ts.PromotePos)
 	}
-	v.pred.observe(a, set, false, true)
+	v.pred.observe(&a, set, false, true)
 	return adv
 }
 
@@ -154,12 +154,12 @@ func (v *Advisor) AdviseMiss(a cache.Access, set int, mayBypass bool) Advice {
 	if a.Type == trace.Writeback {
 		return Advice{Bypass: true}
 	}
-	conf := v.predictMiss(a, set)
+	conf := v.predictMiss(&a, set)
 	if mayBypass && v.bypasses(set, conf) {
-		v.decline(a, set, conf)
+		v.decline(&a, set, conf)
 		return Advice{Conf: int16(conf), Bypass: true}
 	}
-	pos, slot := v.place(a, set, conf)
+	pos, slot := v.place(&a, set, conf)
 	return Advice{Conf: int16(conf), Pos: int8(pos), Slot: uint8(slot)}
 }
 
@@ -168,7 +168,7 @@ func (v *Advisor) AdviseMiss(a cache.Access, set int, mayBypass bool) Advice {
 
 // predictMiss votes the miss with the duel — in adaptive mode before any
 // threshold read — and predicts it.
-func (v *Advisor) predictMiss(a cache.Access, set int) int {
+func (v *Advisor) predictMiss(a *cache.Access, set int) int {
 	v.duelVote(set)
 	return v.pred.predict(a, set, true)
 }
@@ -181,7 +181,7 @@ func (v *Advisor) bypasses(set, conf int) bool {
 
 // decline trains on a bypassed miss, counts it, and records it as not
 // resident.
-func (v *Advisor) decline(a cache.Access, set, conf int) {
+func (v *Advisor) decline(a *cache.Access, set, conf int) {
 	v.train(a, set, conf)
 	v.Bypasses++
 	v.pred.observe(a, set, true, false)
@@ -189,7 +189,7 @@ func (v *Advisor) decline(a cache.Access, set, conf int) {
 
 // place trains on a placed miss, picks its position and statistic slot
 // (0 = MRU) from the thresholds, counts it, and records it as resident.
-func (v *Advisor) place(a cache.Access, set, conf int) (pos, slot int) {
+func (v *Advisor) place(a *cache.Access, set, conf int) (pos, slot int) {
 	v.train(a, set, conf)
 	pos, slot = v.thresholdsFor(set).placement(conf)
 	v.Placements[slot]++

@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 
-	"mpppb/internal/cache"
 	"mpppb/internal/trace"
 )
 
@@ -339,8 +338,3 @@ func FormatFeatureSet(fs []Feature) string {
 	}
 	return b.String()
 }
-
-// accessPC returns the PC to use for an access (prefetches carry the fake
-// PC already, so this is the identity today; kept for clarity at call
-// sites).
-func accessPC(a cache.Access) uint64 { return a.PC }

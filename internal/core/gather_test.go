@@ -78,7 +78,7 @@ func TestComputeIndicesMatchesScalarSum(t *testing.T) {
 			set := rng.Intn(64)
 			insert := rng.Bool()
 
-			gotConf := p.predict(a, set, insert)
+			gotConf := p.predict(&a, set, insert)
 			in := refInput(p, a, set, insert)
 			wantConf, wantIdx := refConf(p, &in)
 			if gotConf != wantConf {
@@ -111,7 +111,7 @@ func TestComputeIndicesMatchesScalarOnPaperSets(t *testing.T) {
 				p.weights[i] = w
 			}
 			a := cache.Access{PC: 0x402468, Addr: 0xdeadbeef, Type: trace.Load}
-			got := p.predict(a, 3, true)
+			got := p.predict(&a, 3, true)
 			in := refInput(p, a, 3, true)
 			if want, _ := refConf(p, &in); got != want {
 				t.Errorf("set %s, weights %d: kernel %d != reference %d", name, w, got, want)

@@ -33,7 +33,7 @@ func BenchmarkPredictorConfidence(b *testing.B) {
 		a := benchAccess(i)
 		set := int(a.Block() & 2047)
 		sum += p.Confidence(a, set, i%3 == 0)
-		p.observe(a, set, i%3 == 0, true)
+		p.observe(&a, set, i%3 == 0, true)
 	}
 	if sum == 1<<62 {
 		b.Fatal("impossible") // keep sum live
@@ -94,8 +94,8 @@ func BenchmarkPredict(b *testing.B) {
 				a := benchAccess(i)
 				set := int(a.Block() & 2047)
 				insert := i%3 == 0
-				sum += p.predict(a, set, insert)
-				p.observe(a, set, insert, true)
+				sum += p.predict(&a, set, insert)
+				p.observe(&a, set, insert, true)
 			}
 			if sum == 1<<62 {
 				b.Fatal("impossible") // keep sum live

@@ -88,8 +88,8 @@ func TestPredictorBiasOnlyAddressPermutationInvariance(t *testing.T) {
 			}
 		}
 		miss := rng.Bool()
-		p1.observe(a, set, miss, true)
-		p2.observe(b, set, miss, true)
+		p1.observe(&a, set, miss, true)
+		p2.observe(&b, set, miss, true)
 	}
 
 	var w1 []int8

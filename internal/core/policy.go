@@ -257,10 +257,10 @@ func (m *MPPPB) Hit(set, way int, a cache.Access) {
 // not here: the -check reference compares the production confidence
 // before Fill, which must still see the untrained weights.
 func (m *MPPPB) Victim(set int, a cache.Access) (int, bool) {
-	conf := m.predictMiss(a, set)
+	conf := m.predictMiss(&a, set)
 	if m.bypasses(set, conf) {
 		// Bypassed: Fill will not run, so decline the fill here.
-		m.decline(a, set, conf)
+		m.decline(&a, set, conf)
 		m.pendValid = false
 		return 0, true
 	}
@@ -289,10 +289,10 @@ func (m *MPPPB) Fill(set, way int, a cache.Access) {
 	} else {
 		// Fill without a preceding Victim (invalid frame): this is the
 		// miss's only hook.
-		conf = m.predictMiss(a, set)
+		conf = m.predictMiss(&a, set)
 	}
 	m.pendValid = false
-	pos, _ := m.place(a, set, conf)
+	pos, _ := m.place(&a, set, conf)
 	m.setPosition(set, way, pos)
 }
 

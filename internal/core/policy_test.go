@@ -190,15 +190,15 @@ func TestPredictorHistoryPerCore(t *testing.T) {
 	// Push distinct histories per core.
 	a0 := cache.Access{PC: 0x1000, Addr: 0, Type: trace.Load, Core: 0}
 	a1 := cache.Access{PC: 0x2000, Addr: 0, Type: trace.Load, Core: 1}
-	p.observe(a0, 0, true, true)
-	p.observe(a1, 0, true, true)
+	p.observe(&a0, 0, true, true)
+	p.observe(&a1, 0, true, true)
 	// The W=1 feature must read each core's own most recent PC through
 	// predict; a core beyond the predictor's count folds onto core 0.
 	for _, c := range []struct {
 		core int
 		last uint64
 	}{{0, 0x1000}, {1, 0x2000}, {7, 0x1000}} {
-		p.predict(cache.Access{PC: 9, Core: c.core}, 0, false)
+		p.predict(&cache.Access{PC: 9, Core: c.core}, 0, false)
 		in := Input{PC: 9}
 		in.History[0], in.History[1] = 9, c.last
 		if got, want := uint32(p.idx[0]), f.Index(&in); got != want {
@@ -211,7 +211,7 @@ func TestPredictorHistoryPerCore(t *testing.T) {
 // exactly burst then lastmiss, and returns the two raw inputs the compiled
 // kernels read.
 func burstLastMiss(p *Predictor, a cache.Access, set int, insert bool) (burst, lastMiss bool) {
-	p.predict(a, set, insert)
+	p.predict(&a, set, insert)
 	return p.idx[0] == 1, p.idx[1] == 1
 }
 
@@ -229,7 +229,7 @@ func TestPredictorBurstAndLastMissInputs(t *testing.T) {
 	}
 	// After a miss fill of the same block, a re-access is a burst and
 	// lastmiss is set.
-	p.observe(a, set, true, true)
+	p.observe(&a, set, true, true)
 	if burst, lm := burstLastMiss(p, a, set, false); !burst || !lm {
 		t.Fatalf("after miss: burst=%v lastmiss=%v, want true,true", burst, lm)
 	}
@@ -238,7 +238,7 @@ func TestPredictorBurstAndLastMissInputs(t *testing.T) {
 		t.Fatal("insertion flagged as burst")
 	}
 	// A different block is not a burst; a hit clears lastmiss.
-	p.observe(a, set, false, true)
+	p.observe(&a, set, false, true)
 	other := demand(0x404, 9<<trace.BlockBits)
 	if burst, lm := burstLastMiss(p, other, set, false); burst || lm {
 		t.Fatalf("other block: burst=%v lastmiss=%v", burst, lm)
@@ -248,7 +248,7 @@ func TestPredictorBurstAndLastMissInputs(t *testing.T) {
 func TestBypassedBlockDoesNotBecomeBurstMRU(t *testing.T) {
 	p := newBurstLastMissPredictor()
 	a := demand(0x400, 5<<trace.BlockBits)
-	p.observe(a, 5, true, false) // bypassed: not resident
+	p.observe(&a, 5, true, false) // bypassed: not resident
 	burst, lm := burstLastMiss(p, a, 5, false)
 	if burst {
 		t.Fatal("bypassed block treated as MRU for burst")

@@ -141,11 +141,13 @@ func (p *Predictor) ring(core int) int {
 // predict computes an access's confidence and leaves its index vector in
 // p.idx: it fills the source vector from the access, the requesting core's
 // history ring, and the set's metadata, folds the PC mix, then runs the
-// compiled gather. insert marks misses; set is the LLC set index.
-func (p *Predictor) predict(a cache.Access, set int, insert bool) int {
+// compiled gather. insert marks misses; set is the LLC set index. It reads
+// the access in place: a copy passed by value is stored field by field and
+// reloaded whole, which stalls on store forwarding.
+func (p *Predictor) predict(a *cache.Access, set int, insert bool) int {
 	core := p.ring(a.Core)
 	hist, head := &p.hist[core], p.heads[core]
-	pc := accessPC(a)
+	pc := a.PC
 	m := &p.setMeta[set]
 	srcs := &p.srcs
 	srcs[srcPC] = pc
@@ -202,13 +204,13 @@ func b2u(b bool) uint64 {
 // Confidence computes the prediction for an access without updating any
 // state. Higher values mean the block is more confidently predicted dead.
 func (p *Predictor) Confidence(a cache.Access, set int, insert bool) int {
-	return p.predict(a, set, insert)
+	return p.predict(&a, set, insert)
 }
 
 // observe updates per-set and per-core state after an access has been
 // predicted and (if sampled) trained. resident reports whether the block
 // is in the cache after the access (false for bypasses).
-func (p *Predictor) observe(a cache.Access, set int, miss, resident bool) {
+func (p *Predictor) observe(a *cache.Access, set int, miss, resident bool) {
 	m := &p.setMeta[set]
 	if miss {
 		m.flags |= setLastMiss
@@ -221,7 +223,7 @@ func (p *Predictor) observe(a cache.Access, set int, miss, resident bool) {
 	}
 	core := p.ring(a.Core)
 	head := (p.heads[core] + histRingLen - 1) & histRingMask
-	p.hist[core][head] = accessPC(a)
+	p.hist[core][head] = a.PC
 	p.heads[core] = head
 }
 

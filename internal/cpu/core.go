@@ -14,6 +14,8 @@
 // sufficient for the relative speedups the experiments report.
 package cpu
 
+import "math/bits"
+
 // Config describes the core.
 type Config struct {
 	// Width is fetch and retire bandwidth in instructions per cycle.
@@ -29,6 +31,11 @@ func DefaultConfig() Config { return Config{Width: 4, Window: 128} }
 // a cycle, so one instruction can be fetched and one retired per slot.
 type Core struct {
 	cfg Config
+	// shift is log2(Width) when Width is a power of two, as the paper's 4
+	// is, so advance turns slots into cycles with a shift; divide marks a
+	// Width that is not, which takes a 64-bit divide.
+	shift  uint8
+	divide bool
 
 	retireSlot []int64 // ring buffer: retire slot of the last Window instructions
 	pos        int     // ring cursor: count % Window
@@ -51,6 +58,11 @@ func New(cfg Config) *Core {
 		panic("cpu: non-positive core configuration")
 	}
 	c := &Core{cfg: cfg, retireSlot: make([]int64, cfg.Window), lastRetire: -1}
+	if w := uint(cfg.Width); w&(w-1) == 0 {
+		c.shift = uint8(bits.TrailingZeros(w))
+	} else {
+		c.divide = true
+	}
 	return c
 }
 
@@ -61,7 +73,8 @@ func New(cfg Config) *Core {
 // delays), and completes in the last slot of cycle (alloc/Width +
 // latency), hence the -1. It retires no earlier than that and strictly
 // after its predecessor. The ring cursor, count and last retire slot stay
-// in locals for the loop; the clock is divided out once, at the end.
+// in locals for the loop; the clock is converted to cycles once, at the
+// end, by a shift when Width is a power of two.
 func (c *Core) advance(n, latencyCycles int) {
 	if n <= 0 {
 		return
@@ -86,7 +99,11 @@ func (c *Core) advance(n, latencyCycles int) {
 		}
 	}
 	c.pos, c.count, c.lastRetire = pos, count, last
-	c.now = uint64(last)/uint64(c.cfg.Width) + 1
+	if c.divide {
+		c.now = uint64(last)/uint64(c.cfg.Width) + 1
+	} else {
+		c.now = uint64(last)>>c.shift + 1
+	}
 }
 
 // NonMem advances the model by n single-cycle non-memory instructions.

@@ -35,9 +35,9 @@ func (b *BIP) Victim(set int, a cache.Access) (int, bool) { return b.lru.Victim(
 // one in Epsilon fills.
 func (b *BIP) Fill(set, way int, a cache.Access) {
 	if b.rng.Intn(b.Epsilon) == 0 {
-		b.lru.touch(set, way, 0)
+		b.lru.Touch(set, way, 0)
 	} else {
-		b.lru.touch(set, way, b.ways-1)
+		b.lru.Touch(set, way, b.ways-1)
 	}
 }
 
@@ -73,7 +73,7 @@ func (d *DIP) Name() string { return "dip" }
 func (d *DIP) Fill(set, way int, a cache.Access) {
 	d.duel.Miss(set)
 	if d.duel.Pick(set) == 0 {
-		d.lru.touch(set, way, 0)
+		d.lru.Touch(set, way, 0)
 	} else {
 		d.BIP.Fill(set, way, a)
 	}

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// scalarLRU is the rank-by-rank reference for LRU's byte-lane touch and
-// Victim: the same rank layout, updated and searched one way at a time.
+// scalarLRU is the rank-by-rank reference for the byte-lane Touch and
+// LeastRecent that LRU takes from cache.Recency: the same rank layout,
+// updated and searched one way at a time.
 type scalarLRU struct {
 	ways  int
 	ranks []uint8
@@ -36,6 +37,17 @@ func (s *scalarLRU) victim(set int) int {
 	return -1
 }
 
+// ranksOf reads every rank of l, set-major.
+func ranksOf(l *LRU, sets, ways int) []uint8 {
+	ranks := make([]uint8, 0, sets*ways)
+	for s := 0; s < sets; s++ {
+		for w := 0; w < ways; w++ {
+			ranks = append(ranks, uint8(l.Rank(s, w)))
+		}
+	}
+	return ranks
+}
+
 // TestLRULanesMatchScalar drives LRU and the scalar reference through the
 // same random hits, victim-then-fill misses, DIP/BIP insertions at the LRU
 // position and moves to arbitrary ranks. The ways cover every tail length
@@ -50,7 +62,7 @@ func TestLRULanesMatchScalar(t *testing.T) {
 	geometries = append(geometries, 64, 127, 128, 129, 255)
 	for _, ways := range geometries {
 		l := NewLRU(sets, ways)
-		ref := &scalarLRU{ways: ways, ranks: append([]uint8(nil), l.ranks...)}
+		ref := &scalarLRU{ways: ways, ranks: ranksOf(l, sets, ways)}
 		rng := rand.New(rand.NewSource(int64(ways)))
 		for step := 0; step < 2000; step++ {
 			set, way := rng.Intn(sets), rng.Intn(ways)
@@ -63,15 +75,15 @@ func TestLRULanesMatchScalar(t *testing.T) {
 				l.Fill(set, v, noAccess)
 				ref.touch(set, ref.victim(set), 0)
 			case 2:
-				l.touch(set, way, ways-1)
+				l.Touch(set, way, ways-1)
 				ref.touch(set, way, ways-1)
 			default:
 				to := rng.Intn(ways)
-				l.touch(set, way, to)
+				l.Touch(set, way, to)
 				ref.touch(set, way, to)
 			}
-			if !bytes.Equal(l.ranks, ref.ranks) {
-				t.Fatalf("ways %d step %d: ranks %v, scalar %v", ways, step, l.ranks, ref.ranks)
+			if got := ranksOf(l, sets, ways); !bytes.Equal(got, ref.ranks) {
+				t.Fatalf("ways %d step %d: ranks %v, scalar %v", ways, step, got, ref.ranks)
 			}
 			for s := 0; s < sets; s++ {
 				if v, _ := l.Victim(s, noAccess); v != ref.victim(s) {

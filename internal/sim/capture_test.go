@@ -19,7 +19,9 @@ import (
 // capture and replay equals the serial reference machine, with -check off
 // and on, for every driver: timed one-core and four-core runs, the
 // untimed RunFastMPKI, RunROC's samples for the policies that report
-// confidences, and RunSingleMIN.
+// confidences, and RunSingleMIN. The reference's L1 and L2 are generic
+// caches under policy.LRU, so this is also the differential test of the
+// private levels (cache.PrivateLevel) a capture runs.
 func TestCaptureReplayMatchesReference(t *testing.T) {
 	st, mc := SingleThreadConfig(), MultiCoreConfig()
 	st.Warmup, st.Measure = 10_000, 40_000

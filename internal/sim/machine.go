@@ -5,7 +5,6 @@ import (
 
 	"mpppb/internal/cache"
 	"mpppb/internal/cpu"
-	"mpppb/internal/policy"
 	"mpppb/internal/prefetch"
 	"mpppb/internal/stats"
 	"mpppb/internal/trace"
@@ -53,14 +52,14 @@ type node struct {
 }
 
 // newMachine builds the LLC under pf and, per generator, one core: its
-// capture (fixed-LRU L1 and L2, the stream prefetcher when cfg.Prefetch,
-// the generator's batch cursor and the core's buffers), its port into the
-// LLC and its timing model when timed. It attaches the -check layer to
-// the LLC and every L1/L2 before the first access. The generators must be
-// at the start of their streams: a driver handed one resets it, while
-// RunMulti builds fresh ones in every cell, which start there
-// (workload.NewGenerator resets what it builds, and a kernel's Zipf table
-// is built once per process and shared).
+// capture (cache.Private's fixed-LRU L1 and L2, the stream prefetcher when
+// cfg.Prefetch, the generator's batch cursor and the core's buffers), its
+// port into the LLC and its timing model when timed. It attaches the
+// -check layer to the LLC and to every L1 and L2 before the first access.
+// The generators must be at the start of their streams: a driver handed
+// one resets it, while RunMulti builds fresh ones in every cell, which
+// start there (workload.NewGenerator resets what it builds, and a
+// kernel's Zipf table is built once per process and shared).
 func newMachine(cfg Config, pf PolicyFactory, timed bool, gens ...trace.Generator) *machine {
 	sets := cfg.LLCSize / trace.BlockSize / cfg.LLCWays
 	m := &machine{
@@ -73,22 +72,20 @@ func newMachine(cfg Config, pf PolicyFactory, timed bool, gens ...trace.Generato
 	if cfg.Check {
 		m.checks = append(m.checks, verify.Attach(m.llc))
 	}
-	lru := func(name string, size, ways int) *cache.Cache {
-		return cache.NewBySize(name, size, ways, policy.NewLRU(size/trace.BlockSize/ways, ways))
-	}
+	l1, l2 := cache.Geometry{Size: cfg.L1Size, Ways: cfg.L1Ways}, cache.Geometry{Size: cfg.L2Size, Ways: cfg.L2Ways}
 	// A block must hold the largest record, however many cores share the
 	// budget.
 	blockWords := max(cellBufferBytes/8/blocksPerCore/len(gens), cache.MaxWords)
 	for i, gen := range gens {
-		l1, l2 := lru("l1d", cfg.L1Size, cfg.L1Ways), lru("l2", cfg.L2Size, cfg.L2Ways)
-		if cfg.Check {
-			m.checks = append(m.checks, verify.Attach(l1), verify.Attach(l2))
-		}
 		var pfr cache.Prefetcher
 		if cfg.Prefetch {
 			pfr = prefetch.NewStream()
 		}
 		priv := cache.NewPrivate(i, l1, l2, pfr)
+		if cfg.Check {
+			p1, p2 := priv.Levels()
+			m.checks = append(m.checks, verify.AttachPrivate(p1), verify.AttachPrivate(p2))
+		}
 		// Each channel holds every block the core has, so no send blocks:
 		// only an empty channel makes its receiver wait.
 		c, n := &m.caps[i], &m.nodes[i]

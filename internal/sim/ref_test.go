@@ -18,7 +18,8 @@ import (
 // split replaced, kept as the oracle the drivers are checked against. One
 // goroutine runs every level of every core per record, in program order,
 // through the caches' exported API, with each frame's data-arrival cycle
-// kept in the caches themselves.
+// kept in the caches themselves. Its L1 and L2 are generic cache.Caches
+// under policy.LRU, not the drivers' cache.PrivateLevels.
 
 // refHierarchy is one core's serial path through L1, L2 and the LLC.
 type refHierarchy struct {

@@ -21,18 +21,24 @@ func (baseOracle) sweep()                                  {}
 // ---------------------------------------------------------------------------
 // True LRU
 
+// ranked is what the LRU oracle reads of the ranks it checks: a
+// RankedPolicy's, or a cache.PrivateLevel's own.
+type ranked interface {
+	Rank(set, way int) int
+}
+
 // lruOracle shadows a true-LRU policy with the obvious model: per set, an
 // explicit MRU-first list of ways. Position in the list is the recency rank.
 type lruOracle struct {
 	baseOracle
 	k     *Checker
-	p     RankedPolicy
+	p     ranked
 	ways  int
 	stack [][]int // per set, way indices MRU-first
 	exp   int     // expected victim recorded by preVictim
 }
 
-func newLRUOracle(k *Checker, p RankedPolicy, sets, ways int) *lruOracle {
+func newLRUOracle(k *Checker, p ranked, sets, ways int) *lruOracle {
 	o := &lruOracle{k: k, p: p, ways: ways, stack: make([][]int, sets)}
 	for s := range o.stack {
 		// Production LRU starts way i at rank i.

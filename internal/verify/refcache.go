@@ -16,14 +16,14 @@ import (
 // sweepEvery events, the full content of the production array.
 type cacheModel struct {
 	k      *Checker
-	c      *cache.Cache
+	c      level
 	sets   int
 	ways   int
 	mask   uint64
 	blocks [][]uint64 // per set, resident block addresses (unordered)
 }
 
-func newCacheModel(k *Checker, c *cache.Cache) *cacheModel {
+func newCacheModel(k *Checker, c level) *cacheModel {
 	return &cacheModel{
 		k:      k,
 		c:      c,
@@ -66,17 +66,21 @@ func (m *cacheModel) dump(set int) string {
 
 // OnAccess implements cache.Observer: replay one access against the model
 // and verify the production result.
-func (m *cacheModel) OnAccess(a cache.Access, r cache.Result) {
-	block := a.Block()
+func (m *cacheModel) OnAccess(a cache.Access, r cache.Result) { m.check(a.Addr, a.Type, r) }
+
+// check replays one access to byte address addr against the model and
+// verifies the production result.
+func (m *cacheModel) check(addr uint64, typ trace.AccessType, r cache.Result) {
+	block := addr >> trace.BlockBits
 	set := int(block & m.mask)
 	if r.Set != set {
-		m.k.failf("", "access %#x: production set %d, reference set %d", a.Addr, r.Set, set)
+		m.k.failf("", "access %#x: production set %d, reference set %d", addr, r.Set, set)
 	}
 
 	present := m.contains(set, block) >= 0
 	if r.Hit != present {
 		m.k.failf(m.dump(set), "access %#x (%v): production hit=%v, reference hit=%v",
-			a.Addr, a.Type, r.Hit, present)
+			addr, typ, r.Hit, present)
 	}
 
 	switch {
@@ -85,10 +89,10 @@ func (m *cacheModel) OnAccess(a cache.Access, r cache.Result) {
 			m.k.failf(m.dump(set), "hit of %#x reported in way %d which holds %#x (valid=%v)",
 				block, r.Way, got, ok)
 		}
-	case a.Type == trace.Writeback:
+	case typ == trace.Writeback:
 		// Writeback misses never allocate.
 		if !r.Bypassed {
-			m.k.failf(m.dump(set), "writeback miss of %#x did not report Bypassed", a.Addr)
+			m.k.failf(m.dump(set), "writeback miss of %#x did not report Bypassed", addr)
 		}
 	case r.Bypassed:
 		// Policy bypass: no state change.

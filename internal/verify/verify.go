@@ -1,7 +1,7 @@
 // Package verify is the pluggable correctness layer: lockstep differential
 // oracles and structural invariant checks for the simulator's fast paths.
 //
-// Attach interposes two kinds of checking on a cache:
+// Attach interposes two kinds of checking on a cache.Cache, the LLC:
 //
 //   - A naive, obviously-correct reference cache model runs shadow-by-shadow
 //     with the production array via the cache.Observer hook, verifying every
@@ -14,16 +14,23 @@
 //     after every hook, with periodic full-state sweeps (weight tables,
 //     sampler contents, duel layout, structural invariants).
 //
+// AttachPrivate checks a core's private level, L1 or L2, the one a capture
+// runs. A private level ranks its frames itself with no policy to wrap,
+// so the checker observes each completed access instead: the same content
+// model, and the true-LRU oracle comparing the touched set's ranks and
+// every eviction's way. No generic cache stands in for the level.
+//
 // A divergence is reported as a *DivergenceError carrying the exact access
 // index and a dump of the affected set in both models. By default the
 // checker panics on the first divergence; tests capture reports by
 // replacing Fail.
 //
 // The layer is enabled at runtime with the -check flag on the cmd tools
-// (sim.Config.Check). Independently, building with the "verify" build tag
-// compiles always-on structural assertions into the cache hot path; without
-// the tag those assertions cost nothing (dead-code eliminated behind a
-// compile-time constant).
+// (sim.Config.Check), which attaches it to the LLC and to every core's L1
+// and L2. Independently, building with the "verify" build tag compiles
+// always-on structural assertions into the cache hot paths, the LLC's and
+// the private levels'; without the tag those assertions cost nothing
+// (dead-code eliminated behind a compile-time constant).
 package verify
 
 import (
@@ -55,12 +62,24 @@ func (e *DivergenceError) Error() string {
 	return s
 }
 
-// Checker coordinates lockstep verification of one cache: the reference
-// content model (observer) plus the shadow policy wrapper.
+// level is what a checker reads of the level it checks: a cache.Cache or
+// a cache.PrivateLevel.
+type level interface {
+	Name() string
+	Sets() int
+	Ways() int
+	BlockAddrAt(set, way int) (uint64, bool)
+	DumpSet(set int) string
+}
+
+// Checker coordinates lockstep verification of one cache level: the
+// reference content model plus, for a cache.Cache, the shadow policy
+// wrapper, or, for a cache.PrivateLevel, the true-LRU oracle.
 type Checker struct {
-	c      *cache.Cache
+	c      level
 	model  *cacheModel
-	shadow *shadowPolicy
+	shadow *shadowPolicy // a cache.Cache's; nil for a private level
+	ranks  *lruOracle    // a private level's; nil for a cache.Cache
 
 	events      uint64 // completed Access/Invalidate operations
 	sweepEvery  uint64 // full-state sweep period, in events
@@ -115,7 +134,11 @@ func (k *Checker) failf(dump, format string, args ...any) {
 // and the policy's structural invariants.
 func (k *Checker) sweep() {
 	k.model.checkAll()
-	k.shadow.sweep()
+	if k.shadow != nil {
+		k.shadow.sweep()
+	} else {
+		k.ranks.sweep()
+	}
 }
 
 // Finish runs a final full sweep; call it at the end of a checked run so
