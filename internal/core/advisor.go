@@ -104,7 +104,9 @@ func (v *Advisor) Sets() int { return v.sets }
 func (v *Advisor) SetFor(block uint64) int { return int(block) & (v.sets - 1) }
 
 // Predict implements the confidence interface used by the ROC probe: the
-// prediction for an access without updating any state.
+// prediction for an access, which trains nothing and updates no history
+// but overwrites the predictor's index vector (see Predictor.Confidence
+// for when that is safe).
 func (v *Advisor) Predict(a cache.Access, set int, insert bool) int {
 	return v.pred.Confidence(a, set, insert)
 }

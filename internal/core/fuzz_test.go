@@ -8,9 +8,10 @@ import (
 
 // FuzzPredictorKernel fuzzes the compiled-kernel/reference-index
 // equivalence: for any input and any batch of randomly constructed (but
-// valid) features, the compiled kernels must compute exactly the table
-// indices the reference Feature.Index computes, and the confidence a
-// plain sum over them gives. featSeed drives the feature and weight
+// valid) features, the compiled kernels, scalar and (where the CPU has it)
+// vector, must compute exactly the table indices the reference
+// Feature.Index computes, and the confidence a plain sum over them gives.
+// featSeed drives the feature and weight
 // generator, so the corpus explores the feature space as well as the
 // input space.
 func FuzzPredictorKernel(f *testing.F) {

@@ -56,23 +56,26 @@ func TestFeatureIndexGolden(t *testing.T) {
 }
 
 // TestPredictionGoldenEndToEnd pins an end-to-end prediction after a fixed
-// training sequence, guarding the whole predict/train pipeline.
+// training sequence, guarding the whole predict/train pipeline under each
+// gather kernel.
 func TestPredictionGoldenEndToEnd(t *testing.T) {
-	m := NewMPPPB(64, 16, SingleThreadParams())
-	c := cache.New("llc", 64, 16, m)
-	for i := 0; i < 10000; i++ {
-		c.Access(cache.Access{PC: 0x400 + uint64(i%3)*4, Addr: uint64(i%1000) << trace.BlockBits, Type: trace.Load})
-		c.Access(cache.Access{PC: 0x900, Addr: uint64(50000+i) << trace.BlockBits, Type: trace.Load})
-	}
-	probe := cache.Access{PC: 0x900, Addr: 77777 << trace.BlockBits, Type: trace.Load}
-	conf := m.Predict(probe, c.SetIndex(probe.Block()), true)
-	// The streaming PC must predict clearly dead; the exact value is
-	// pinned to catch accidental pipeline changes.
-	if conf <= 0 {
-		t.Fatalf("streaming PC confidence %d, want positive", conf)
-	}
-	const golden = 255
-	if conf != golden {
-		t.Errorf("end-to-end confidence %d, want golden %d (re-record on intentional change)", conf, golden)
-	}
+	forEachKernel(t, func(t *testing.T) {
+		m := NewMPPPB(64, 16, SingleThreadParams())
+		c := cache.New("llc", 64, 16, m)
+		for i := 0; i < 10000; i++ {
+			c.Access(cache.Access{PC: 0x400 + uint64(i%3)*4, Addr: uint64(i%1000) << trace.BlockBits, Type: trace.Load})
+			c.Access(cache.Access{PC: 0x900, Addr: uint64(50000+i) << trace.BlockBits, Type: trace.Load})
+		}
+		probe := cache.Access{PC: 0x900, Addr: 77777 << trace.BlockBits, Type: trace.Load}
+		conf := m.Predict(probe, c.SetIndex(probe.Block()), true)
+		// The streaming PC must predict clearly dead; the exact value is
+		// pinned to catch accidental pipeline changes.
+		if conf <= 0 {
+			t.Fatalf("streaming PC confidence %d, want positive", conf)
+		}
+		const golden = 255
+		if conf != golden {
+			t.Errorf("end-to-end confidence %d, want golden %d (re-record on intentional change)", conf, golden)
+		}
+	})
 }

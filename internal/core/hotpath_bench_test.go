@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"mpppb/internal/cache"
@@ -66,39 +67,47 @@ func kindBenchSet(kind Kind, x bool) []Feature {
 // BenchmarkPredict measures one prediction plus observe, per feature kind
 // (sixteen features of the kind, X off and on) and per shipped feature
 // set, over a fixed access stream on a 2048-set predictor with scrambled
-// weights and history. One op is one prediction.
+// weights and history. One op is one prediction. The kind sets run the
+// gather kernel this CPU picks; each shipped set runs the vector and the
+// scalar kernel as sub-benchmarks of its own, the vector one skipping on
+// a CPU without it.
 func BenchmarkPredict(b *testing.B) {
-	type benchSet struct {
-		name string
-		set  []Feature
+	run := func(b *testing.B, set []Feature) {
+		p := NewPredictor(set, 2048, 1)
+		scrambleState(p, xrand.New(5))
+		b.ReportAllocs()
+		b.ResetTimer()
+		sum := 0
+		for i := 0; i < b.N; i++ {
+			a := benchAccess(i)
+			set := int(a.Block() & 2047)
+			insert := i%3 == 0
+			sum += p.predict(&a, set, insert)
+			p.observe(&a, set, insert, true)
+		}
+		if sum == 1<<62 {
+			b.Fatal("impossible") // keep sum live
+		}
 	}
-	var sets []benchSet
 	for kind := KindPC; kind <= KindOffset; kind++ {
-		sets = append(sets,
-			benchSet{kind.String() + "-x0", kindBenchSet(kind, false)},
-			benchSet{kind.String() + "-x1", kindBenchSet(kind, true)})
+		for _, x := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s-x%d", kind, b2u(x)), func(b *testing.B) { run(b, kindBenchSet(kind, x)) })
+		}
 	}
-	sets = append(sets,
-		benchSet{"set-1a", SingleThreadSetA()},
-		benchSet{"set-1b", SingleThreadSetB()},
-		benchSet{"set-2", MultiProgrammedSet()},
-		benchSet{"set-suite", SuiteSearchedSet()})
-	for _, s := range sets {
-		b.Run(s.name, func(b *testing.B) {
-			p := NewPredictor(s.set, 2048, 1)
-			scrambleState(p, xrand.New(5))
-			b.ReportAllocs()
-			b.ResetTimer()
-			sum := 0
-			for i := 0; i < b.N; i++ {
-				a := benchAccess(i)
-				set := int(a.Block() & 2047)
-				insert := i%3 == 0
-				sum += p.predict(&a, set, insert)
-				p.observe(&a, set, insert, true)
-			}
-			if sum == 1<<62 {
-				b.Fatal("impossible") // keep sum live
+	for _, s := range shippedSets() {
+		b.Run("set-"+s.name, func(b *testing.B) {
+			for _, vector := range []bool{true, false} {
+				name := "scalar"
+				if vector {
+					name = "vector"
+				}
+				b.Run(name, func(b *testing.B) {
+					if vector {
+						requireVectorGather(b)
+					}
+					setVectorGather(b, vector)
+					run(b, s.set)
+				})
 			}
 		})
 	}

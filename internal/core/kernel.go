@@ -1,15 +1,14 @@
 package core
 
-import "slices"
-
 // Compiled feature kernels. Feature.Index is the readable reference
 // implementation: on every access it re-derives the table width, re-clamps
 // the offset bit range, and switches on the feature kind. None of that
-// depends on the access, so NewPredictor compiles each feature once into a
-// fastKernel — operands resolved, offset range clamped, fold decided,
-// and the feature's weight table located by offset into one contiguous
-// array — and the per-access path just executes it. The kernel tests pin
-// the compiled indices and confidence to Feature.Index and a plain sum.
+// depends on the access, so NewPredictor compiles the feature set once
+// into rows of kernels — operands resolved, offset range clamped, fold
+// decided, and each feature's weight table located by offset into one
+// contiguous array — and the per-access path just executes them. The
+// kernel tests pin the compiled indices and confidence to Feature.Index
+// and a plain sum.
 
 // History ring geometry: one power-of-two ring of recent PCs per core,
 // holding at least the MaxW entries a pc feature can reach. Kernels read
@@ -38,13 +37,32 @@ func fold8(v uint64) uint32 {
 	return uint32(v & 0xff)
 }
 
-// fastKernel is one feature with every access-independent decision taken,
-// in a branch-light form: every feature is the same straight-line
+// fold6 xor-folds a 64-bit value to 6 bits the same way: each shift is a
+// multiple of 6, and the four of them fold sixteen 6-bit chunks, which
+// cover the 64 bits.
+func fold6(v uint64) uint32 {
+	v ^= v >> 48
+	v ^= v >> 24
+	v ^= v >> 12
+	v ^= v >> 6
+	return uint32(v & 0x3f)
+}
+
+// rowLanes is the number of kernels in a kernelRow: one per 64-bit lane
+// of a 512-bit vector.
+const rowLanes = 8
+
+// kernelRow is eight features with every access-independent decision
+// taken, laid out lane-major: lane j of each array belongs to one feature,
+// so the vector gather (gather_amd64.s) loads an operand of all eight with
+// one instruction, and the scalar gather reads lane j of each. Feature i
+// is lane i%8 of row i/8. Every feature is the same straight-line
 // expression
 //
 //	raw = (srcs[src] >> shift) & wmask
-//	ix  = fold8(raw) if fold, else raw
+//	ix  = fold8(raw) in a folding lane, else raw
 //	ix ^= mix[mix]
+//	sum += weights[base+ix]
 //
 // over a per-prediction source vector: slot 0 is the constant 0 (bias),
 // then the PC, the address (offset features read it with a pre-clamped
@@ -55,21 +73,25 @@ func fold8(v uint64) uint32 {
 //
 // The X parameter's PC mix is folded once per prediction, not per kernel.
 // Xor-folding is linear, foldTo(r^m, n) == foldTo(r, n) ^ foldTo(m, n), so
-// predict folds PC>>2 once per distinct index width into the mix vector,
-// and a mixed
-// kernel xors in the entry for its own width (its IndexBits). Unmixed
-// kernels read slot 0, which stays 0. What is left to fold per kernel is
-// the raw bit range, and that only when it is wider than the index: a
-// pc or address range wider than 8 bits, which fold8 folds with a fixed
-// three shifts. Every other range already fits its table, so the index
-// needs no mask.
-type fastKernel struct {
-	src   uint8  // source-vector slot
-	shift uint8  // bit-range start
-	mix   uint8  // mix-vector slot: IndexBits when X is set, else 0
-	fold  bool   // the range is wider than the 8-bit index: fold8 it
-	base  uint32 // table offset in the predictor's flat weight array
-	wmask uint64 // bit-range width mask applied after the shift
+// predict folds PC>>2 into the mix vector at the two index widths a mixed
+// feature can have (6 for offset, 8 for the rest), and a mixed kernel
+// xors in the entry for its own width (its IndexBits). Unmixed kernels
+// read slot 0, which stays 0. What is left to fold per kernel is the raw
+// bit range, and that only when it is wider than the index: a pc or
+// address range wider than 8 bits, which fold8 folds with a fixed three
+// shifts. Every other range already fits its table, so the index needs no
+// mask.
+//
+// The lanes of the last row past the feature count are clear in valid and
+// zero everywhere else, so they read slot 0 and table offset 0.
+type kernelRow struct {
+	shift [rowLanes]uint64 // bit-range start
+	wmask [rowLanes]uint64 // bit-range width mask applied after the shift
+	base  [rowLanes]uint64 // table offset in the predictor's flat weight array
+	src   [rowLanes]uint32 // source-vector slot
+	mix   [rowLanes]uint32 // mix-vector slot: IndexBits when X is set, else 0
+	fold  uint8            // lanes whose range is wider than their 8-bit index
+	valid uint8            // lanes that hold a feature
 }
 
 // Fixed source-vector slots; history depths follow from srcHist up.
@@ -86,7 +108,8 @@ const (
 // The source and mix vectors are fixed power-of-two arrays, and kernels
 // index them through these masks, so the loads need no bounds check. The
 // source vector holds the fixed slots plus one per distinct history depth
-// (at most MaxW); the mix vector one entry per index width, 0..8.
+// (at most MaxW); the mix vector one entry per index width, 0..8. The
+// vector gather reads the whole mix vector as one 16-dword register.
 const (
 	srcLen  = 32
 	srcMask = srcLen - 1
@@ -98,61 +121,65 @@ const (
 // depths no longer fit after the fixed slots.
 const _ = uint(srcLen - srcHist - MaxW)
 
-// compileFastKernels builds the compiled form of a feature set: the
-// per-feature fastKernels (bases matching the flat weight array layout),
-// the distinct history ring offsets (W-1 for each depth used) backing
-// source slots srcHist+j, and the distinct index widths of the mixed
-// kernels, for which predict folds the PC mix.
-func compileFastKernels(features []Feature) (ks []fastKernel, histOffs []uint32, mixBits []uint8) {
-	ks = make([]fastKernel, len(features))
-	depthSlot := make(map[uint32]uint8)
+// compileRows builds the compiled form of a feature set: the rows of
+// kernels (bases matching the flat weight array layout) and the distinct
+// history ring offsets (W-1 for each depth used) backing source slots
+// srcHist+j.
+func compileRows(features []Feature) (rows []kernelRow, histOffs []uint32) {
+	rows = make([]kernelRow, (len(features)+rowLanes-1)/rowLanes)
+	depthSlot := make(map[uint32]uint32)
 	base := 0
 	for i, f := range features {
-		bits := uint8(f.IndexBits())
-		k := fastKernel{base: uint32(base)}
-		if f.X {
-			k.mix = bits
-			if !slices.Contains(mixBits, bits) {
-				mixBits = append(mixBits, bits)
-			}
-		}
+		r, j := &rows[i/rowLanes], i%rowLanes
+		bits := f.IndexBits()
+		var (
+			src          uint32
+			shift, wmask uint64
+		)
 		switch f.Kind {
 		case KindPC:
-			k.src = srcPC
+			src = srcPC
 			if f.W > 0 {
 				off := uint32(f.W - 1)
 				slot, ok := depthSlot[off]
 				if !ok {
-					slot = srcHist + uint8(len(histOffs))
+					slot = srcHist + uint32(len(histOffs))
 					depthSlot[off] = slot
 					histOffs = append(histOffs, off)
 				}
-				k.src = slot
+				src = slot
 			}
-			k.shift, k.wmask = uint8(f.B), widthMask(f.B, f.E)
+			shift, wmask = uint64(f.B), widthMask(f.B, f.E)
 		case KindAddress:
-			k.src = srcAddr
-			k.shift, k.wmask = uint8(f.B), widthMask(f.B, f.E)
+			src = srcAddr
+			shift, wmask = uint64(f.B), widthMask(f.B, f.E)
 		case KindOffset:
 			// The clamped range lies inside the block offset, so reading
 			// the full address with it equals reading Addr&(BlockSize-1).
 			b, e := f.offsetRange()
-			k.src = srcAddr
-			k.shift, k.wmask = uint8(b), widthMask(b, e)
+			src = srcAddr
+			shift, wmask = uint64(b), widthMask(b, e)
 		case KindBias:
-			k.src = srcZero
+			src = srcZero
 		case KindBurst:
-			k.src, k.wmask = srcBurst, 1
+			src, wmask = srcBurst, 1
 		case KindInsert:
-			k.src, k.wmask = srcInsert, 1
+			src, wmask = srcInsert, 1
 		case KindLastMiss:
-			k.src, k.wmask = srcLastMiss, 1
+			src, wmask = srcLastMiss, 1
+		}
+		r.src[j], r.shift[j], r.wmask[j] = src, shift, wmask
+		r.base[j] = uint64(base)
+		if f.X {
+			r.mix[j] = uint32(bits)
 		}
 		// Only pc and address ranges can be wider than their index, and
 		// their index is 8 bits.
-		k.fold = k.wmask>>bits != 0
-		ks[i] = k
+		if wmask>>bits != 0 {
+			r.fold |= 1 << j
+		}
+		r.valid |= 1 << j
 		base += f.TableSize()
 	}
-	return ks, histOffs, mixBits
+	return rows, histOffs
 }

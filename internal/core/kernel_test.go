@@ -45,10 +45,11 @@ func refConf(p *Predictor, in *Input) (int, []uint16) {
 	return clampConf(sum), idx
 }
 
-// gatherMismatch runs the compiled kernels on an arbitrary Input through
-// the source and mix vectors — so it reaches inputs predict never builds,
-// such as a burst that is also an insert — and compares the confidence and
-// the index vector against refConf. It returns nil when they agree.
+// gatherMismatch runs each gather kernel this CPU has (gatherKernels) on
+// an arbitrary Input through the source and mix vectors — so it reaches
+// inputs predict never builds, such as a burst that is also an insert —
+// and compares the confidence and the index vector against refConf. It
+// returns nil when they agree.
 func gatherMismatch(p *Predictor, in *Input) error {
 	srcs := &p.srcs
 	srcs[srcPC] = in.PC
@@ -61,12 +62,15 @@ func gatherMismatch(p *Predictor, in *Input) error {
 	}
 	p.mixPC(in.PC)
 	want, wantIdx := refConf(p, in)
-	if got := p.gather(); got != want {
-		return fmt.Errorf("gather confidence %d, reference %d (in=%+v)", got, want, *in)
-	}
-	for i, ix := range wantIdx {
-		if p.idx[i] != ix {
-			return fmt.Errorf("%s: kernel index %#x, reference %#x (in=%+v)", p.features[i], p.idx[i], ix, *in)
+	for name, gather := range gatherKernels() {
+		clear(p.idx)
+		if got := gather(p); got != want {
+			return fmt.Errorf("%s gather confidence %d, reference %d (in=%+v)", name, got, want, *in)
+		}
+		for i, ix := range wantIdx {
+			if p.idx[i] != ix {
+				return fmt.Errorf("%s: %s kernel index %#x, reference %#x (in=%+v)", p.features[i], name, p.idx[i], ix, *in)
+			}
 		}
 	}
 	return nil
@@ -164,7 +168,8 @@ func TestFold8MatchesFoldTo(t *testing.T) {
 // access must not touch the heap. It covers every shipped
 // parameterisation: single-thread on a 2048-set LLC, multi-core on an
 // 8192-set LLC with the requesting core cycling through four, and each of
-// the two with the adaptive threshold duel.
+// the two with the adaptive threshold duel, each under both gather
+// kernels.
 func TestSteadyStateAccessDoesNotAllocate(t *testing.T) {
 	adaptive := func(p Params) Params {
 		p.Duel = &DuelConfig{}
@@ -182,26 +187,28 @@ func TestSteadyStateAccessDoesNotAllocate(t *testing.T) {
 		{"multi-core-adaptive", 8192, 4, adaptive(MultiCoreParams())},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			m := NewMPPPB(c.sets, 16, c.params)
-			llc := cache.New("llc", c.sets, 16, m)
-			step := func(i int) {
-				llc.Access(cache.Access{
-					PC:   0x400000 + uint64(i%13)*4,
-					Addr: uint64(i)*88 + uint64(i%7)<<14,
-					Type: trace.Load,
-					Core: i % c.cores,
-				})
-			}
-			for i := 0; i < 50000; i++ {
-				step(i)
-			}
-			n := 50000
-			if avg := testing.AllocsPerRun(2000, func() {
-				step(n)
-				n++
-			}); avg != 0 {
-				t.Fatalf("steady-state LLC access allocates %v times per access", avg)
-			}
+			forEachKernel(t, func(t *testing.T) {
+				m := NewMPPPB(c.sets, 16, c.params)
+				llc := cache.New("llc", c.sets, 16, m)
+				step := func(i int) {
+					llc.Access(cache.Access{
+						PC:   0x400000 + uint64(i%13)*4,
+						Addr: uint64(i)*88 + uint64(i%7)<<14,
+						Type: trace.Load,
+						Core: i % c.cores,
+					})
+				}
+				for i := 0; i < 50000; i++ {
+					step(i)
+				}
+				n := 50000
+				if avg := testing.AllocsPerRun(2000, func() {
+					step(n)
+					n++
+				}); avg != 0 {
+					t.Fatalf("steady-state LLC access allocates %v times per access", avg)
+				}
+			})
 		})
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"mpppb/internal/cache"
 	"mpppb/internal/trace"
+	"mpppb/internal/xrand"
 )
 
 func demand(pc, addr uint64) cache.Access {
@@ -162,6 +164,10 @@ func TestMPPPBSRRIPModeRuns(t *testing.T) {
 	}
 }
 
+// TestPredictorConfidenceSideEffectFree checks that Predict changes
+// nothing a later prediction reads: predicting twice gives one confidence.
+// It does overwrite the index vector training reads;
+// TestPredictBetweenVictimAndFill covers that.
 func TestPredictorConfidenceSideEffectFree(t *testing.T) {
 	m := NewMPPPB(64, 16, SingleThreadParams())
 	c := cache.New("llc", 64, 16, m)
@@ -176,6 +182,68 @@ func TestPredictorConfidenceSideEffectFree(t *testing.T) {
 	if c1 != c2 {
 		t.Fatalf("Predict not idempotent: %d then %d", c1, c2)
 	}
+}
+
+// probeBeforeFill is an MPPPB whose Fill first predicts probe(a), so a
+// cache that calls Victim then Fill sees a prediction in between, as the
+// -check oracle makes one.
+type probeBeforeFill struct {
+	*MPPPB
+	probe func(a cache.Access) cache.Access
+}
+
+func (m probeBeforeFill) Fill(set, way int, a cache.Access) {
+	m.Predict(m.probe(a), set, true)
+	m.MPPPB.Fill(set, way, a)
+}
+
+// TestPredictBetweenVictimAndFill pins what a prediction between MPPPB's
+// Victim and Fill may do. Fill trains from the index vector Victim left,
+// and every prediction overwrites that vector. A Predict of the same
+// access rewrites it with the same indices, so every weight ends as it
+// would without the Predict. A Predict of another access does not, which
+// shows the probe lands where the memo reads.
+func TestPredictBetweenVictimAndFill(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		weights := func(probe func(cache.Access) cache.Access) []int8 {
+			// Every set sampled, and no bypass: once a set is full, each
+			// miss is a Victim and a Fill that reuses its prediction.
+			params := SingleThreadParams()
+			params.BypassEnabled = false
+			m := NewMPPPB(64, 16, params)
+			var pol cache.ReplacementPolicy = m
+			if probe != nil {
+				pol = probeBeforeFill{m, probe}
+			}
+			c := cache.New("llc", 64, 16, pol)
+			// Blocks drawn from 1.4 times the cache's capacity: reuse
+			// distances straddle the features' A, so training never stops.
+			rng := xrand.New(3)
+			for i := 0; i < 20000; i++ {
+				b := uint64(rng.Intn(1434))
+				c.Access(demand(0x400+b%7*4, b<<trace.BlockBits))
+			}
+			if m.Placements == [4]uint64{} || m.TrainEvents == 0 {
+				t.Fatalf("no placed, trained miss: placements %v, %d train events", m.Placements, m.TrainEvents)
+			}
+			var w []int8
+			m.Predictor().ForEachWeight(func(_, _ int, v int8) { w = append(w, v) })
+			return w
+		}
+		plain := weights(nil)
+		same := weights(func(a cache.Access) cache.Access { return a })
+		if !slices.Equal(same, plain) {
+			t.Fatal("predicting the filled access between Victim and Fill changed the trained weights")
+		}
+		other := weights(func(a cache.Access) cache.Access {
+			a.PC += 0x100
+			a.Addr += 1 << 20
+			return a
+		})
+		if slices.Equal(other, plain) {
+			t.Fatal("predicting another access between Victim and Fill left the weights as they were: the probe misses the memo")
+		}
+	})
 }
 
 func TestConfidenceClamped(t *testing.T) {

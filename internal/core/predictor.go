@@ -40,17 +40,19 @@ const (
 // feature, per-core PC history, and per-set metadata feeding the burst and
 // lastmiss features.
 //
-// The hot path is compiled: NewPredictor resolves each feature into a
-// fastKernel (kernel.go) and lays every weight table out in one contiguous
+// The hot path is compiled: NewPredictor resolves the features into rows
+// of kernels (kernel.go) and lays every weight table out in one contiguous
 // array, so a prediction is a flat walk over precomputed operations with
-// no per-access parameter derivation and no history copying.
+// no per-access parameter derivation and no history copying. On a CPU with
+// AVX-512 the walk runs eight kernels to a vector (gatherVector); the
+// scalar gather is its reference and the fallback everywhere else.
 type Predictor struct {
 	features []Feature
-	fast     []fastKernel // compiled features, in feature order
-	histOffs []uint32     // distinct history ring offsets backing srcs[srcHist+j]
-	mixBits  []uint8      // distinct index widths of the X-mixed features
-	weights  []int8       // all weight tables, concatenated in feature order
-	tables   [][]int8     // per-feature views into weights (training, introspection)
+	rows     []kernelRow // compiled features, eight to a row, in feature order
+	histOffs []uint32    // distinct history ring offsets backing srcs[srcHist+j]
+	weights  []int8      // all weight tables, concatenated in feature order
+	tables   [][]int8    // per-feature views into weights (training, introspection)
+	vector   bool        // predict runs gatherVector, not gather
 
 	// hist[core] is a ring of recent memory-access PCs (not including the
 	// access currently being predicted); heads[core] indexes the most
@@ -70,11 +72,17 @@ type Predictor struct {
 	// survives between calls, which is what lets sampler training read it
 	// after the prediction, and MPPPB's Victim→Fill memo reuse the whole
 	// prediction, confidence and index vector, without recomputing it on
-	// the Fill side.
+	// the Fill side. Every prediction overwrites it, Confidence's too.
 	idx  []uint16
 	srcs [srcLen]uint64
 	mix  [mixLen]uint32
 }
+
+// useVectorGather is whether NewPredictor gives its predictors the vector
+// gather. It is what the CPU reports (cpuHasVectorGather); only this
+// package's tests clear it, to run the scalar gather where the vector one
+// would run.
+var useVectorGather = cpuHasVectorGather
 
 // NewPredictor builds predictor state for an LLC with the given number of
 // sets, shared by the given number of cores.
@@ -95,6 +103,7 @@ func NewPredictor(features []Feature, llcSets, cores int) *Predictor {
 		heads:    make([]uint32, cores),
 		setMeta:  make([]setMeta, llcSets),
 		idx:      make([]uint16, len(features)),
+		vector:   useVectorGather,
 	}
 	total := 0
 	for _, f := range features {
@@ -103,14 +112,16 @@ func NewPredictor(features []Feature, llcSets, cores int) *Predictor {
 		}
 		total += f.TableSize()
 	}
-	p.weights = make([]int8, total)
+	// The vector gather reads each weight as the low byte of a dword, so
+	// the last table's last weight needs three bytes after it.
+	p.weights = make([]int8, total, total+3)
 	base := 0
 	for i, f := range features {
 		sz := f.TableSize()
 		p.tables[i] = p.weights[base : base+sz : base+sz]
 		base += sz
 	}
-	p.fast, p.histOffs, p.mixBits = compileFastKernels(features)
+	p.rows, p.histOffs = compileRows(features)
 	return p
 }
 
@@ -159,38 +170,53 @@ func (p *Predictor) predict(a *cache.Access, set int, insert bool) int {
 		srcs[(srcHist+j)&srcMask] = hist[(head+off)&histRingMask]
 	}
 	p.mixPC(pc)
+	if p.vector {
+		return p.gatherVector()
+	}
 	return p.gather()
 }
 
-// mixPC folds the X parameter's mix, PC>>2, to each index width a mixed
-// kernel uses, once per prediction (see fastKernel).
+// mixPC folds the X parameter's mix, PC>>2, to the two index widths a
+// mixed kernel can have, once per prediction (see kernelRow).
 func (p *Predictor) mixPC(pc uint64) {
-	for _, n := range p.mixBits {
-		p.mix[n&mixMask] = foldTo(pc>>2, int(n))
-	}
+	p.mix[6] = fold6(pc >> 2)
+	p.mix[8] = fold8(pc >> 2)
 }
 
 // gather runs the compiled kernels over the filled source and mix vectors:
 // per feature, the shift/mask, the fold of a wide range, the PC mix, the
-// idx store, and the weight added to the sum.
+// idx store, and the weight added to the sum. It is the reference for
+// gatherVector and the kernel on every CPU without one.
 func (p *Predictor) gather() int {
-	kernels := p.fast
-	idx := p.idx[:len(kernels)] // same length; lets the compiler drop the store's bounds check
-	weights := p.weights
 	sum := 0
-	for i := range kernels {
-		k := &kernels[i]
-		// shift <= MaxBit; the &63 spares Go's guard for shifts past 63.
-		raw := (p.srcs[k.src&srcMask] >> (k.shift & 63)) & k.wmask
-		ix := uint32(raw)
-		if k.fold {
-			ix = fold8(raw)
-		}
-		ix ^= p.mix[k.mix&mixMask]
-		idx[i] = uint16(ix)
-		sum += int(weights[k.base+ix])
+	for r := range p.rows {
+		sum += p.gatherRow(&p.rows[r], p.idx[r*rowLanes:])
 	}
 	return clampConf(sum)
+}
+
+// gatherRow runs one row's kernels, storing their indices in idx (its
+// valid lanes, at most rowLanes of them), and returns their weights' sum.
+// It is a function of its own so that the row is one register: in gather's
+// loop, Go re-adds the row's offset before every field load and spills
+// the lane counter.
+func (p *Predictor) gatherRow(row *kernelRow, idx []uint16) int {
+	weights := p.weights
+	fold := row.fold
+	sum := 0
+	for j := range min(len(idx), rowLanes) {
+		// shift <= MaxBit; the &63 spares Go's guard for shifts past 63.
+		raw := (p.srcs[row.src[j]&srcMask] >> (row.shift[j] & 63)) & row.wmask[j]
+		ix := uint32(raw)
+		if fold&1 != 0 {
+			ix = fold8(raw)
+		}
+		fold >>= 1
+		ix ^= p.mix[row.mix[j]&mixMask]
+		idx[j] = uint16(ix)
+		sum += int(weights[row.base[j]+uint64(ix)])
+	}
+	return sum
 }
 
 // b2u converts a bool to its 0/1 raw feature value.
@@ -201,8 +227,15 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// Confidence computes the prediction for an access without updating any
-// state. Higher values mean the block is more confidently predicted dead.
+// Confidence computes the prediction for an access. Higher values mean
+// the block is more confidently predicted dead. It changes no weight,
+// history or set metadata, but like every prediction it overwrites the
+// index vector (idx) that the sampler trains from and that MPPPB's
+// Victim→Fill memo reuses. So a caller may predict between an MPPPB's
+// Victim and its Fill only for that same access, which rewrites the
+// vector Victim left: verify's compareConf does that, and the ROC probe
+// never calls Victim on the MPPPB it wraps, whose Fill then predicts
+// afresh.
 func (p *Predictor) Confidence(a cache.Access, set int, insert bool) int {
 	return p.predict(&a, set, insert)
 }

@@ -14,9 +14,13 @@ import (
 // not (Section 6.3 explains why its classification is not comparable).
 type ConfidencePredictor interface {
 	cache.ReplacementPolicy
-	// Predict returns the dead-block confidence for the access, without
-	// side effects on predictor state. insert reports whether the access
-	// is an insertion (a miss) — input to the predictor's insert feature.
+	// Predict returns the dead-block confidence for the access. It trains
+	// nothing and updates no history, but MPPPB's overwrites the index
+	// vector its next training reads, which its Fill reuses after a
+	// Victim (core.Predictor.Confidence). rocProbe is safe: it never calls
+	// the predictor's Victim, and it predicts before Hit and Fill, which
+	// predict again. insert reports whether the access is an insertion (a
+	// miss) — input to the predictor's insert feature.
 	Predict(a cache.Access, set int, insert bool) int
 }
 

@@ -346,9 +346,11 @@ func (o *mpppbOracle) defaultVictim(set int) int {
 }
 
 // compareConf checks the reference confidence against the production
-// predictor's. The production call is side-effect-free and the production
-// hook recomputes the identical scratch state afterwards, so probing here
-// does not disturb the run.
+// predictor's. The production call trains nothing, but it overwrites the
+// predictor's index vector, which MPPPB's Fill reuses after its Victim;
+// every probe here predicts the access the hook around it is handling, so
+// the vector it leaves is the one that hook computes or reuses, and
+// probing does not disturb the run.
 func (o *mpppbOracle) compareConf(a cache.Access, set int, insert bool, refConf int) {
 	if prod := o.m.Predict(a, set, insert); prod != refConf {
 		o.k.failf("", "mpppb: set %d %v access %#x (pc %#x, insert=%v): production confidence %d, reference %d",

@@ -7,9 +7,9 @@
 # way the simulated machine runs but the fast-MPKI search (the adaptive
 # smoke's -check run covers that one):
 #   kernels     the hot rewrites: the always-run lru baseline and mpppb
-#               stream the SoA tag lane, mpppb runs the scalar confidence
-#               gather, and mdpp exercises the precomputed tree-PLRU touch
-#               tables;
+#               stream the SoA tag lane, mpppb runs the confidence gather
+#               the CPU picks (AVX-512 or scalar), and mdpp exercises the
+#               precomputed tree-PLRU touch tables;
 #   st-duelers  the single-thread set-dueling policies drrip, dip,
 #               dyn-mdpp and hybrid;
 #   mc-duelers  hybrid-srrip and mpppb-adaptive-srrip on one 4-core mix;
