@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-hotpath bench-record bench-regress experiments results resume-smoke watch-smoke serve-smoke check-smoke fleet-smoke ingest-smoke adaptive-smoke cover fuzz clean
+.PHONY: all build test vet race bench bench-hotpath bench-record experiments results resume-smoke watch-smoke serve-smoke check-smoke fleet-smoke ingest-smoke adaptive-smoke cover fuzz clean
 
 all: build test
 
@@ -32,18 +32,19 @@ race:
 
 # The root package's Go benchmarks, one iteration each: the ablation
 # sweeps no experiment id prints (θ, sampler size, bypass, default
-# policy) and the end-to-end fig6 segment. The experiments themselves
-# are pinned by the goldens in cmd/mpppb-experiments/testdata.
+# policy). The experiments themselves are pinned by the goldens in
+# cmd/mpppb-experiments/testdata; the simulator's speed end to end is
+# measured by bench/ (bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x .
 
-# Hot-path microbenchmarks: predictor confidence, the per-feature-kind and
-# per-feature-set predictor gather, one LLC access, the set probe and
-# victim scan, one demand's capture through L1, L2 and the prefetcher and
-# its replay into the LLC, one prefetcher miss, the core timing
-# model's share of one trace record, one Zipf draw per table size,
-# generator batching per Zipf segment, the advice-serving round trip, and
-# the end-to-end fig6 segment. See docs/PERFORMANCE.md.
+# Hot-path microbenchmarks, one layer each: predictor confidence, the
+# per-feature-kind and per-feature-set predictor gather, one LLC access,
+# the set probe and victim scan, one demand's capture through L1, L2 and
+# the prefetcher and its replay into the LLC, one prefetcher miss, the
+# core timing model's share of one trace record, one Zipf draw per table
+# size, generator batching per Zipf segment, and the advice-serving round
+# trip. End-to-end speed is bench/'s. See docs/PERFORMANCE.md.
 bench-hotpath:
 	$(GO) test -run NONE -bench 'BenchmarkPredictorConfidence|BenchmarkPredict$$|BenchmarkLLCAccess' -benchmem -benchtime 2s ./internal/core
 	$(GO) test -run NONE -bench 'BenchmarkCacheLookup|BenchmarkVictimScan|BenchmarkHierarchyDemand' -benchmem -benchtime 2s ./internal/cache
@@ -52,16 +53,22 @@ bench-hotpath:
 	$(GO) test -run NONE -bench BenchmarkZipfDraw -benchmem -benchtime 2s ./internal/xrand
 	$(GO) test -run NONE -bench BenchmarkGeneratorBatch -benchmem -benchtime 2s ./internal/workload
 	$(GO) test -run NONE -bench 'BenchmarkServeAdvice|BenchmarkApplyInline' -benchmem -benchtime 2s ./internal/serve
-	$(GO) test -run NONE -bench BenchmarkEndToEndFig6Segment -benchmem -benchtime 1x .
 
-# Record a throughput trajectory point as BENCH_<n>.json.
+# Record a trajectory point: the next free BENCH_<n>.json at the root holds
+# the result lines of one default `bash bench/run.sh` run as printed, with
+# the commit, the date, the Go version and the CPU model. A run with a
+# failed operation records nothing. Run it on an idle host; see
+# docs/PERFORMANCE.md ("Trajectory").
 bench-record:
-	scripts/bench.sh
-
-# Regression gate: throwaway trajectory point vs the newest checked-in
-# BENCH_*.json (see scripts/bench_regress.sh; CI runs it blocking at 20%).
-bench-regress:
-	scripts/bench_regress.sh
+	@set -eu; n=1; while [ -e BENCH_$$n.json ]; do n=$$((n + 1)); done; \
+	out=$$(bash bench/run.sh) || { printf '%s\n' "$$out"; echo "bench-record: the run failed; nothing recorded" >&2; exit 1; }; \
+	printf '%s\n' "$$out"; \
+	{ printf '{\n  "commit": "%s",\n  "date": "%s",\n  "go": "%s",\n  "cpu": "%s",\n  "results": [\n' \
+		"$$(git describe --always --dirty)" "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$$($(GO) env GOVERSION)" \
+		"$$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)"; \
+	  printf '%s\n' "$$out" | grep '^{"workload"' | sed 's/^/    /; $$!s/$$/,/'; \
+	  printf '  ]\n}\n'; } > BENCH_$$n.json; \
+	echo "wrote BENCH_$$n.json"
 
 # Full experiment campaign: TSV per figure/table into results/.
 # Raise -warmup/-measure/-mixes for tighter numbers (slower).

@@ -21,8 +21,8 @@ const (
 	benchWays = 16
 )
 
-// filledCache builds an LLC-geometry cache with every frame valid and a
-// deterministic mix of dirty/prefetched flags.
+// filledCache builds an LLC-geometry cache with every frame valid, filled
+// by a deterministic mix of loads, stores (dirty) and prefetches.
 func filledCache() *cache.Cache {
 	c := cache.New("llc", benchSets, benchWays, policy.NewLRU(benchSets, benchWays))
 	for set := 0; set < benchSets; set++ {

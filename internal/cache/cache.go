@@ -51,15 +51,16 @@ func (a Access) IsDemand() bool { return a.Type == trace.Load || a.Type == trace
 // than in an array of frame structs. The way scan in Lookup/access then
 // streams over a contiguous lane of 8-byte block addresses — ways*8 bytes
 // per set, two cache lines for a 16-way LLC — instead of striding 24-byte
-// structs, and the three booleans pack into one byte per frame.
+// structs, and the two booleans pack into one byte per frame.
 //
 // Invalid frames additionally hold the sentinel noBlock in the address
 // lane, so a tag-lane comparison can never match a stale address; flags
 // remain the authority on validity.
 //
-// A fill takes the lowest invalid way of its set, and only Invalidate and
-// Reset make a frame invalid, so a set whose frames are all valid stays
-// that way through a whole simulation. Each set counts its invalid frames
+// A fill takes the lowest invalid way of its set, and only New and Reset
+// make frames invalid (the hierarchy is non-inclusive and never
+// invalidates a block), so a set whose frames are all valid stays that
+// way through a whole simulation. Each set counts its invalid frames
 // (holes), and a miss searches its set for one only while the set's count
 // is positive.
 
@@ -70,9 +71,8 @@ const noBlock = ^uint64(0)
 
 // Per-frame flag bits, packed one byte per frame.
 const (
-	frameValid      uint8 = 1 << 0
-	frameDirty      uint8 = 1 << 1
-	framePrefetched uint8 = 1 << 2
+	frameValid uint8 = 1 << 0
+	frameDirty uint8 = 1 << 1
 )
 
 // ReplacementPolicy receives lookup outcomes and chooses victims for one
@@ -92,8 +92,7 @@ type ReplacementPolicy interface {
 	// including fills into previously-invalid frames.
 	Fill(set, way int, a Access)
 	// Evict is invoked when the valid block at (set, way) is about to be
-	// replaced or invalidated. blockAddr is the full block address of the
-	// victim.
+	// replaced. blockAddr is the full block address of the victim.
 	Evict(set, way int, blockAddr uint64)
 }
 
@@ -181,9 +180,6 @@ func (o outcome) result() Result {
 type Observer interface {
 	// OnAccess is invoked after an Access completes, with the final result.
 	OnAccess(a Access, r Result)
-	// OnInvalidate is invoked after an Invalidate, whether or not the
-	// block was present.
-	OnInvalidate(blockAddr uint64, present bool)
 }
 
 // frames is the frame storage a Cache and a PrivateLevel share: the tag
@@ -195,7 +191,7 @@ type frames struct {
 	ways    int
 	setMask uint64
 	addrs   []uint64 // block-address (tag) lane; noBlock when invalid
-	flags   []uint8  // frameValid | frameDirty | framePrefetched
+	flags   []uint8  // frameValid | frameDirty
 	holes   []uint8  // invalid frames per set
 }
 
@@ -306,7 +302,7 @@ func (f *frames) SizeBytes() int { return f.sets * f.ways * trace.BlockSize }
 func (c *Cache) Policy() ReplacementPolicy { return c.policy }
 
 // SetObserver attaches an observer (nil detaches). Observers see every
-// Access and Invalidate after it completes.
+// Access after it completes.
 func (c *Cache) SetObserver(obs Observer) { c.obs = obs }
 
 // SetPolicy replaces the attached replacement policy. The verification
@@ -345,12 +341,6 @@ func (f *frames) BlockAddrAt(set, way int) (uint64, bool) {
 		return 0, false
 	}
 	return f.addrs[i], true
-}
-
-// IsPrefetchedAt reports whether the block in (set, way) was installed by a
-// prefetch and has not yet been demand-referenced.
-func (f *frames) IsPrefetchedAt(set, way int) bool {
-	return f.flags[set*f.ways+way]&framePrefetched != 0
 }
 
 // Access performs a full lookup-and-fill. On a miss the block is installed
@@ -398,7 +388,6 @@ func (c *Cache) lookupFill(a Access) outcome {
 			c.Stats.Hits++
 			if demand {
 				c.Stats.DemandHits++
-				c.flags[i] &^= framePrefetched
 			}
 			if typ == trace.Store || typ == trace.Writeback {
 				c.flags[i] |= frameDirty
@@ -454,30 +443,11 @@ func (c *Cache) lookupFill(a Access) outcome {
 		fl |= frameDirty
 	}
 	if typ == trace.Prefetch {
-		fl |= framePrefetched
 		c.Stats.PrefetchFills++
 	}
 	c.flags[i] = fl
 	c.policy.Fill(set, o.way, a)
 	return o
-}
-
-// Invalidate removes a block if present, returning whether it was present
-// and dirty. The policy's Evict hook is notified.
-func (c *Cache) Invalidate(blockAddr uint64) (present, dirty bool) {
-	set, way := c.Lookup(blockAddr)
-	if way >= 0 {
-		i := set*c.ways + way
-		present, dirty = true, c.flags[i]&frameDirty != 0
-		c.policy.Evict(set, way, c.addrs[i])
-		c.addrs[i] = noBlock
-		c.flags[i] = 0
-		c.holes[set]++
-	}
-	if c.obs != nil {
-		c.obs.OnInvalidate(blockAddr, present)
-	}
-	return present, dirty
 }
 
 // DumpSet renders the frames of one set for divergence diagnostics.
@@ -493,9 +463,6 @@ func (f *frames) DumpSet(set int) string {
 		flags := ""
 		if f.flags[i]&frameDirty != 0 {
 			flags += "D"
-		}
-		if f.flags[i]&framePrefetched != 0 {
-			flags += "P"
 		}
 		s += fmt.Sprintf(" [%d: %#x %s]", w, f.addrs[i], flags)
 	}

@@ -180,31 +180,28 @@ func TestDemandVsPrefetchStats(t *testing.T) {
 	}
 }
 
-func TestPrefetchedFlagClearedByDemand(t *testing.T) {
-	c := New("t", 4, 2, newLRUStub(2))
-	r := c.Access(Access{Addr: addr(1), Type: trace.Prefetch})
-	if !c.IsPrefetchedAt(r.Set, r.Way) {
-		t.Fatal("prefetched flag not set")
-	}
-	r2 := c.Access(Access{Addr: addr(1), Type: trace.Load})
-	if c.IsPrefetchedAt(r2.Set, r2.Way) {
-		t.Fatal("prefetched flag survived demand hit")
-	}
-}
-
-func TestInvalidate(t *testing.T) {
+// TestStoreAndWritebackDirtyTheFrame: a store fill, a store hit and a
+// writeback hit leave the frame dirty; load and prefetch fills leave it
+// clean, and a load hit leaves its dirtiness as it was.
+func TestStoreAndWritebackDirtyTheFrame(t *testing.T) {
 	c := New("t", 2, 2, newLRUStub(2))
-	c.Access(Access{Addr: addr(2), Type: trace.Store})
-	present, dirty := c.Invalidate(2)
-	if !present || !dirty {
-		t.Fatalf("Invalidate = (%v,%v), want (true,true)", present, dirty)
-	}
-	if c.Contains(2) {
-		t.Fatal("block present after invalidate")
-	}
-	present, _ = c.Invalidate(2)
-	if present {
-		t.Fatal("second invalidate found the block")
+	for i, step := range []struct {
+		block uint64
+		typ   trace.AccessType
+		dirty bool
+	}{
+		{2, trace.Load, false},
+		{2, trace.Load, false},
+		{2, trace.Writeback, true},
+		{2, trace.Load, true},
+		{3, trace.Store, true},
+		{5, trace.Prefetch, false},
+		{5, trace.Store, true},
+	} {
+		r := c.Access(Access{Addr: addr(step.block), Type: step.typ})
+		if got := c.IsDirtyAt(r.Set, r.Way); got != step.dirty {
+			t.Fatalf("step %d: %v of block %d leaves dirty=%v, want %v", i, step.typ, step.block, got, step.dirty)
+		}
 	}
 }
 
@@ -330,12 +327,12 @@ func (g *holeGuard) Victim(set int, a Access) (int, bool) {
 	return g.lruStub.Victim(set, a)
 }
 
-// TestHoleCountTracksInvalidFrames drives random accesses of every type,
-// invalidations of resident blocks and an occasional Reset through caches
-// of several shapes. After every operation each set's hole count must
-// equal that set's number of invalid frames, and no miss may reach the
-// policy's Victim while its set still has an invalid frame. Sets fill at
-// different rates, so some evict while others still have holes.
+// TestHoleCountTracksInvalidFrames drives random accesses of every type
+// and a Reset through caches of several shapes. After every operation each
+// set's hole count must equal that set's number of invalid frames, and no
+// miss may reach the policy's Victim while its set still has an invalid
+// frame. Sets fill at different rates, so some evict while others still
+// have holes.
 func TestHoleCountTracksInvalidFrames(t *testing.T) {
 	types := []trace.AccessType{trace.Load, trace.Load, trace.Store, trace.Prefetch, trace.Writeback}
 	for _, geo := range []struct{ sets, ways int }{{1, 1}, {1, 4}, {4, 3}, {8, 8}, {16, 16}} {
@@ -349,14 +346,9 @@ func TestHoleCountTracksInvalidFrames(t *testing.T) {
 		}
 		capacity := geo.sets * geo.ways
 		for step := 0; step < 6000; step++ {
-			switch op := next(100); {
-			case step == 3000:
+			if step == 3000 {
 				c.Reset()
-			case op < 8:
-				if b, ok := c.BlockAddrAt(next(geo.sets), next(geo.ways)); ok {
-					c.Invalidate(b)
-				}
-			default:
+			} else {
 				c.Access(Access{Addr: addr(uint64(next(3 * capacity))), Type: types[next(len(types))]})
 			}
 			for set := 0; set < geo.sets; set++ {

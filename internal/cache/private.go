@@ -46,12 +46,8 @@ func (l *PrivateLevel) access(block uint64, typ trace.AccessType) outcome {
 	base := set * l.ways
 	for w, fa := range l.addrs[base : base+l.ways] {
 		if fa == block {
-			i := base + w
-			if typ == trace.Load || typ == trace.Store {
-				l.flags[i] &^= framePrefetched
-			}
 			if typ == trace.Store || typ == trace.Writeback {
-				l.flags[i] |= frameDirty
+				l.flags[base+w] |= frameDirty
 			}
 			l.rec.Touch(set, w, 0)
 			o := outcome{set: set, way: w, flags: outHit}
@@ -80,9 +76,6 @@ func (l *PrivateLevel) access(block uint64, typ trace.AccessType) outcome {
 	fl := frameValid
 	if typ == trace.Store {
 		fl |= frameDirty
-	}
-	if typ == trace.Prefetch {
-		fl |= framePrefetched
 	}
 	l.flags[i] = fl
 	l.observe(block, typ, o)

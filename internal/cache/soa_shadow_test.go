@@ -1,12 +1,12 @@
 // The SoA frame layout keeps per-frame fields in parallel slices with a
 // tag-lane sentinel for invalid frames (see cache.go). This file checks
 // that layout against a deliberately naive array-of-structs shadow: both
-// models replay the same randomized access/invalidate sequences under
-// their own deterministic policy instances, and every observable frame
-// field must agree after every operation. A bookkeeping slip in the split
-// storage — a stale tag after invalidate, a flags byte out of sync with
-// the address lane, a readyAt written to the wrong row — diverges the
-// shadow immediately.
+// models replay the same randomized access sequences, with an occasional
+// Reset, under their own deterministic policy instances, and every
+// observable frame field must agree after every operation. A bookkeeping
+// slip in the split storage — a stale tag after Reset, a flags byte out of
+// sync with the address lane, a readyAt written to the wrong row —
+// diverges the shadow immediately.
 package cache_test
 
 import (
@@ -20,11 +20,10 @@ import (
 
 // shadowFrame is the naive AoS frame: one struct per way, unpacked bools.
 type shadowFrame struct {
-	addr       uint64
-	readyAt    uint64
-	valid      bool
-	dirty      bool
-	prefetched bool
+	addr    uint64
+	readyAt uint64
+	valid   bool
+	dirty   bool
 }
 
 // shadowCache is an array-of-structs reference model of cache.Cache's
@@ -52,9 +51,6 @@ func (s *shadowCache) access(a cache.Access) int {
 	fr := s.frames[set]
 	for w := range fr {
 		if fr[w].valid && fr[w].addr == block {
-			if a.IsDemand() {
-				fr[w].prefetched = false
-			}
 			if a.Type == trace.Store || a.Type == trace.Writeback {
 				fr[w].dirty = true
 			}
@@ -81,25 +77,20 @@ func (s *shadowCache) access(a cache.Access) int {
 		s.pol.Evict(set, way, fr[way].addr)
 	}
 	fr[way] = shadowFrame{
-		addr:       block,
-		readyAt:    a.Now,
-		valid:      true,
-		dirty:      a.Type == trace.Store,
-		prefetched: a.Type == trace.Prefetch,
+		addr:    block,
+		readyAt: a.Now,
+		valid:   true,
+		dirty:   a.Type == trace.Store,
 	}
 	s.pol.Fill(set, way, a)
 	return way
 }
 
-func (s *shadowCache) invalidate(block uint64) {
-	set := int(block) & (s.sets - 1)
-	fr := s.frames[set]
-	for w := range fr {
-		if fr[w].valid && fr[w].addr == block {
-			s.pol.Evict(set, w, fr[w].addr)
-			fr[w] = shadowFrame{}
-			return
-		}
+// reset empties every frame, as Cache.Reset does; like it, it leaves the
+// policy's state alone.
+func (s *shadowCache) reset() {
+	for _, fr := range s.frames {
+		clear(fr)
 	}
 }
 
@@ -120,8 +111,8 @@ func (s *shadowCache) compare(t *testing.T, c *cache.Cache, step int) {
 			if addr != sf.addr {
 				t.Fatalf("step %d: set %d way %d addr %#x, shadow %#x\n%s", step, set, w, addr, sf.addr, c.DumpSet(set))
 			}
-			if got := c.IsPrefetchedAt(set, w); got != sf.prefetched {
-				t.Fatalf("step %d: set %d way %d prefetched=%v, shadow %v", step, set, w, got, sf.prefetched)
+			if got := c.IsDirtyAt(set, w); got != sf.dirty {
+				t.Fatalf("step %d: set %d way %d dirty=%v, shadow %v\n%s", step, set, w, got, sf.dirty, c.DumpSet(set))
 			}
 			if got := c.ReadyAt(set, w); got != sf.readyAt {
 				t.Fatalf("step %d: set %d way %d readyAt=%d, shadow %d", step, set, w, got, sf.readyAt)
@@ -132,33 +123,31 @@ func (s *shadowCache) compare(t *testing.T, c *cache.Cache, step int) {
 
 // TestSoAMatchesAoSShadow replays randomized access sequences — all four
 // access types, a skewed address distribution that forces both conflict
-// evictions and invalid-frame fills, and interleaved invalidations —
-// through the production SoA cache and the AoS shadow, comparing complete
-// frame state as it goes. Dirty bits are compared through eviction results
-// (Invalidate reports dirtiness) rather than a direct accessor, via the
-// invalidation steps.
+// evictions and invalid-frame fills, and a rare Reset — through the
+// production SoA cache and the AoS shadow, comparing complete frame state,
+// dirty bits included, as it goes.
 func TestSoAMatchesAoSShadow(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		replayShadow(t, 16, 4, seed, false)
+		replayShadow(t, 16, 4, seed, 1000)
 	}
 }
 
-// TestFillTakesLowestHole punches holes mid-set: one step in three
-// invalidates the block of a random frame, so misses keep finding sets with
-// invalid frames between valid ones. Every fill must land in the lowest
-// invalid way, the frame the shadow's scan over valid bits chooses.
+// TestFillTakesLowestHole resets both models one step in 60 on average, so
+// misses keep finding sets with invalid frames. Every fill must land in
+// the lowest invalid way, the frame the shadow's scan over valid bits
+// chooses. Only New and Reset make frames invalid, so a set's invalid
+// frames are always its highest ways.
 func TestFillTakesLowestHole(t *testing.T) {
 	for _, ways := range []int{1, 3, 8, 16} {
 		for seed := int64(0); seed < 3; seed++ {
-			replayShadow(t, 8, ways, seed, true)
+			replayShadow(t, 8, ways, seed, 60)
 		}
 	}
 }
 
 // replayShadow drives the production cache and the shadow through one
-// random sequence. With holes, invalidations are frequent and aimed at
-// resident blocks.
-func replayShadow(t *testing.T, sets, ways int, seed int64, holes bool) {
+// random sequence, resetting both one step in resetOneIn on average.
+func replayShadow(t *testing.T, sets, ways int, seed int64, resetOneIn int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	c := cache.New("soa", sets, ways, policy.NewLRU(sets, ways))
@@ -167,34 +156,10 @@ func replayShadow(t *testing.T, sets, ways int, seed int64, holes bool) {
 	types := []trace.AccessType{
 		trace.Load, trace.Load, trace.Load, trace.Store, trace.Prefetch, trace.Writeback,
 	}
-	invalidateOneIn := 20
-	if holes {
-		invalidateOneIn = 3
-	}
 	for step := 0; step < 4000; step++ {
-		if rng.Intn(invalidateOneIn) == 0 {
-			// Invalidate a random block from the reachable footprint, or
-			// with holes the block of a random frame; dirtiness must agree
-			// between the two models.
-			block := uint64(rng.Intn(sets * ways * 3))
-			if holes {
-				if b, ok := c.BlockAddrAt(rng.Intn(sets), rng.Intn(ways)); ok {
-					block = b
-				}
-			}
-			present, dirty := c.Invalidate(block)
-			wantPresent, wantDirty := false, false
-			set := int(block) & (sets - 1)
-			for w := 0; w < ways; w++ {
-				if f := sh.frames[set][w]; f.valid && f.addr == block {
-					wantPresent, wantDirty = true, f.dirty
-				}
-			}
-			if present != wantPresent || dirty != wantDirty {
-				t.Fatalf("seed %d step %d: Invalidate(%#x) = (%v,%v), shadow (%v,%v)",
-					seed, step, block, present, dirty, wantPresent, wantDirty)
-			}
-			sh.invalidate(block)
+		if rng.Intn(resetOneIn) == 0 {
+			c.Reset()
+			sh.reset()
 		} else {
 			a := cache.Access{
 				PC:   0x400000 + uint64(rng.Intn(64))*4,

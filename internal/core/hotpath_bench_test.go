@@ -8,10 +8,10 @@ import (
 	"mpppb/internal/xrand"
 )
 
-// Hot-path microbenchmarks for the per-access predictor work. These are the
-// numbers docs/PERFORMANCE.md tracks; scripts/bench.sh runs
-// BenchmarkPredictorConfidence and BenchmarkLLCAccess and emits a
-// BENCH_<n>.json trajectory point.
+// Hot-path microbenchmarks for the per-access predictor work, the
+// predictor's layer in isolation (make bench-hotpath; docs/PERFORMANCE.md,
+// "Measuring"). The end-to-end speed they feed is measured by the
+// repository benchmark, bench/.
 
 // benchAccess produces a deterministic but irregular access stream: a few
 // static PCs walking several address regions, which exercises the pc,

@@ -78,8 +78,6 @@ func (l *streamLog) OnAccess(a cache.Access, r cache.Result) {
 	l.cores[a.Core] = append(l.cores[a.Core], event{a.Type, a.PC, a.Addr, r.Set, r.Way, r.Hit, r.EvictedAddr})
 }
 
-func (l *streamLog) OnInvalidate(uint64, bool) {}
-
 // TestLLCStreamPolicyInvarianceTimedMulti extends the invariance to timed
 // four-core runs, where the policy changes every core's timing and so how
 // far each core runs: each core's L2 outcomes and its LLC requests, in

@@ -189,18 +189,37 @@ func TestThrashBenchmarkOrdering(t *testing.T) {
 	}
 }
 
+// TestMINNeverWorseOnSuiteSample: on the single-thread machine every
+// policy sees the same LLC access stream, so Belady's MIN with bypass is a
+// lower bound on every registered policy's LLC misses. The sample is four
+// segments of different classes plus every ninth segment of the suite.
+// MIN minimizes misses, not stall cycles, so its IPC can fall a hair below
+// LRU's (mcf_like-0 does); the IPC check covers the four classes only.
 func TestMINNeverWorseOnSuiteSample(t *testing.T) {
 	cfg := shortCfg()
-	for _, id := range []workload.SegmentID{
+	classes := []workload.SegmentID{
 		seg("gcc_like", 0), seg("lbm_like", 1), seg("povray_like", 2), seg("data_caching_like", 0),
-	} {
+	}
+	ids := append([]workload.SegmentID(nil), classes...)
+	for i, id := range workload.Segments() {
+		if i%9 == 0 {
+			ids = append(ids, id)
+		}
+	}
+	for k, id := range ids {
 		gen := workload.NewGenerator(id, 0)
 		lruRes, minRes := RunSingleMIN(cfg, gen)
-		if minRes.LLCMisses > lruRes.LLCMisses {
-			t.Errorf("%s: MIN misses %d > LRU %d", id, minRes.LLCMisses, lruRes.LLCMisses)
-		}
-		if minRes.IPC+1e-9 < lruRes.IPC {
+		if k < len(classes) && minRes.IPC+1e-9 < lruRes.IPC {
 			t.Errorf("%s: MIN IPC %.4f < LRU %.4f", id, minRes.IPC, lruRes.IPC)
+		}
+		for _, name := range PolicyNames() {
+			pf, err := Policy(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := RunSingle(cfg, gen, pf); minRes.LLCMisses > r.LLCMisses {
+				t.Errorf("%s: MIN misses %d > %s's %d", id, minRes.LLCMisses, name, r.LLCMisses)
+			}
 		}
 	}
 }

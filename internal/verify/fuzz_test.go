@@ -44,10 +44,6 @@ func FuzzCacheOps(f *testing.F) {
 				a.Type = trace.Store
 			case 6:
 				a.Type = trace.Prefetch
-			case 7:
-				lru.Invalidate(block)
-				mp.Invalidate(block)
-				continue
 			default:
 				a.Type = trace.Load
 			}

@@ -11,9 +11,9 @@ import (
 
 // cacheModel is the naive reference cache: per set, an unordered list of
 // resident block addresses. It implements cache.Observer and replays every
-// completed operation against its own state, verifying the production
-// outcome (hit/miss, fill location, eviction, invalidation) and, every
-// sweepEvery events, the full content of the production array.
+// completed access against its own state, verifying the production
+// outcome (hit/miss, fill location, eviction) and, every sweepEvery
+// events, the full content of the production array.
 type cacheModel struct {
 	k      *Checker
 	c      level
@@ -124,20 +124,6 @@ func (m *cacheModel) check(addr uint64, typ trace.AccessType, r cache.Result) {
 	if m.k.events%m.k.sweepEvery == 0 {
 		m.k.sweep()
 	}
-}
-
-// OnInvalidate implements cache.Observer.
-func (m *cacheModel) OnInvalidate(blockAddr uint64, present bool) {
-	set := int(blockAddr & m.mask)
-	i := m.contains(set, blockAddr)
-	if (i >= 0) != present {
-		m.k.failf(m.dump(set), "invalidate of %#x: production present=%v, reference present=%v",
-			blockAddr, present, i >= 0)
-	}
-	if i >= 0 {
-		m.remove(set, i)
-	}
-	m.k.events++
 }
 
 // checkAll compares the full production array against the model: same

@@ -5,7 +5,7 @@
 //
 //   - A naive, obviously-correct reference cache model runs shadow-by-shadow
 //     with the production array via the cache.Observer hook, verifying every
-//     hit/miss outcome, fill placement, eviction, and invalidation.
+//     hit/miss outcome, fill placement, and eviction.
 //   - A shadow replacement-policy wrapper runs a reference implementation of
 //     the attached policy (true LRU, SRRIP, tree PLRU, MDPP, the full MPPPB
 //     predictor + sampler, or the reference set duel of DIP, DRRIP, dynamic
@@ -44,8 +44,8 @@ import (
 type DivergenceError struct {
 	// Cache names the cache level being checked (e.g. "llc").
 	Cache string
-	// Event is the 0-based index of the access (or invalidate) being
-	// processed when the divergence was detected.
+	// Event is the 0-based index of the access being processed when the
+	// divergence was detected.
 	Event uint64
 	// Detail describes the disagreement.
 	Detail string
@@ -81,7 +81,7 @@ type Checker struct {
 	shadow *shadowPolicy // a cache.Cache's; nil for a private level
 	ranks  *lruOracle    // a private level's; nil for a cache.Cache
 
-	events      uint64 // completed Access/Invalidate operations
+	events      uint64 // completed accesses
 	sweepEvery  uint64 // full-state sweep period, in events
 	divergences uint64
 

@@ -12,8 +12,8 @@ import (
 )
 
 // drive runs deterministic pseudo-random traffic — loads, stores,
-// prefetches, writebacks, and occasional invalidates — against a checked
-// cache. Any divergence panics (the checker default), failing the test.
+// prefetches and writebacks — against a checked cache. Any divergence
+// panics (the checker default), failing the test.
 func drive(t *testing.T, c *cache.Cache, k *Checker, accesses int, seed uint64) {
 	t.Helper()
 	rng := xrand.New(seed)
@@ -38,9 +38,6 @@ func drive(t *testing.T, c *cache.Cache, k *Checker, accesses int, seed uint64) 
 			Core: rng.Intn(4),
 		}
 		c.Access(a)
-		if rng.Intn(97) == 0 {
-			c.Invalidate(rng.Uint64() % footprint)
-		}
 	}
 	k.Finish()
 	if k.Events() == 0 {
